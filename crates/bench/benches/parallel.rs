@@ -1,8 +1,7 @@
-//! Real thread-scaling of the parallel engine (the host-machine
-//! counterpart of Fig. 10a), comparing the two schedulers: static
-//! fork-join splits vs the work-stealing chunked pool. On a single-core
-//! host the interesting number is the parallel-overhead delta between 1
-//! and 2 threads.
+//! Real thread-scaling of the work-stealing parallel engine (the
+//! host-machine counterpart of Fig. 10a). On a single-core host the
+//! interesting number is the parallel-overhead delta between 1 and 2
+//! threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -24,12 +23,6 @@ fn bench_parallel(c: &mut Criterion) {
             b.iter(|| {
                 let mut policy = FixedMN::new(14.0, 24.0);
                 black_box(par::run(&g, src, &mut policy, t))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("static-split", t), &t, |b, &t| {
-            b.iter(|| {
-                let mut policy = FixedMN::new(14.0, 24.0);
-                black_box(par::run_static(&g, src, &mut policy, t))
             })
         });
     }

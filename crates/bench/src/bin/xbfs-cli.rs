@@ -873,7 +873,7 @@ fn serve_schedule(args: &Args, g: &Csr) -> Result<Vec<ScheduleItem>, String> {
 /// Parse the live-telemetry flags for `serve`: `--snapshot-every SECS`
 /// turns on the windowed time-series registry; the `--slo-*` targets
 /// (evaluated over those windows) require it, as does `--timeseries-out`.
-/// `--flight-recorder N` bounds each query's in-worker event ring and
+/// `--flight-recorder N` bounds each query's event ring and
 /// `--trace-sample RATE` head-samples the kept per-query trace buffers,
 /// keyed on `--seed` so the kept set replays bit-for-bit.
 fn telemetry_from_args(
@@ -1192,18 +1192,17 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     ui.say(format!("wrote {}", bench_path.display()));
 
     if args.threads_scaling {
-        // Wall-clock scheduler comparison: informational only, written as
-        // its own artifact and never read by the deterministic --compare
-        // gate below.
+        // Wall-clock thread scaling: informational only, written as its
+        // own artifact and never read by the deterministic --compare gate
+        // below.
         ui.say(format!(
-            "running threaded-scaling sweep (static vs work-stealing at {:?} threads)…",
+            "running threaded-scaling sweep (work-stealing engine at {:?} threads)…",
             perf::SCALING_THREADS
         ));
         let scaling = perf::run_threaded_scaling(&preset);
         for case in &scaling.cases {
             ui.say(format!(
-                "  {:>13} @ {} thread(s): {:8.3} ms wall, {:.3e} TEPS, speedup {:.2}x",
-                case.scheduler,
+                "  {} thread(s): {:8.3} ms wall, {:.3e} TEPS, speedup {:.2}x",
                 case.threads,
                 case.wall_seconds * 1e3,
                 case.teps,
@@ -1561,7 +1560,7 @@ stdout). The --slo-* flags set service-level objectives evaluated over
 those windows (deadline hit ratio, latency objective + hit ratio); the
 verdict lands in the narration, the JSON-lines stream, and --metrics-out
 as the xbfs_slo_* families. --flight-recorder N keeps each query's last
-N trace events in a bounded in-worker ring and dumps the ring as a
+N trace events in a bounded ring and dumps the ring as a
 post-mortem JSON artifact (--postmortem-dir, postmortem-query-<id>.json)
 when the query ends in a typed error. --trace-sample RATE head-samples
 the kept per-query trace buffers (seeded by --seed; a query is kept or
@@ -1580,9 +1579,9 @@ nonzero naming every metric that regressed beyond --tolerance (default
 change). --fault-plan replaces the fault-free half with an overlay plan —
 the hook for proving the gate trips. Set UPDATE_BASELINE=1 to rewrite
 --baseline (default bench/baseline.json) instead, mirroring UPDATE_GOLDEN
-for golden traces. --threads-scaling additionally measures the static vs
-work-stealing parallel schedulers at 1/2/4/8 threads on one skewed graph
-and writes the wall-clock results to SCALING.json in --bench-dir; those
+for golden traces. --threads-scaling additionally measures the
+work-stealing parallel engine at 1/2/4/8 threads on one skewed graph and
+writes the wall-clock results to SCALING.json in --bench-dir; those
 numbers are informational and never part of the deterministic gate.
 --batched prices a 2/4/8-lane BatchSession against the same sources run
 solo and writes the simulated-clock amortization curve to BATCHED.json in

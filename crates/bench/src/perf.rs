@@ -264,12 +264,9 @@ pub const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// to balance.
 pub const SCALING_PAPER_SCALE: u32 = 21;
 
-/// One `(scheduler, thread count)` measurement of the scaling sweep.
+/// One thread count's measurement of the scaling sweep.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScalingCase {
-    /// Scheduler label: `"static"` (per-level fork-join over pre-cut
-    /// ranges) or `"work-stealing"` (persistent pool, chunk claiming).
-    pub scheduler: String,
     /// Threads the traversal ran on.
     pub threads: usize,
     /// Measured wall-clock seconds for the traversal (nondeterministic —
@@ -277,12 +274,12 @@ pub struct ScalingCase {
     pub wall_seconds: f64,
     /// Traversed edges per wall-clock second.
     pub teps: f64,
-    /// Speedup relative to the same scheduler's single-thread run.
+    /// Speedup relative to the single-thread run.
     pub speedup: f64,
 }
 
-/// The wall-clock threaded-scaling sweep: static-split vs work-stealing
-/// at [`SCALING_THREADS`] on one skewed suite graph.
+/// The wall-clock threaded-scaling sweep of the work-stealing engine at
+/// [`SCALING_THREADS`] on one skewed suite graph.
 ///
 /// Every metric here is *measured wall time* and therefore
 /// nondeterministic; the sweep is recorded as an informational artifact
@@ -300,7 +297,7 @@ pub struct ScalingReport {
     pub source: u32,
     /// Undirected edges in the traversed component (TEPS numerator).
     pub component_edges: u64,
-    /// Every measurement, scheduler-major in [`SCALING_THREADS`] order.
+    /// Every measurement, in [`SCALING_THREADS`] order.
     pub cases: Vec<ScalingCase>,
 }
 
@@ -339,29 +336,23 @@ pub fn run_threaded_scaling_at(preset: &Preset, paper_scale: u32) -> ScalingRepo
     let component_edges = reference::component_edges(&g, &reference_run.output);
 
     let mut cases = Vec::new();
-    for scheduler in ["static", "work-stealing"] {
-        let mut one_thread_s = None;
-        for threads in SCALING_THREADS {
-            let mut policy = FixedMN::new(14.0, 24.0);
-            let started = Instant::now();
-            let t = match scheduler {
-                "static" => par::run_static(&g, src, &mut policy, threads),
-                _ => par::run(&g, src, &mut policy, threads),
-            };
-            let wall_seconds = started.elapsed().as_secs_f64();
-            assert_eq!(
-                t.output.levels, reference_run.output.levels,
-                "{scheduler} @ {threads} threads diverged from the sequential level map"
-            );
-            let base = *one_thread_s.get_or_insert(wall_seconds);
-            cases.push(ScalingCase {
-                scheduler: scheduler.to_string(),
-                threads,
-                wall_seconds,
-                teps: Teps::new(component_edges, wall_seconds).teps(),
-                speedup: base / wall_seconds,
-            });
-        }
+    let mut one_thread_s = None;
+    for threads in SCALING_THREADS {
+        let mut policy = FixedMN::new(14.0, 24.0);
+        let started = Instant::now();
+        let t = par::run(&g, src, &mut policy, threads);
+        let wall_seconds = started.elapsed().as_secs_f64();
+        assert_eq!(
+            t.output.levels, reference_run.output.levels,
+            "{threads} threads diverged from the sequential level map"
+        );
+        let base = *one_thread_s.get_or_insert(wall_seconds);
+        cases.push(ScalingCase {
+            threads,
+            wall_seconds,
+            teps: Teps::new(component_edges, wall_seconds).teps(),
+            speedup: base / wall_seconds,
+        });
     }
     ScalingReport {
         preset: preset.name.to_string(),
@@ -1069,20 +1060,12 @@ mod tests {
     }
 
     #[test]
-    fn threaded_scaling_sweep_covers_both_schedulers_and_round_trips() {
+    fn threaded_scaling_sweep_covers_every_thread_count_and_round_trips() {
         // A small paper scale keeps this fast; the sweep itself asserts
         // level-map identity against the sequential engine internally.
         let report = run_threaded_scaling_at(&Preset::scaled(), 13);
-        assert_eq!(report.cases.len(), 2 * SCALING_THREADS.len());
-        for scheduler in ["static", "work-stealing"] {
-            let threads: Vec<usize> = report
-                .cases
-                .iter()
-                .filter(|c| c.scheduler == scheduler)
-                .map(|c| c.threads)
-                .collect();
-            assert_eq!(threads, SCALING_THREADS.to_vec(), "{scheduler}");
-        }
+        let threads: Vec<usize> = report.cases.iter().map(|c| c.threads).collect();
+        assert_eq!(threads, SCALING_THREADS.to_vec());
         for case in &report.cases {
             assert!(case.wall_seconds > 0.0);
             assert!(case.teps > 0.0);

@@ -318,10 +318,7 @@ fn bench_compare_against_committed_baseline_passes() {
     let scaling_text = std::fs::read_to_string(&scaling_path).expect("SCALING.json written");
     let scaling =
         xbfs_bench::perf::ScalingReport::from_json(&scaling_text).expect("scaling parses");
-    assert_eq!(
-        scaling.cases.len(),
-        2 * xbfs_bench::perf::SCALING_THREADS.len()
-    );
+    assert_eq!(scaling.cases.len(), xbfs_bench::perf::SCALING_THREADS.len());
     assert!(scaling.cases.iter().all(|c| c.wall_seconds > 0.0));
 
     // The run leaves a versioned snapshot behind.

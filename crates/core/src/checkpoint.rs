@@ -269,7 +269,7 @@ fn fault_free(session: &mut FaultSession<'_>, op: FaultOp, level: u32) -> Result
 /// prefix. This is the tooling/test primitive behind the "checkpoint at
 /// level ℓ then resume equals an uninterrupted run" property; the
 /// recovery ladder itself captures inline while it executes.
-#[allow(clippy::too_many_arguments)] // mirrors run_cross_resilient's surface
+#[allow(clippy::too_many_arguments)] // the platform, the plan and the cut point
 pub fn capture_at(
     csr: &Csr,
     source: VertexId,

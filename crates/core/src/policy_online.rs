@@ -17,8 +17,8 @@
 //!   direction × device placements. The reward signal is the realized
 //!   per-level simulated cost the `KernelCost` trace spans already price.
 //! * [`PolicyRun`] — one traversal's view of the bandit: a snapshot taken
-//!   at a deterministic point plus a local observation log, so concurrent
-//!   service workers never race on shared state (see *Determinism*).
+//!   at a deterministic point plus a local observation log, so queries
+//!   in flight together never share learning state (see *Determinism*).
 //! * [`SharedPolicy`] — the master bandit a service owns across queries.
 //! * [`PolicyMode`] — the off-by-default configuration switch surfaced on
 //!   `RunSession` / `BatchSession` / `ServiceConfig`.
@@ -45,8 +45,8 @@
 //! # Determinism
 //!
 //! Everything is a pure function of `(seed, bin, observation history)`.
-//! Service workers run concurrently in wall time, so the master bandit is
-//! never mutated mid-flight: each query takes a
+//! Queries overlap on the simulated clock, so the master bandit is never
+//! mutated mid-flight: each query takes a
 //! [`snapshot`](OnlineBandit::snapshot) at its deterministic admission
 //! point, decides
 //! and self-observes locally, and returns its [`Observation`] log, which
@@ -188,7 +188,7 @@ pub struct Decision {
 }
 
 /// One realized per-level cost, keyed by the bin and arm that earned it —
-/// the unit of the snapshot-and-delta protocol between service workers
+/// the unit of the snapshot-and-delta protocol between service queries
 /// and the master bandit.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Observation {
@@ -345,7 +345,7 @@ impl OnlineBandit {
         stats.cost_s[arm] += cost_s;
     }
 
-    /// Apply a worker's observation log (the delta half of the
+    /// Apply a query's observation log (the delta half of the
     /// snapshot-and-delta protocol). No-op when frozen.
     pub fn apply(&mut self, observations: &[Observation]) {
         for obs in observations {

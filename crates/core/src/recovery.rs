@@ -23,7 +23,7 @@
 //!   [`CheckpointPolicy`] enabled,
 //!   the executing rung cuts a [`LevelCheckpoint`] at configurable level
 //!   boundaries. A failed rung no longer drags the whole traversal back
-//!   to level 0: the next rung (or, via [`resume_cross_resilient`], the
+//!   to level 0: the next rung (or, via [`RunSession::resume`](crate::session::RunSession::resume), the
 //!   next *process*) resumes from the last checkpoint, translating a
 //!   GPU-resident frontier to host form when control moves down-ladder.
 //! * **Per-device circuit breakers** — every operation outcome feeds a
@@ -240,7 +240,7 @@ impl std::fmt::Display for Rung {
 }
 
 /// One resume of a rung from a checkpoint (in-process after a failure, or
-/// external via [`resume_cross_resilient`]).
+/// external via [`RunSession::resume`](crate::session::RunSession::resume)).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ResumeRecord {
     /// The rung that picked the traversal up.
@@ -283,8 +283,9 @@ pub struct RunReport {
     /// Simulated seconds spent making checkpoints durable (device-state
     /// pullbacks) and re-uploading state on a same-rung resume.
     pub checkpoint_seconds: f64,
-    /// For a run started by [`resume_cross_resilient`]: the level it
-    /// resumed at.
+    /// For a run started by
+    /// [`RunSession::resume`](crate::session::RunSession::resume): the
+    /// level it resumed at.
     pub resumed_from_level: Option<u32>,
     /// Previously-completed levels that had to be re-executed because the
     /// newest checkpoint was older than the failure point (0 when every
@@ -405,7 +406,7 @@ struct Recovery<'a> {
     checkpoints_taken: u32,
     checkpoint_bytes: u64,
     checkpoint_seconds: f64,
-    /// Set only by [`resume_cross_resilient`].
+    /// Set only by an external resume.
     resumed_from_level: Option<u32>,
     /// `true` until the first `start_for` consumes the external-resume
     /// marker.
@@ -1044,8 +1045,7 @@ impl<'a> Recovery<'a> {
 
 /// Everything an execution needs besides its starting point: the graph,
 /// the platform, the fault plan, the failure policy, and the trace sink.
-/// [`RunSession`](crate::session::RunSession) assembles one of these; the
-/// deprecated free functions are thin shims that do the same.
+/// [`RunSession`](crate::session::RunSession) assembles one of these.
 pub(crate) struct ExecArgs<'a> {
     pub csr: &'a Csr,
     pub cpu: &'a ArchSpec,
@@ -1103,92 +1103,6 @@ pub(crate) fn execute_resume(
         Rung::Reference => &[Rung::Reference],
     };
     ladder(args, source, rec, rungs)
-}
-
-/// Run the cross-architecture combination under a fault plan, degrading
-/// down the ladder as devices fail. PR 1 compatibility entry point:
-/// checkpointing disabled, default breakers.
-///
-/// Returns a validated [`RecoveredRun`] or a typed error ­— the only
-/// errors that escape are argument validation, [`XbfsError::DeadlineExceeded`],
-/// and (if even the reference rung cannot produce a valid tree)
-/// [`XbfsError::Validation`] / the last rung's fault.
-#[deprecated(
-    note = "use `RunSession::on_platform(..).source(..).fault_plan(..).resilience(..).run()` instead"
-)]
-#[allow(clippy::too_many_arguments)] // the runtime's full failure surface
-pub fn run_cross_resilient(
-    csr: &Csr,
-    source: VertexId,
-    cpu: &ArchSpec,
-    gpu: &ArchSpec,
-    link: &Link,
-    params: &CrossParams,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-    deadline_s: Option<f64>,
-) -> Result<RecoveredRun, XbfsError> {
-    let config = ResilienceConfig {
-        retry: *retry,
-        deadline_s,
-        checkpoint: CheckpointPolicy::disabled(),
-        ..ResilienceConfig::default_runtime()
-    };
-    crate::session::RunSession::on_platform(csr, cpu, gpu, link, params)
-        .source(source)
-        .fault_plan(plan)
-        .resilience(config)
-        .run()
-}
-
-/// [`run_cross_resilient`] with the full [`ResilienceConfig`] surface:
-/// level-granular checkpoints (optionally spilled to disk) and per-device
-/// circuit breakers on top of retries and the deadline budget.
-#[deprecated(
-    note = "use `RunSession::on_platform(..).source(..).fault_plan(..).resilience(..).run()` instead"
-)]
-#[allow(clippy::too_many_arguments)] // the runtime's full failure surface
-pub fn run_cross_resilient_with(
-    csr: &Csr,
-    source: VertexId,
-    cpu: &ArchSpec,
-    gpu: &ArchSpec,
-    link: &Link,
-    params: &CrossParams,
-    plan: &FaultPlan,
-    config: &ResilienceConfig,
-) -> Result<RecoveredRun, XbfsError> {
-    crate::session::RunSession::on_platform(csr, cpu, gpu, link, params)
-        .source(source)
-        .fault_plan(plan)
-        .resilience(config.clone())
-        .run()
-}
-
-/// Resume a traversal from a [`LevelCheckpoint`] — same process or a
-/// fresh one (via [`LevelCheckpoint::load`]). The ladder starts at the
-/// checkpoint's rung and may degrade further; the clock, loss ledger,
-/// fault stream, jitter RNG, and breaker bank all continue exactly where
-/// the checkpointing run stopped, so a resumed run is indistinguishable
-/// from one that never died.
-#[deprecated(
-    note = "use `RunSession::on_platform(..).fault_plan(..).resilience(..).resume(ck)` instead"
-)]
-#[allow(clippy::too_many_arguments)] // the runtime's full failure surface
-pub fn resume_cross_resilient(
-    csr: &Csr,
-    cpu: &ArchSpec,
-    gpu: &ArchSpec,
-    link: &Link,
-    params: &CrossParams,
-    plan: &FaultPlan,
-    config: &ResilienceConfig,
-    checkpoint: &LevelCheckpoint,
-) -> Result<RecoveredRun, XbfsError> {
-    crate::session::RunSession::on_platform(csr, cpu, gpu, link, params)
-        .fault_plan(plan)
-        .resilience(config.clone())
-        .resume(checkpoint)
 }
 
 /// The degradation ladder shared by fresh and resumed entries.
@@ -1609,9 +1523,9 @@ fn run_rung_reference(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shims are exercised on purpose here
 mod tests {
     use super::*;
+    use crate::session::RunSession;
     use xbfs_archsim::fault::ScheduledFault;
 
     fn setup() -> (Csr, u32, ArchSpec, ArchSpec, Link, CrossParams) {
@@ -1630,22 +1544,26 @@ mod tests {
         )
     }
 
+    /// The runtime defaults with checkpoints disabled and an optional
+    /// deadline: the configuration the ladder's first entry point ran.
+    fn legacy_config(deadline_s: Option<f64>) -> ResilienceConfig {
+        ResilienceConfig {
+            deadline_s,
+            checkpoint: CheckpointPolicy::disabled(),
+            ..ResilienceConfig::default_runtime()
+        }
+    }
+
     #[test]
     fn healthy_plan_stays_on_the_top_rung() {
         let (g, src, cpu, gpu, link, params) = setup();
         let plan = FaultPlan::none();
-        let run = run_cross_resilient(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &RetryPolicy::default_runtime(),
-            None,
-        )
-        .expect("healthy run succeeds");
+        let run = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(legacy_config(None))
+            .run()
+            .expect("healthy run succeeds");
         assert_eq!(run.report.rung, Rung::CrossCpuGpu);
         assert_eq!(run.report.rungs_tried, vec![Rung::CrossCpuGpu]);
         assert!(run.report.events.is_empty());
@@ -1710,18 +1628,12 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let run = run_cross_resilient(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &RetryPolicy::default_runtime(),
-            None,
-        )
-        .expect("reference rung still serves");
+        let run = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(legacy_config(None))
+            .run()
+            .expect("reference rung still serves");
         assert_eq!(run.report.rung, Rung::Reference);
         assert_eq!(
             run.report.rungs_tried,
@@ -1741,66 +1653,53 @@ mod tests {
     #[test]
     fn deadline_zero_budget_is_rejected_as_argument() {
         let (g, src, cpu, gpu, link, params) = setup();
-        let err = run_cross_resilient(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &FaultPlan::none(),
-            &RetryPolicy::default_runtime(),
-            Some(0.0),
-        )
-        .unwrap_err();
+        let err = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&FaultPlan::none())
+            .resilience(legacy_config(Some(0.0)))
+            .run()
+            .unwrap_err();
         assert!(matches!(err, XbfsError::InvalidArgument { .. }));
     }
 
     #[test]
     fn bad_source_is_a_typed_error() {
         let (g, _, cpu, gpu, link, params) = setup();
-        let err = run_cross_resilient(
-            &g,
-            g.num_vertices() + 7,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &FaultPlan::none(),
-            &RetryPolicy::default_runtime(),
-            None,
-        )
-        .unwrap_err();
+        let err = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(g.num_vertices() + 7)
+            .fault_plan(&FaultPlan::none())
+            .resilience(legacy_config(None))
+            .run()
+            .unwrap_err();
         assert!(matches!(err, XbfsError::BadSource { .. }));
     }
 
     #[test]
     fn checkpointing_off_matches_pr1_clock_exactly() {
-        // The `_with` entry with checkpointing disabled must be
-        // numerically identical to the legacy entry.
+        // Checkpointing off, built as the legacy configuration or as a
+        // struct update of the runtime defaults, replays the seeded fault
+        // stream and the clock identically.
         let (g, src, cpu, gpu, link, params) = setup();
         let plan = FaultPlan {
             p_transfer_failure: 0.3,
             p_kernel_timeout: 0.2,
             ..FaultPlan::none()
         };
-        let legacy = run_cross_resilient(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &RetryPolicy::default_runtime(),
-            None,
-        )
-        .expect("legacy");
+        let legacy = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(legacy_config(None))
+            .run()
+            .expect("legacy");
         let config = ResilienceConfig {
             checkpoint: CheckpointPolicy::disabled(),
             ..ResilienceConfig::default_runtime()
         };
-        let with = run_cross_resilient_with(&g, src, &cpu, &gpu, &link, &params, &plan, &config)
+        let with = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(config)
+            .run()
             .expect("with");
         assert_eq!(legacy.output, with.output);
         assert_eq!(legacy.report.total_seconds, with.report.total_seconds);
@@ -1822,7 +1721,11 @@ mod tests {
             checkpoint: CheckpointPolicy::every(1),
             ..ResilienceConfig::default_runtime()
         };
-        let run = run_cross_resilient_with(&g, src, &cpu, &gpu, &link, &params, &plan, &config)
+        let run = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(config)
+            .run()
             .expect("cpu rung serves");
         assert_eq!(run.report.rung, Rung::CpuOnly);
         assert_eq!(validate(&g, &run.output), Ok(()));
@@ -1868,11 +1771,18 @@ mod tests {
             ..ResilienceConfig::default_runtime()
         };
         let plan = FaultPlan::none();
-        let full = run_cross_resilient_with(&g, src, &cpu, &gpu, &link, &params, &plan, &config)
+        let full = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(config.clone())
+            .run()
             .expect("healthy spilling run");
         let ck = LevelCheckpoint::load(&path_s).expect("spill exists");
         assert!(ck.level() >= 2);
-        let resumed = resume_cross_resilient(&g, &cpu, &gpu, &link, &params, &plan, &config, &ck)
+        let resumed = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .fault_plan(&plan)
+            .resilience(config)
+            .resume(&ck)
             .expect("resume");
         assert_eq!(resumed.output, full.output);
         assert_eq!(resumed.report.rung, full.report.rung);
@@ -1944,7 +1854,11 @@ mod tests {
             ..FaultPlan::none()
         };
         let config = ResilienceConfig::default_runtime();
-        let run = run_cross_resilient_with(&g, src, &cpu, &gpu, &link, &params, &plan, &config)
+        let run = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(config)
+            .run()
             .expect("a lower rung serves a clean tree");
         assert_eq!(validate(&g, &run.output), Ok(()));
         assert_ne!(run.report.rung, Rung::CrossCpuGpu);
@@ -2117,31 +2031,21 @@ mod tests {
     fn checksums_charge_the_simulated_clock() {
         let (g, src, cpu, gpu, link, params) = setup();
         let plan = FaultPlan::none();
-        let off = run_cross_resilient_with(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &ResilienceConfig::default_runtime(),
-        )
-        .expect("clean run");
-        let on = run_cross_resilient_with(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &ResilienceConfig {
+        let off = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(ResilienceConfig::default_runtime())
+            .run()
+            .expect("clean run");
+        let on = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(ResilienceConfig {
                 checksum_transfers: true,
                 ..ResilienceConfig::default_runtime()
-            },
-        )
-        .expect("clean checksummed run");
+            })
+            .run()
+            .expect("clean checksummed run");
         // Integrity is not free: same tree, strictly more simulated time.
         assert_eq!(on.output, off.output);
         assert!(on.report.total_seconds > off.report.total_seconds);
@@ -2152,31 +2056,21 @@ mod tests {
     fn scrub_on_is_free_and_identical_when_nothing_is_corrupt() {
         let (g, src, cpu, gpu, link, params) = setup();
         let plan = FaultPlan::none();
-        let off = run_cross_resilient_with(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &ResilienceConfig::default_runtime(),
-        )
-        .expect("clean run");
-        let on = run_cross_resilient_with(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &ResilienceConfig {
+        let off = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(ResilienceConfig::default_runtime())
+            .run()
+            .expect("clean run");
+        let on = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(ResilienceConfig {
                 scrub: ScrubPolicy::every_level(),
                 ..ResilienceConfig::default_runtime()
-            },
-        )
-        .expect("clean scrubbed run");
+            })
+            .run()
+            .expect("clean scrubbed run");
         // The scrubber overlaps with kernel execution on the simulated
         // platform: a fault-free run is bit- and clock-identical.
         assert_eq!(on.output, off.output);

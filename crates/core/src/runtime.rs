@@ -9,16 +9,13 @@
 //!   predicted `(M, N)`.
 
 use crate::{
-    checkpoint::{CheckpointPolicy, LevelCheckpoint},
     combination::{run_single, SingleRun},
     cross::{run_cross, CrossParams, CrossRun},
     predictor::SwitchPredictor,
-    recovery::{RecoveredRun, ResilienceConfig, RetryPolicy},
     session::RunSession,
     training::{generate, paper_arch_pairs, TrainingConfig},
 };
-use xbfs_archsim::{ArchSpec, FaultPlan, Link};
-use xbfs_engine::XbfsError;
+use xbfs_archsim::{ArchSpec, Link};
 use xbfs_graph::{Csr, GraphStats, VertexId};
 
 /// A trained, ready-to-run adaptive BFS system.
@@ -77,78 +74,6 @@ impl AdaptiveRuntime {
         RunSession::new(self, csr, stats)
     }
 
-    /// Run the cross-architecture combination under a fault plan, with
-    /// retry, an optional deadline, and the degradation ladder
-    /// (`CPUTD+GPUCB` → CPU-only hybrid → sequential reference). Always
-    /// returns either a Graph 500–validated output with a
-    /// [`crate::recovery::RunReport`] or a typed error — never panics.
-    #[deprecated(
-        note = "use `runtime.session(csr, stats).source(..).fault_plan(..).run()` instead"
-    )]
-    pub fn run_cross_resilient(
-        &self,
-        csr: &Csr,
-        stats: &GraphStats,
-        source: VertexId,
-        plan: &FaultPlan,
-        retry: &RetryPolicy,
-        deadline_s: Option<f64>,
-    ) -> Result<RecoveredRun, XbfsError> {
-        self.session(csr, stats)
-            .source(source)
-            .fault_plan(plan)
-            .resilience(ResilienceConfig {
-                retry: *retry,
-                deadline_s,
-                checkpoint: CheckpointPolicy::disabled(),
-                ..ResilienceConfig::default_runtime()
-            })
-            .run()
-    }
-
-    /// [`Self::run_cross_resilient`] with the full [`ResilienceConfig`]
-    /// surface: level-granular checkpoints (optionally spilled to disk)
-    /// and per-device circuit breakers on top of retries and the deadline
-    /// budget.
-    #[deprecated(
-        note = "use `runtime.session(csr, stats).source(..).fault_plan(..).resilience(..).run()` instead"
-    )]
-    pub fn run_cross_resilient_with(
-        &self,
-        csr: &Csr,
-        stats: &GraphStats,
-        source: VertexId,
-        plan: &FaultPlan,
-        config: &ResilienceConfig,
-    ) -> Result<RecoveredRun, XbfsError> {
-        self.session(csr, stats)
-            .source(source)
-            .fault_plan(plan)
-            .resilience(config.clone())
-            .run()
-    }
-
-    /// Resume a traversal from a [`LevelCheckpoint`] (typically loaded
-    /// from a spill file after a crash): the ladder restarts at the
-    /// checkpoint's rung and level instead of level 0, with the clock,
-    /// fault stream, and breaker states continuing where they stopped.
-    #[deprecated(
-        note = "use `runtime.session(csr, stats).fault_plan(..).resilience(..).resume(ck)` instead"
-    )]
-    pub fn resume_cross(
-        &self,
-        csr: &Csr,
-        stats: &GraphStats,
-        plan: &FaultPlan,
-        config: &ResilienceConfig,
-        checkpoint: &LevelCheckpoint,
-    ) -> Result<RecoveredRun, XbfsError> {
-        self.session(csr, stats)
-            .fault_plan(plan)
-            .resilience(config.clone())
-            .resume(checkpoint)
-    }
-
     /// Run a single-device combination with a predicted `(M, N)`.
     pub fn run_on(
         &self,
@@ -165,6 +90,8 @@ impl AdaptiveRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{CheckpointPolicy, LevelCheckpoint};
+    use xbfs_archsim::FaultPlan;
     use xbfs_engine::validate;
 
     fn runtime() -> AdaptiveRuntime {

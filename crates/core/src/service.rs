@@ -3,21 +3,21 @@
 //!
 //! The ROADMAP's north star is a service that survives heavy traffic, not
 //! a single traversal. This module is that service layer: it holds one
-//! immutable graph behind `Arc<Csr>` and runs many concurrent
-//! [`RunSession`]s against it, each query owning its entire mutable
-//! footprint (traversal state, fault stream, simulated clock, trace
-//! buffer) so one query's fault, blown deadline, or kernel panic can
-//! never touch its in-flight neighbors.
+//! immutable graph behind `Arc<Csr>` and serves many [`RunSession`]s
+//! against it, each query owning its entire mutable footprint (traversal
+//! state, fault stream, simulated clock, trace buffer) so one query's
+//! fault, blown deadline, or kernel panic can never touch its neighbors.
 //!
 //! **Determinism.** Requests carry *simulated* arrival times and the
 //! per-query costs come from the simulated clock, so the whole service
 //! schedule is a discrete-event simulation: admission, queueing,
 //! deadline checks, and the shared loss ledger all advance on simulated
-//! time in a deterministic event order. Real OS threads still execute
-//! queries concurrently — every query admitted at one event step runs in
-//! parallel — but thread timing can never change an outcome, which is
-//! what lets the chaos suite replay seeded overload scenarios byte-for-
-//! byte.
+//! time in a deterministic event order. Each dispatch — one query, or a
+//! lane-packed batch of them — executes inline on the event-loop thread
+//! at its start event; its result is then held until the simulated clock
+//! reaches its completion. Queries overlap on the simulated clock, never
+//! in wall time, which is what lets the chaos suite replay seeded
+//! overload scenarios byte-for-byte.
 //!
 //! **Admission and shedding.** Capacity-bounded slots plus a bounded FIFO
 //! queue. A query arriving with the queue full is shed immediately with
@@ -29,12 +29,14 @@
 //!
 //! **Fault isolation with shared permanent losses.** A seeded
 //! [`FaultPlan`], breaker trip, or panic degrades *that query* down the
-//! recovery ladder (see [`crate::recovery`]). Only *permanent* device
-//! losses are promoted to the service-wide ledger — folded in at the
-//! losing query's completion event — so queries starting later skip the
-//! lost device's rungs via [`RunSession::presume_lost`] while queries
-//! already in flight, and anything that completed earlier, are bit-for-
-//! bit identical to their solo runs.
+//! recovery ladder (see [`crate::recovery`]). A panic that escapes the
+//! ladder is caught by `catch_unwind` around the session and becomes that
+//! dispatch's [`XbfsError::KernelPanic`]. Only *permanent* device losses
+//! are promoted to the service-wide ledger — folded in at the losing
+//! query's completion event — so queries starting later skip the lost
+//! device's rungs via [`RunSession::presume_lost`] while queries already
+//! in flight, and anything that completed earlier, are bit-for-bit
+//! identical to their solo runs.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,7 +48,7 @@ use crate::observe::timeseries::{
     SloPolicy, SloReport, SnapshotPolicy, TimeSeriesRegistry, TimeWeighted, WindowSnapshot,
 };
 use crate::observe::trace_event_json;
-use crate::policy_online::{Observation, OnlineBandit, PolicyMode, PolicyRun, SharedPolicy};
+use crate::policy_online::{Observation, PolicyMode, PolicyRun, SharedPolicy};
 use crate::recovery::{RecoveredRun, ResilienceConfig, Rung};
 use crate::runtime::AdaptiveRuntime;
 use crate::session::{BatchSession, RunSession};
@@ -93,20 +95,6 @@ impl QueryRequest {
                 deadline_s: None,
                 fault_plan: None,
             },
-        }
-    }
-
-    /// A fault-free query with no deadline.
-    #[deprecated(
-        note = "use `QueryRequest::builder(id, source).arrival(arrival_s).build()` instead"
-    )]
-    pub fn new(id: u64, source: VertexId, arrival_s: f64) -> Self {
-        Self {
-            id,
-            source,
-            arrival_s,
-            deadline_s: None,
-            fault_plan: None,
         }
     }
 
@@ -356,8 +344,8 @@ pub struct ServiceConfig {
     pub snapshot: SnapshotPolicy,
     /// Optional service-level objectives evaluated over the run.
     pub slo: Option<SloPolicy>,
-    /// Per-query flight-recorder capacity: each worker keeps this many of
-    /// its most recent trace events in a bounded ring, dumped as a
+    /// Per-query flight-recorder capacity: each dispatch keeps this many
+    /// of its most recent trace events in a bounded ring, dumped as a
     /// post-mortem when the query ends in a typed error. `0` disables the
     /// recorder (the default — no ring, no dumps, byte-identical output).
     pub flight_recorder: usize,
@@ -370,7 +358,7 @@ pub struct ServiceConfig {
     /// [`PolicyMode::Online`], one master bandit learns across the whole
     /// query stream: each query snapshots it at admission and its realized
     /// level costs are folded back in simulated completion order, so the
-    /// run stays deterministic despite concurrent workers.
+    /// run stays deterministic.
     pub policy: PolicyMode,
 }
 
@@ -636,53 +624,28 @@ impl ServiceReport {
     }
 }
 
-/// The flight-recorder tail a worker hands back: `(retained events,
+/// The flight-recorder tail of a dispatch: `(retained events,
 /// overwritten-event count)`.
 type RingDump = (Vec<TraceEvent>, u64);
 
-/// What one query's worker thread hands back.
-struct QueryDone {
-    result: Result<RecoveredRun, XbfsError>,
+/// One dispatch occupying a slot — a solo query or a lane-packed batch —
+/// already executed at its start event and held until the simulated clock
+/// reaches its completion.
+struct Dispatch {
+    /// Outcome slots, in lane order (one for a solo query).
+    slots: Vec<usize>,
+    start_s: f64,
+    completion_s: f64,
+    /// Per-lane results, in lane order.
+    results: Vec<Result<RecoveredRun, XbfsError>>,
+    /// The dispatch's buffered trace.
     events: Vec<TraceEvent>,
     /// The ring contents, when the flight recorder was on.
     ring: Option<RingDump>,
-    /// Online-policy observations the query accumulated (empty when the
-    /// service runs offline). Applied to the master bandit at this
-    /// query's completion event, in simulated order.
+    /// Online-policy observations the dispatch accumulated (empty when
+    /// the service runs offline), applied to the master bandit at its
+    /// completion event.
     observations: Vec<Observation>,
-}
-
-/// What one slot's worker thread hands back: a solo query's result, or a
-/// whole batch's per-lane results plus the shared batch trace and clock.
-enum Done {
-    Solo(Box<QueryDone>),
-    Batch {
-        /// `(outcome slot, per-lane result)`, in lane order.
-        lanes: Vec<(usize, Result<RecoveredRun, XbfsError>)>,
-        events: Vec<TraceEvent>,
-        /// The batch's shared simulated duration.
-        total_seconds: f64,
-        /// The shared ring contents, when the flight recorder was on.
-        ring: Option<RingDump>,
-        /// The batch's shared online-policy observation log.
-        observations: Vec<Observation>,
-    },
-}
-
-impl Done {
-    /// Simulated seconds the slot was occupied.
-    fn duration(&self) -> f64 {
-        match self {
-            Done::Solo(done) => match &done.result {
-                Ok(run) => run.report.total_seconds,
-                Err(XbfsError::DeadlineExceeded { elapsed_s, .. }) => *elapsed_s,
-                // Other terminal errors carry no clock; charge nothing
-                // (deterministic, documented).
-                Err(_) => 0.0,
-            },
-            Done::Batch { total_seconds, .. } => *total_seconds,
-        }
-    }
 }
 
 /// The run-wide telemetry accumulators `run_schedule` feeds: always-on
@@ -772,19 +735,8 @@ impl Telemetry {
     }
 }
 
-/// A query (or batch of queries) admitted to a slot, executing on its own
-/// OS thread.
-struct Running<'scope> {
-    /// Index into the outcomes vector (a batch's lead lane).
-    slot: usize,
-    start_s: f64,
-    handle: Option<std::thread::ScopedJoinHandle<'scope, Done>>,
-    /// `(completion_s, result)` once the thread has been joined.
-    finished: Option<(f64, Done)>,
-}
-
 /// The long-running query service: one immutable graph, one platform,
-/// many concurrent fault-isolated queries.
+/// many fault-isolated queries.
 pub struct QueryService {
     csr: Arc<Csr>,
     cpu: ArchSpec,
@@ -852,7 +804,7 @@ impl QueryService {
     /// order, completions before same-instant arrivals so a finishing
     /// query frees its slot first). Every query ends in exactly one of:
     /// a validated tree, a typed error, or a shed — a panic inside a
-    /// query is caught at the thread boundary and becomes that query's
+    /// dispatch is caught by `catch_unwind` and becomes that dispatch's
     /// [`XbfsError::KernelPanic`].
     pub fn run_schedule(&self, schedule: &[ScheduleItem]) -> Result<ServiceReport, XbfsError> {
         self.config.validate()?;
@@ -886,233 +838,138 @@ impl QueryService {
         let mut drained_at: Option<f64> = None;
         let mut clock = 0.0f64;
         let mut tele = Telemetry::new(&self.config);
+        let mut running: Vec<Dispatch> = Vec::new();
+        // Maps schedule position -> outcome index for query items.
+        let mut query_index = 0usize;
+        let mut next_item = 0usize;
 
-        std::thread::scope(|scope| {
-            let mut running: Vec<Running<'_>> = Vec::new();
-            // Maps schedule position -> outcome index for query items.
-            let mut query_index = 0usize;
-            let mut next_item = 0usize;
+        loop {
+            let next_done = running
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| {
+                    a.completion_s
+                        .total_cmp(&b.completion_s)
+                        .then(a.slots[0].cmp(&b.slots[0]))
+                })
+                .map(|(i, d)| (i, d.completion_s));
+            let next_arrival = items.get(next_item).map(|it| it.at_s());
 
-            loop {
-                // Resolve completion times: join every running query whose
-                // thread has not been joined yet. Joining blocks only wall
-                // clock — all these threads already run concurrently — and
-                // their *simulated* durations decide the event order.
-                for r in running.iter_mut() {
-                    if r.finished.is_none() {
-                        let done = match r.handle.take().expect("unjoined handle").join() {
-                            Ok(done) => done,
-                            // The belt inside the thread caught the unwind;
-                            // this is the suspenders for a panic escaping it.
-                            Err(p) => Done::Solo(Box::new(QueryDone {
-                                result: Err(XbfsError::KernelPanic {
-                                    payload: payload_to_string(&*p),
-                                    range: None,
-                                }),
-                                events: Vec::new(),
-                                ring: None,
-                                observations: Vec::new(),
-                            })),
-                        };
-                        let duration = done.duration();
-                        r.finished = Some((r.start_s + duration, done));
-                    }
+            let take_completion = match (next_done, next_arrival) {
+                (None, None) => break,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                // Completions fire before same-instant arrivals so the
+                // freed slot is visible to the arriving query.
+                (Some((_, c)), Some(a)) => c <= a,
+            };
+
+            if take_completion {
+                let (idx, _) = next_done.expect("completion picked");
+                let Dispatch {
+                    slots,
+                    start_s,
+                    completion_s,
+                    results,
+                    events,
+                    ring,
+                    observations,
+                } = running.swap_remove(idx);
+                clock = clock.max(completion_s);
+                // Fold the observations into the master bandit at the
+                // completion *event*, in simulated order, so queries
+                // admitted later deterministically see them.
+                if let Some(p) = &self.policy {
+                    p.apply(&observations);
                 }
-
-                let next_done = running
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| {
-                        let (ca, _) = a.finished.as_ref().expect("joined");
-                        let (cb, _) = b.finished.as_ref().expect("joined");
-                        ca.total_cmp(cb).then(a.slot.cmp(&b.slot))
-                    })
-                    .map(|(i, r)| (i, r.finished.as_ref().expect("joined").0));
-                let next_arrival = items.get(next_item).map(|it| it.at_s());
-
-                let take_completion = match (next_done, next_arrival) {
-                    (None, None) => break,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    // Completions fire before same-instant arrivals so the
-                    // freed slot is visible to the arriving query.
-                    (Some((_, c)), Some(a)) => c <= a,
-                };
-
-                if take_completion {
-                    let (idx, completion_s) = next_done.expect("completion picked");
-                    let r = running.swap_remove(idx);
-                    let (_, done) = r.finished.expect("joined");
-                    clock = clock.max(completion_s);
-                    match done {
-                        Done::Solo(done) => {
-                            let QueryDone {
-                                result,
-                                events,
-                                ring,
-                                observations,
-                            } = *done;
-                            // Fold the query's observations into the master
-                            // bandit at its completion *event* — simulated
-                            // order, not thread-join order — so queries
-                            // admitted later deterministically see them.
-                            if let Some(p) = &self.policy {
-                                p.apply(&observations);
-                            }
-                            self.complete(
-                                &mut report,
-                                &mut tele,
-                                r.slot,
-                                r.start_s,
-                                completion_s,
-                                result,
-                                events,
-                                ring,
-                                &mut lost,
-                            );
-                        }
-                        Done::Batch {
-                            lanes,
-                            events,
-                            total_seconds: _,
-                            ring,
-                            observations,
-                        } => {
-                            if let Some(p) = &self.policy {
-                                p.apply(&observations);
-                            }
-                            let mut batch_events = Some(events);
-                            for (slot, result) in lanes {
-                                // A lane that finished past its own
-                                // deadline missed it — the batch clock is
-                                // shared, the deadline check is not.
-                                let result = match (result, requests[slot].deadline_s) {
-                                    (Ok(run), Some(d)) => {
-                                        let elapsed_s = completion_s - requests[slot].arrival_s;
-                                        if elapsed_s > d {
-                                            Err(XbfsError::DeadlineExceeded {
-                                                budget_s: d,
-                                                elapsed_s,
-                                            })
-                                        } else {
-                                            Ok(run)
-                                        }
-                                    }
-                                    (result, _) => result,
-                                };
-                                // The shared batch trace rides the lead
-                                // lane; the per-lane `BatchLane` events in
-                                // the service stream reconcile the rest.
-                                // Each failed lane gets its own copy of the
-                                // shared ring dump.
-                                let events = batch_events.take().unwrap_or_default();
-                                self.complete(
-                                    &mut report,
-                                    &mut tele,
-                                    slot,
-                                    r.start_s,
-                                    completion_s,
-                                    result,
-                                    events,
-                                    ring.clone(),
-                                    &mut lost,
-                                );
+                let batch = slots.len() > 1;
+                let mut events = Some(events);
+                for (slot, result) in slots.into_iter().zip(results) {
+                    // A lane that finished past its own deadline missed it
+                    // — the batch clock is shared, the deadline check is
+                    // not. A solo run already enforced its own budget.
+                    let result = match (result, requests[slot].deadline_s) {
+                        (Ok(run), Some(d)) if batch => {
+                            let elapsed_s = completion_s - requests[slot].arrival_s;
+                            if elapsed_s > d {
+                                Err(XbfsError::DeadlineExceeded {
+                                    budget_s: d,
+                                    elapsed_s,
+                                })
+                            } else {
+                                Ok(run)
                             }
                         }
-                    }
-                    // The freed slot admits the longest-waiting queued
-                    // queries (several, if deadline sheds cascade), batched
-                    // up to the window when the policy allows.
-                    while running.len() < capacity {
-                        let Some(slot) = queue.pop_front() else { break };
-                        report.events.push(TraceEvent::QueueDepth {
-                            depth: queue.len() as u32,
-                            at_s: completion_s,
-                        });
-                        tele.queue_depth(completion_s, queue.len() as u32);
-                        if self.config.batching.enabled()
-                            && lost.is_empty()
-                            && self.config.batching.compat.admits(requests[slot])
-                        {
-                            let mut lanes = vec![slot];
-                            while lanes.len() < self.config.batching.lane_limit() {
-                                match queue.front() {
-                                    Some(&next)
-                                        if self.config.batching.compat.admits(requests[next]) =>
-                                    {
-                                        lanes.push(queue.pop_front().expect("peeked"));
-                                        report.events.push(TraceEvent::QueueDepth {
-                                            depth: queue.len() as u32,
-                                            at_s: completion_s,
-                                        });
-                                        tele.queue_depth(completion_s, queue.len() as u32);
-                                    }
-                                    _ => break,
-                                }
-                            }
-                            if lanes.len() > 1 {
-                                if let Some(run) = self.try_start_batch(
-                                    &mut report,
-                                    &mut tele,
-                                    scope,
-                                    &lanes,
-                                    &requests,
-                                    completion_s,
-                                    queue.len() as u32,
-                                ) {
-                                    running.push(run);
-                                }
-                                continue;
-                            }
-                        }
-                        if let Some(run) = self.try_start(
-                            &mut report,
-                            &mut tele,
-                            scope,
-                            slot,
-                            requests[slot],
-                            completion_s,
-                            queue.len() as u32,
-                            &lost,
-                        ) {
-                            running.push(run);
-                        }
-                    }
-                    tele.in_flight(completion_s, running.len() as u32);
-                    continue;
+                        (result, _) => result,
+                    };
+                    // The shared trace rides the lead lane; the per-lane
+                    // `BatchLane` events in the service stream reconcile
+                    // the rest.
+                    self.complete(
+                        &mut report,
+                        &mut tele,
+                        slot,
+                        start_s,
+                        completion_s,
+                        result,
+                        events.take().unwrap_or_default(),
+                        ring.as_ref(),
+                        &mut lost,
+                    );
                 }
-
-                let item = items[next_item];
-                next_item += 1;
-                let at_s = item.at_s();
-                clock = clock.max(at_s);
-                match item {
-                    ScheduleItem::Drain { at_s } => {
-                        drained_at = Some(*at_s);
-                        if self.config.drain == DrainMode::Cancel {
-                            while let Some(slot) = queue.pop_front() {
-                                self.shed(
-                                    &mut report,
-                                    &mut tele,
-                                    slot,
-                                    "shutdown",
-                                    Disposition::ShedShutdown,
-                                    XbfsError::ShuttingDown,
-                                    queue.len() as u32,
-                                    *at_s,
-                                );
+                // The freed slot admits the longest-waiting queued
+                // queries (several, if deadline sheds cascade), batched
+                // up to the window when the policy allows.
+                while running.len() < capacity {
+                    let Some(slot) = queue.pop_front() else { break };
+                    report.events.push(TraceEvent::QueueDepth {
+                        depth: queue.len() as u32,
+                        at_s: completion_s,
+                    });
+                    tele.queue_depth(completion_s, queue.len() as u32);
+                    let mut lanes = vec![slot];
+                    let compat = self.config.batching.compat;
+                    if self.config.batching.enabled()
+                        && lost.is_empty()
+                        && compat.admits(requests[slot])
+                    {
+                        while lanes.len() < self.config.batching.lane_limit() {
+                            match queue.front() {
+                                Some(&next) if compat.admits(requests[next]) => {
+                                    lanes.push(queue.pop_front().expect("peeked"));
+                                    report.events.push(TraceEvent::QueueDepth {
+                                        depth: queue.len() as u32,
+                                        at_s: completion_s,
+                                    });
+                                    tele.queue_depth(completion_s, queue.len() as u32);
+                                }
+                                _ => break,
                             }
-                            report.events.push(TraceEvent::QueueDepth {
-                                depth: 0,
-                                at_s: *at_s,
-                            });
-                            tele.queue_depth(*at_s, 0);
                         }
                     }
-                    ScheduleItem::Query(q) => {
-                        let slot = query_index;
-                        query_index += 1;
-                        if drained_at.is_some_and(|d| at_s >= d) {
+                    running.extend(self.start(
+                        &mut report,
+                        &mut tele,
+                        &lanes,
+                        &requests,
+                        completion_s,
+                        queue.len() as u32,
+                        &lost,
+                    ));
+                }
+                tele.in_flight(completion_s, running.len() as u32);
+                continue;
+            }
+
+            let item = items[next_item];
+            next_item += 1;
+            let at_s = item.at_s();
+            clock = clock.max(at_s);
+            match item {
+                ScheduleItem::Drain { at_s } => {
+                    drained_at = Some(*at_s);
+                    if self.config.drain == DrainMode::Cancel {
+                        while let Some(slot) = queue.pop_front() {
                             self.shed(
                                 &mut report,
                                 &mut tele,
@@ -1121,63 +978,81 @@ impl QueryService {
                                 Disposition::ShedShutdown,
                                 XbfsError::ShuttingDown,
                                 queue.len() as u32,
-                                at_s,
-                            );
-                        } else if running.len() < capacity {
-                            report.admitted += 1;
-                            tele.admit(at_s);
-                            report.events.push(TraceEvent::QueryAdmitted {
-                                query: q.id,
-                                queue_depth: 0,
-                                at_s,
-                            });
-                            if let Some(run) = self.try_start(
-                                &mut report,
-                                &mut tele,
-                                scope,
-                                slot,
-                                q,
-                                at_s,
-                                0,
-                                &lost,
-                            ) {
-                                running.push(run);
-                            }
-                        } else if queue.len() < queue_limit {
-                            queue.push_back(slot);
-                            report.admitted += 1;
-                            tele.admit(at_s);
-                            let depth = queue.len() as u32;
-                            report.peak_queue_depth = report.peak_queue_depth.max(depth);
-                            report.events.push(TraceEvent::QueryAdmitted {
-                                query: q.id,
-                                queue_depth: depth,
-                                at_s,
-                            });
-                            report.events.push(TraceEvent::QueueDepth { depth, at_s });
-                            tele.queue_depth(at_s, depth);
-                        } else {
-                            let depth = queue.len() as u32;
-                            self.shed(
-                                &mut report,
-                                &mut tele,
-                                slot,
-                                "overloaded",
-                                Disposition::ShedOverloaded,
-                                XbfsError::Overloaded {
-                                    queue_depth: depth,
-                                    queue_limit: self.config.queue_limit,
-                                },
-                                depth,
-                                at_s,
+                                *at_s,
                             );
                         }
+                        report.events.push(TraceEvent::QueueDepth {
+                            depth: 0,
+                            at_s: *at_s,
+                        });
+                        tele.queue_depth(*at_s, 0);
                     }
                 }
-                report.peak_in_flight = report.peak_in_flight.max(running.len() as u32);
-                tele.in_flight(clock, running.len() as u32);
+                ScheduleItem::Query(q) => {
+                    let slot = query_index;
+                    query_index += 1;
+                    if drained_at.is_some_and(|d| at_s >= d) {
+                        self.shed(
+                            &mut report,
+                            &mut tele,
+                            slot,
+                            "shutdown",
+                            Disposition::ShedShutdown,
+                            XbfsError::ShuttingDown,
+                            queue.len() as u32,
+                            at_s,
+                        );
+                    } else if running.len() < capacity {
+                        report.admitted += 1;
+                        tele.admit(at_s);
+                        report.events.push(TraceEvent::QueryAdmitted {
+                            query: q.id,
+                            queue_depth: 0,
+                            at_s,
+                        });
+                        running.extend(self.start(
+                            &mut report,
+                            &mut tele,
+                            &[slot],
+                            &requests,
+                            at_s,
+                            0,
+                            &lost,
+                        ));
+                    } else if queue.len() < queue_limit {
+                        queue.push_back(slot);
+                        report.admitted += 1;
+                        tele.admit(at_s);
+                        let depth = queue.len() as u32;
+                        report.peak_queue_depth = report.peak_queue_depth.max(depth);
+                        report.events.push(TraceEvent::QueryAdmitted {
+                            query: q.id,
+                            queue_depth: depth,
+                            at_s,
+                        });
+                        report.events.push(TraceEvent::QueueDepth { depth, at_s });
+                        tele.queue_depth(at_s, depth);
+                    } else {
+                        let depth = queue.len() as u32;
+                        self.shed(
+                            &mut report,
+                            &mut tele,
+                            slot,
+                            "overloaded",
+                            Disposition::ShedOverloaded,
+                            XbfsError::Overloaded {
+                                queue_depth: depth,
+                                queue_limit: self.config.queue_limit,
+                            },
+                            depth,
+                            at_s,
+                        );
+                    }
+                }
             }
-        });
+            report.peak_in_flight = report.peak_in_flight.max(running.len() as u32);
+            tele.in_flight(clock, running.len() as u32);
+        }
 
         report.makespan_s = clock;
         report.lost_devices = lost;
@@ -1218,26 +1093,30 @@ impl QueryService {
         o.error = Some(error);
     }
 
-    /// Try to start `req` at `now_s`: shed it if its deadline already
-    /// expired while queued, otherwise spawn its worker thread.
-    #[allow(clippy::too_many_arguments)] // the full admission context
-    fn try_start<'scope, 'env>(
-        &'env self,
+    /// Start `lanes` (outcome slots, in queue order) at `now_s` as one
+    /// dispatch occupying a single slot. Lanes whose deadline expired
+    /// while queued are shed; the rest execute here, inline. One lane runs
+    /// a [`RunSession`] with its own fault plan, the presumed-lost
+    /// devices, a spill path and its remaining deadline; several run one
+    /// lane-packed [`BatchSession`] bounded only by the base deadline, and
+    /// their own deadlines are settled at completion.
+    #[allow(clippy::too_many_arguments)] // the full dispatch context
+    fn start(
+        &self,
         report: &mut ServiceReport,
         tele: &mut Telemetry,
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        slot: usize,
-        req: &'env QueryRequest,
+        lanes: &[usize],
+        requests: &[&QueryRequest],
         now_s: f64,
         queue_depth: u32,
         lost: &[(Device, f64)],
-    ) -> Option<Running<'scope>> {
-        let wait_s = (now_s - req.arrival_s).max(0.0);
-        let mut config = self.config.resilience.clone();
-        if let Some(d) = req.deadline_s {
-            let remaining = d - wait_s;
-            if remaining <= 0.0 {
-                self.shed(
+    ) -> Option<Dispatch> {
+        let mut live: Vec<usize> = Vec::with_capacity(lanes.len());
+        for &slot in lanes {
+            let req = requests[slot];
+            let wait_s = (now_s - req.arrival_s).max(0.0);
+            match req.deadline_s {
+                Some(d) if d - wait_s <= 0.0 => self.shed(
                     report,
                     tele,
                     slot,
@@ -1249,9 +1128,154 @@ impl QueryService {
                     },
                     queue_depth,
                     now_s,
-                );
-                return None;
+                ),
+                _ => live.push(slot),
             }
+        }
+        let lead = requests[*live.first()?];
+        let batch = live.len() > 1;
+        if batch {
+            tele.batch(now_s, live.len() as u32);
+        }
+        for (lane, &slot) in live.iter().enumerate() {
+            let req = requests[slot];
+            let wait_s = (now_s - req.arrival_s).max(0.0);
+            report.events.push(TraceEvent::QueryStart {
+                query: req.id,
+                wait_s,
+                at_s: now_s,
+            });
+            tele.start(now_s, wait_s);
+            if batch {
+                report.events.push(TraceEvent::BatchLane {
+                    lane: lane as u32,
+                    query: req.id,
+                    source: req.source,
+                    at_s: now_s,
+                });
+            }
+            let o = &mut report.outcomes[slot];
+            o.start_s = Some(now_s);
+            o.wait_s = wait_s;
+        }
+
+        let sink = MemorySink::new();
+        // Head sampling: the keep/drop decision is sealed here, once, from
+        // the seeded hash of the lead lane's query id, so a replay keeps
+        // the same traces — a disabled buffer (not kept, or traces off
+        // entirely) costs nothing on the hot path.
+        let sample = self.config.trace_sample;
+        let buffered = SamplingSink::for_query(
+            &sink,
+            sample.seed,
+            lead.id,
+            if self.config.keep_query_traces {
+                sample.rate
+            } else {
+                0.0
+            },
+        );
+        let ring = RingSink::new(self.config.flight_recorder);
+        let tee = TeeSink::new(&buffered, &ring);
+        // The bandit state a dispatch sees is a pure function of
+        // admission order.
+        let cell = self
+            .policy
+            .as_ref()
+            .map(|p| std::cell::RefCell::new(PolicyRun::new(p.snapshot())));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if batch {
+                let sources: Vec<VertexId> = live.iter().map(|&s| requests[s].source).collect();
+                let mut session = BatchSession::on_platform(
+                    &self.csr,
+                    &self.cpu,
+                    &self.gpu,
+                    &self.link,
+                    &self.params,
+                )
+                .sources(&sources)
+                .window(self.config.batching.window)
+                .resilience(self.config.resilience.clone());
+                if tee.enabled() {
+                    session = session.sink(&tee);
+                }
+                if let Some(cell) = &cell {
+                    session = session.policy(cell);
+                }
+                session.run().map(|b| {
+                    (
+                        b.total_seconds,
+                        b.lanes.into_iter().map(|l| l.run).collect(),
+                    )
+                })
+            } else {
+                let plan = lead.plan();
+                let lost: Vec<Device> = lost.iter().map(|(d, _)| *d).collect();
+                let mut session = RunSession::on_platform(
+                    &self.csr,
+                    &self.cpu,
+                    &self.gpu,
+                    &self.link,
+                    &self.params,
+                )
+                .source(lead.source)
+                .fault_plan(&plan)
+                .resilience(self.solo_resilience(lead, now_s))
+                .presume_lost(&lost);
+                if tee.enabled() {
+                    session = session.sink(&tee);
+                }
+                if let Some(cell) = &cell {
+                    session = session.policy(cell);
+                }
+                session
+                    .run()
+                    .map(|run| (run.report.total_seconds, vec![run]))
+            }
+        }))
+        .unwrap_or_else(|p| {
+            Err(XbfsError::KernelPanic {
+                payload: payload_to_string(&*p),
+                range: None,
+            })
+        });
+        let (duration_s, results) = match outcome {
+            Ok((total_seconds, runs)) => (total_seconds, runs.into_iter().map(Ok).collect()),
+            Err(e) => {
+                // A deadline abort held the slot until the budget blew;
+                // other terminal errors carry no clock and charge nothing.
+                let elapsed_s = match &e {
+                    XbfsError::DeadlineExceeded { elapsed_s, .. } => *elapsed_s,
+                    _ => 0.0,
+                };
+                (elapsed_s, live.iter().map(|_| Err(e.clone())).collect())
+            }
+        };
+        Some(Dispatch {
+            slots: live,
+            start_s: now_s,
+            completion_s: now_s + duration_s,
+            results,
+            events: sink.take(),
+            ring: (self.config.flight_recorder > 0).then(|| (ring.events(), ring.dropped())),
+            // Partial logs from failed or degraded runs still apply — the
+            // levels they priced ran deterministically before the error,
+            // and discarding them would make learning depend on failure
+            // handling.
+            observations: cell
+                .map(|c| c.into_inner().take_observations())
+                .unwrap_or_default(),
+        })
+    }
+
+    /// The resilience config of a solo run of `req` started at `now_s`:
+    /// the query's remaining deadline tightens (never loosens) the base
+    /// deadline, and checkpoints spill under the service's spill
+    /// directory.
+    fn solo_resilience(&self, req: &QueryRequest, now_s: f64) -> ResilienceConfig {
+        let mut config = self.config.resilience.clone();
+        if let Some(d) = req.deadline_s {
+            let remaining = d - (now_s - req.arrival_s).max(0.0);
             config.deadline_s = Some(match config.deadline_s {
                 Some(base) => base.min(remaining),
                 None => remaining,
@@ -1262,253 +1286,7 @@ impl QueryService {
                 config.checkpoint.spill = Some(format!("{dir}/query-{id}.ck.json", id = req.id));
             }
         }
-        report.events.push(TraceEvent::QueryStart {
-            query: req.id,
-            wait_s,
-            at_s: now_s,
-        });
-        tele.start(now_s, wait_s);
-        {
-            let o = &mut report.outcomes[slot];
-            o.start_s = Some(now_s);
-            o.wait_s = wait_s;
-        }
-        let lost_devices: Vec<Device> = lost.iter().map(|(d, _)| *d).collect();
-        let keep_trace = self.config.keep_query_traces;
-        let sample = self.config.trace_sample;
-        let ring_capacity = self.config.flight_recorder;
-        // The snapshot is taken HERE, on the event-loop thread, so the
-        // bandit state a query sees is a pure function of admission order
-        // — never of wall-clock thread interleaving.
-        let policy_snapshot: Option<OnlineBandit> = self.policy.as_ref().map(|p| p.snapshot());
-        let handle = scope.spawn(move || {
-            let sink = MemorySink::new();
-            // Head sampling: the keep/drop decision is sealed here, once,
-            // from the seeded hash — a disabled buffer (not kept, or
-            // traces off entirely) costs nothing on the hot path.
-            let buffered = SamplingSink::for_query(
-                &sink,
-                sample.seed,
-                req.id,
-                if keep_trace { sample.rate } else { 0.0 },
-            );
-            let ring = RingSink::new(ring_capacity);
-            let tee = TeeSink::new(&buffered, &ring);
-            let plan = req.plan();
-            let cell = policy_snapshot.map(|b| std::cell::RefCell::new(PolicyRun::new(b)));
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut session = RunSession::on_platform(
-                    &self.csr,
-                    &self.cpu,
-                    &self.gpu,
-                    &self.link,
-                    &self.params,
-                )
-                .source(req.source)
-                .fault_plan(&plan)
-                .resilience(config)
-                .presume_lost(&lost_devices);
-                if tee.enabled() {
-                    session = session.sink(&tee);
-                }
-                if let Some(cell) = &cell {
-                    session = session.policy(cell);
-                }
-                session.run()
-            }))
-            .unwrap_or_else(|p| {
-                Err(XbfsError::KernelPanic {
-                    payload: payload_to_string(&*p),
-                    range: None,
-                })
-            });
-            // Partial logs from failed or degraded queries still apply —
-            // the levels they priced ran deterministically before the
-            // error, and discarding them would make learning depend on
-            // failure handling.
-            let observations = cell
-                .map(|c| c.into_inner().take_observations())
-                .unwrap_or_default();
-            Done::Solo(Box::new(QueryDone {
-                result,
-                events: sink.take(),
-                ring: (ring_capacity > 0).then(|| (ring.events(), ring.dropped())),
-                observations,
-            }))
-        });
-        Some(Running {
-            slot,
-            start_s: now_s,
-            handle: Some(handle),
-            finished: None,
-        })
-    }
-
-    /// Start `lanes` (outcome slots popped from the queue front) as one
-    /// lane-packed batch occupying a single capacity slot. Lanes whose
-    /// deadline already expired while queued are shed here, exactly as a
-    /// solo start would shed them; if fewer than two lanes survive, the
-    /// remainder runs solo through [`Self::try_start`].
-    #[allow(clippy::too_many_arguments)] // the full dispatch context
-    fn try_start_batch<'scope, 'env>(
-        &'env self,
-        report: &mut ServiceReport,
-        tele: &mut Telemetry,
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        lanes: &[usize],
-        requests: &[&'env QueryRequest],
-        now_s: f64,
-        queue_depth: u32,
-    ) -> Option<Running<'scope>> {
-        let mut live: Vec<usize> = Vec::with_capacity(lanes.len());
-        for &slot in lanes {
-            let req = requests[slot];
-            let wait_s = (now_s - req.arrival_s).max(0.0);
-            if let Some(d) = req.deadline_s {
-                if d - wait_s <= 0.0 {
-                    self.shed(
-                        report,
-                        tele,
-                        slot,
-                        "deadline",
-                        Disposition::DeadlineMissed,
-                        XbfsError::DeadlineExceeded {
-                            budget_s: d,
-                            elapsed_s: wait_s,
-                        },
-                        queue_depth,
-                        now_s,
-                    );
-                    continue;
-                }
-            }
-            live.push(slot);
-        }
-        match live.len() {
-            0 => return None,
-            1 => {
-                return self.try_start(
-                    report,
-                    tele,
-                    scope,
-                    live[0],
-                    requests[live[0]],
-                    now_s,
-                    queue_depth,
-                    &[],
-                )
-            }
-            _ => {}
-        }
-        tele.batch(now_s, live.len() as u32);
-
-        let window = self.config.batching.window;
-        let mut sources: Vec<VertexId> = Vec::with_capacity(live.len());
-        for (lane, &slot) in live.iter().enumerate() {
-            let req = requests[slot];
-            let wait_s = (now_s - req.arrival_s).max(0.0);
-            report.events.push(TraceEvent::QueryStart {
-                query: req.id,
-                wait_s,
-                at_s: now_s,
-            });
-            tele.start(now_s, wait_s);
-            report.events.push(TraceEvent::BatchLane {
-                lane: lane as u32,
-                query: req.id,
-                source: req.source,
-                at_s: now_s,
-            });
-            let o = &mut report.outcomes[slot];
-            o.start_s = Some(now_s);
-            o.wait_s = wait_s;
-            sources.push(req.source);
-        }
-
-        // Per-lane deadlines are settled at completion against the shared
-        // batch clock; only the base resilience deadline bounds the batch.
-        let config = self.config.resilience.clone();
-        let keep_trace = self.config.keep_query_traces;
-        let sample = self.config.trace_sample;
-        let ring_capacity = self.config.flight_recorder;
-        // The batch shares one trace; its sampling decision rides the lead
-        // lane's query id so a replay keeps the same batches.
-        let lead_query = requests[live[0]].id;
-        // Snapshot on the event-loop thread — see `try_start`.
-        let policy_snapshot: Option<OnlineBandit> = self.policy.as_ref().map(|p| p.snapshot());
-        let handle = scope.spawn(move || {
-            let sink = MemorySink::new();
-            let buffered = SamplingSink::for_query(
-                &sink,
-                sample.seed,
-                lead_query,
-                if keep_trace { sample.rate } else { 0.0 },
-            );
-            let ring = RingSink::new(ring_capacity);
-            let tee = TeeSink::new(&buffered, &ring);
-            let cell = policy_snapshot.map(|b| std::cell::RefCell::new(PolicyRun::new(b)));
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut session = BatchSession::on_platform(
-                    &self.csr,
-                    &self.cpu,
-                    &self.gpu,
-                    &self.link,
-                    &self.params,
-                )
-                .sources(&sources)
-                .window(window)
-                .resilience(config);
-                if tee.enabled() {
-                    session = session.sink(&tee);
-                }
-                if let Some(cell) = &cell {
-                    session = session.policy(cell);
-                }
-                session.run()
-            }))
-            .unwrap_or_else(|p| {
-                Err(XbfsError::KernelPanic {
-                    payload: payload_to_string(&*p),
-                    range: None,
-                })
-            });
-            let ring_dump = (ring_capacity > 0).then(|| (ring.events(), ring.dropped()));
-            let observations = cell
-                .map(|c| c.into_inner().take_observations())
-                .unwrap_or_default();
-            match result {
-                Ok(batch) => Done::Batch {
-                    total_seconds: batch.total_seconds,
-                    lanes: live
-                        .iter()
-                        .zip(batch.lanes)
-                        .map(|(&slot, lane)| (slot, Ok(lane.run)))
-                        .collect(),
-                    events: sink.take(),
-                    ring: ring_dump,
-                    observations,
-                },
-                Err(e) => {
-                    let total_seconds = match &e {
-                        XbfsError::DeadlineExceeded { elapsed_s, .. } => *elapsed_s,
-                        _ => 0.0,
-                    };
-                    Done::Batch {
-                        total_seconds,
-                        lanes: live.iter().map(|&slot| (slot, Err(e.clone()))).collect(),
-                        events: sink.take(),
-                        ring: ring_dump,
-                        observations,
-                    }
-                }
-            }
-        });
-        Some(Running {
-            slot: lanes[0],
-            start_s: now_s,
-            handle: Some(handle),
-            finished: None,
-        })
+        config
     }
 
     /// Process one completion: counters, the `QueryEnd` event, telemetry,
@@ -1524,7 +1302,7 @@ impl QueryService {
         completion_s: f64,
         result: Result<RecoveredRun, XbfsError>,
         events: Vec<TraceEvent>,
-        ring: Option<RingDump>,
+        ring: Option<&RingDump>,
         lost: &mut Vec<(Device, f64)>,
     ) {
         if let Ok(run) = &result {
@@ -1605,8 +1383,8 @@ impl QueryService {
                 start_s,
                 completion_s,
                 capacity: self.config.flight_recorder,
-                dropped,
-                events: ring_events,
+                dropped: *dropped,
+                events: ring_events.clone(),
             });
         }
         if self.config.keep_query_traces {

@@ -2,10 +2,9 @@
 //! cross-architecture execution — and [`BatchSession`], its multi-source
 //! sibling that serves up to 64 lane-packed traversals per batch.
 //!
-//! PR 2 left the crate with six overlapping ways to start a traversal
-//! (three free functions in [`crate::recovery`], three methods on
-//! [`AdaptiveRuntime`]), all of them positional-argument walls. This
-//! builder replaces the lot:
+//! Every resilient run starts from this builder — the CLI, the
+//! experiments and the query service, which builds one session per
+//! dispatch:
 //!
 //! ```no_run
 //! use xbfs_core::prelude::*;
@@ -26,8 +25,7 @@
 //! Every knob has a production-sane default: no faults, the runtime
 //! resilience defaults, a disabled ([`NullSink`]) trace sink, and — on the
 //! [`RunSession::new`] path — switch parameters predicted from the graph's
-//! statistics. The deprecated free functions and runtime methods are thin
-//! shims over this type.
+//! statistics.
 //!
 //! [`NullSink`]: xbfs_engine::trace::NullSink
 
@@ -52,7 +50,8 @@ enum Platform<'a> {
         rt: &'a AdaptiveRuntime,
         stats: &'a GraphStats,
     },
-    /// Explicit device specs and parameters (tests, experiments, shims).
+    /// Explicit device specs and parameters (tests, experiments, the
+    /// query service).
     Explicit {
         cpu: &'a ArchSpec,
         gpu: &'a ArchSpec,

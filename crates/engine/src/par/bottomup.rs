@@ -7,13 +7,12 @@
 //! paper attributes to bottom-up ("each unvisited vertex searches for one
 //! vertex from the CQ as its parent", §II-A).
 //!
-//! [`chunk`] is the scheduler-agnostic unit of work: the work-stealing
-//! pool feeds it cursor-claimed vertex ranges, the static [`level`] feeds
-//! it one pre-cut contiguous range per worker. Either way ranges are
-//! disjoint, which is all owner-computes needs.
+//! [`chunk`] is the unit of work the work-stealing pool feeds with
+//! cursor-claimed vertex ranges. The ranges are disjoint, which is all
+//! owner-computes needs.
 
 use super::multi::MultiParState;
-use super::pool::{parallel_ranges, Partial, StolenOutcome};
+use super::pool::Partial;
 use super::ParState;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,28 +98,6 @@ pub(crate) fn multi_chunk(
     }
 }
 
-/// Expand one bottom-up level on `threads` threads with static
-/// contiguous-range splitting (the baseline scheduler).
-pub(crate) fn level(
-    csr: &Csr,
-    frontier: &AtomicBitmap,
-    state: &ParState,
-    next_level: u32,
-    threads: usize,
-) -> StolenOutcome {
-    let n = csr.num_vertices() as usize;
-    let partials = parallel_ranges(n, threads, |range| {
-        let mut local = Partial::default();
-        chunk(csr, frontier, range, state, next_level, &mut local);
-        local
-    });
-    let mut out = StolenOutcome::default();
-    for p in partials {
-        p.merge_into(&mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,12 +110,27 @@ mod tests {
         bm
     }
 
+    /// Scan every vertex against `frontier` to level 1 as one chunk, the
+    /// way a single worker claiming the whole range would.
+    fn scan(g: &Csr, frontier: &AtomicBitmap, state: &ParState) -> Partial {
+        let mut out = Partial::default();
+        chunk(
+            g,
+            frontier,
+            0..g.num_vertices() as usize,
+            state,
+            1,
+            &mut out,
+        );
+        out
+    }
+
     #[test]
     fn adopts_parents_from_frontier_only() {
         let g = xbfs_graph::gen::path(6);
         let state = ParState::init(6, 0);
         let frontier = frontier_of(6, &[0]);
-        let out = level(&g, &frontier, &state, 1, 3);
+        let out = scan(&g, &frontier, &state);
         assert_eq!(out.next, vec![1]);
         assert!(state.visited(1));
         assert!(!state.visited(2));
@@ -154,7 +146,7 @@ mod tests {
         let frontier = frontier_of(n as usize, &[0]);
         let (seq_next, seq_examined, _) =
             crate::bottomup::level(&g, &frontier.snapshot(), &mut seq_out, 1);
-        let par = level(&g, &frontier, &state, 1, 4);
+        let par = scan(&g, &frontier, &state);
         let mut par_next = par.next.clone();
         par_next.sort_unstable();
         let mut seq_sorted = seq_next.clone();
@@ -168,7 +160,7 @@ mod tests {
         let g = xbfs_graph::gen::star(100);
         let state = ParState::init(100, 0);
         let frontier = frontier_of(100, &[0]);
-        let out = level(&g, &frontier, &state, 1, 8);
+        let out = scan(&g, &frontier, &state);
         assert_eq!(out.next.len(), 99);
         // Every leaf has degree 1: folded stats must agree.
         assert_eq!(out.next_edges, 99);

@@ -6,22 +6,18 @@
 //! partitioning for bottom-up (each worker exclusively scans the vertices
 //! of the chunks it claims, so parent writes need no CAS).
 //!
-//! Two schedulers drive the kernels:
-//!
-//! * [`run`] / [`run_traced`] — **work-stealing**: a persistent
-//!   worker pool spawned once per traversal; workers claim
-//!   fixed-size chunks of the frontier (top-down) or vertex range
-//!   (bottom-up) off a shared atomic cursor, so an R-MAT hub cannot
-//!   serialize a level by landing in one worker's statically assigned
-//!   range.
-//! * [`run_static`] — the original static fork-join: one contiguous
-//!   pre-cut range per worker, threads spawned per level. Kept as the
-//!   scaling baseline the bench suite contrasts against.
+//! One **work-stealing** scheduler drives the kernels ([`run`] /
+//! [`run_traced`], and the lane-packed [`run_multi`]): a persistent
+//! worker pool spawned once per traversal; workers claim fixed-size chunks
+//! of the frontier (top-down) or vertex range (bottom-up) off a shared
+//! atomic cursor, so an R-MAT hub cannot serialize a level by landing in
+//! one worker's statically assigned range. EXPERIMENTS.md keeps the last
+//! measurements of the static fork-join scheduler it replaced.
 //!
 //! Parallel runs may pick different *parents* than sequential runs (the CAS
 //! race is won by an arbitrary frontier vertex) but always produce identical
 //! *level maps* — the property the test suite pins down. With
-//! `threads == 1` both schedulers degenerate to sequential execution on the
+//! `threads == 1` the pool degenerates to sequential execution on the
 //! calling thread (chunks are claimed in order, nothing is spawned), and
 //! even the parents match the sequential engine exactly.
 
@@ -31,7 +27,7 @@ mod pool;
 mod topdown;
 
 pub use multi::{run_multi, run_multi_traced, MAX_LANES};
-pub use pool::{parallel_ranges, payload_to_string, try_parallel_ranges, QueryPool};
+pub use pool::{parallel_ranges, payload_to_string, try_parallel_ranges};
 
 use crate::{
     stats::LevelRecord,
@@ -121,10 +117,9 @@ pub fn env_threads(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// The level-synchronous driver shared by both parallel schedulers: it
-/// owns the switch decision and the [`LevelRecord`] bookkeeping, while
-/// `exec` runs one level in whatever way the scheduler chooses and
-/// returns the merged outcome plus the level's `vertices_scanned`.
+/// The level-synchronous driver: it owns the switch decision and the
+/// [`LevelRecord`] bookkeeping, while `exec` runs one level on the pool
+/// and returns the merged outcome plus the level's `vertices_scanned`.
 ///
 /// The next frontier's degree stats (`|E|cq`, max degree) arrive *inside*
 /// each outcome — folded in by the kernels at discovery time — so the
@@ -294,55 +289,6 @@ pub fn run_traced(
     }
 }
 
-/// Run a complete parallel traversal with the original *static* fork-join
-/// scheduler: the frontier (top-down) or vertex range (bottom-up) is
-/// pre-cut into one contiguous range per worker and threads are spawned
-/// per level.
-///
-/// Kept as the scaling baseline for [`run`]: identical kernels and
-/// identical level records, differing only in how work is assigned to
-/// threads — so a bench comparison isolates the scheduler.
-///
-/// # Panics
-/// Same contract as [`run`].
-pub fn run_static(
-    csr: &Csr,
-    source: VertexId,
-    policy: &mut dyn SwitchPolicy,
-    threads: usize,
-) -> Traversal {
-    assert!(threads >= 1, "need at least one thread");
-    let n = csr.num_vertices();
-    let state = ParState::init(n, source);
-    let records = drive(
-        csr,
-        source,
-        policy,
-        &NULL_SINK,
-        |frontier, direction, next_level| match direction {
-            Direction::TopDown => {
-                let scanned = frontier.len() as u64;
-                let outcome = topdown::level(csr, &frontier, &state, next_level, threads);
-                (outcome, scanned)
-            }
-            Direction::BottomUp => {
-                let bits = AtomicBitmap::new(n as usize);
-                parallel_ranges(frontier.len(), threads, |range| {
-                    for &v in &frontier[range] {
-                        bits.set(v);
-                    }
-                });
-                let outcome = bottomup::level(csr, &bits, &state, next_level, threads);
-                (outcome, n as u64)
-            }
-        },
-    );
-    Traversal {
-        output: state.into_output(),
-        levels: records,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,20 +308,6 @@ mod tests {
         let g = xbfs_graph::rmat::rmat_csr(10, 16);
         for threads in [1, 2, 4, 8] {
             level_maps_match(&g, 0, threads);
-        }
-    }
-
-    #[test]
-    fn work_stealing_matches_static_split_levels_and_records() {
-        let g = xbfs_graph::rmat::rmat_csr(10, 16);
-        for threads in [1, 2, 4, 8] {
-            let stealing = run(&g, 0, &mut FixedMN::new(14.0, 24.0), threads);
-            let static_split = run_static(&g, 0, &mut FixedMN::new(14.0, 24.0), threads);
-            assert_eq!(stealing.output.levels, static_split.output.levels);
-            // The full LevelRecords agree too: examined/scanned/frontier
-            // stats are schedule-independent by construction.
-            assert_eq!(stealing.levels, static_split.levels);
-            assert_eq!(validate(&g, &static_split.output), Ok(()));
         }
     }
 
@@ -428,15 +360,12 @@ mod tests {
     #[test]
     fn single_thread_matches_sequential_exactly() {
         // With one thread even the parent choices match the sequential
-        // engine: in-order chunk claiming, no races — for both schedulers.
+        // engine: in-order chunk claiming, no races.
         let g = xbfs_graph::rmat::rmat_csr(8, 16);
         let seq = hybrid::run(&g, 0, &mut AlwaysTopDown);
         let stealing = run(&g, 0, &mut AlwaysTopDown, 1);
         assert_eq!(seq.output, stealing.output);
         assert_eq!(seq.levels, stealing.levels);
-        let static_split = run_static(&g, 0, &mut AlwaysTopDown, 1);
-        assert_eq!(seq.output, static_split.output);
-        assert_eq!(seq.levels, static_split.levels);
     }
 
     #[test]
@@ -444,13 +373,6 @@ mod tests {
     fn zero_threads_rejected() {
         let g = gen::path(2);
         run(&g, 0, &mut AlwaysTopDown, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_rejected_static() {
-        let g = gen::path(2);
-        run_static(&g, 0, &mut AlwaysTopDown, 0);
     }
 
     #[test]

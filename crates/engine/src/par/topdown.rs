@@ -6,12 +6,11 @@
 //! next-queue — concatenating the locals yields a duplicate-free next
 //! frontier without any shared queue contention.
 //!
-//! [`chunk`] is the scheduler-agnostic unit of work: the work-stealing
-//! pool feeds it cursor-claimed frontier chunks, the static [`level`]
-//! feeds it one pre-cut contiguous range per worker.
+//! [`chunk`] is the unit of work the work-stealing pool feeds with
+//! cursor-claimed frontier chunks.
 
 use super::multi::MultiParState;
-use super::pool::{parallel_ranges, Partial, StolenOutcome};
+use super::pool::Partial;
 use super::ParState;
 use std::ops::Range;
 use xbfs_graph::{Csr, VertexId};
@@ -77,36 +76,23 @@ pub(crate) fn multi_chunk(
     }
 }
 
-/// Expand one top-down level on `threads` threads with static
-/// contiguous-range splitting (the baseline scheduler).
-pub(crate) fn level(
-    csr: &Csr,
-    frontier: &[VertexId],
-    state: &ParState,
-    next_level: u32,
-    threads: usize,
-) -> StolenOutcome {
-    let partials = parallel_ranges(frontier.len(), threads, |range| {
-        let mut local = Partial::default();
-        chunk(csr, &frontier[range], state, next_level, &mut local);
-        local
-    });
-    let mut out = StolenOutcome::default();
-    for p in partials {
-        p.merge_into(&mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Expand `frontier` to level 1 as one chunk, the way a single worker
+    /// claiming the whole frontier would.
+    fn expand(g: &Csr, frontier: &[VertexId], state: &ParState) -> Partial {
+        let mut out = Partial::default();
+        chunk(g, frontier, state, 1, &mut out);
+        out
+    }
 
     #[test]
     fn discovers_each_vertex_once() {
         let g = xbfs_graph::gen::complete(64);
         let state = ParState::init(64, 0);
-        let out = level(&g, &[0], &state, 1, 4);
+        let out = expand(&g, &[0], &state);
         let mut found = out.next.clone();
         found.sort_unstable();
         assert_eq!(found, (1..64).collect::<Vec<_>>());
@@ -114,12 +100,12 @@ mod tests {
     }
 
     #[test]
-    fn examined_sums_frontier_degrees_across_threads() {
+    fn examined_sums_frontier_degrees() {
         let g = xbfs_graph::rmat::rmat_csr(8, 8);
         let state = ParState::init(g.num_vertices(), 0);
         let frontier: Vec<u32> = (0..64).collect();
         let expected: u64 = frontier.iter().map(|&v| g.degree(v)).sum();
-        let out = level(&g, &frontier, &state, 1, 8);
+        let out = expand(&g, &frontier, &state);
         assert_eq!(out.edges_examined, expected);
     }
 
@@ -127,10 +113,10 @@ mod tests {
     fn claimed_vertices_not_reclaimed() {
         let g = xbfs_graph::gen::star(10);
         let state = ParState::init(10, 0);
-        let first = level(&g, &[0], &state, 1, 2);
+        let first = expand(&g, &[0], &state);
         assert_eq!(first.next.len(), 9);
         // Running the same frontier again discovers nothing new.
-        let second = level(&g, &[0], &state, 1, 2);
+        let second = expand(&g, &[0], &state);
         assert!(second.next.is_empty());
     }
 
@@ -138,7 +124,7 @@ mod tests {
     fn folds_next_frontier_degree_stats_at_claim_time() {
         let g = xbfs_graph::rmat::rmat_csr(8, 8);
         let state = ParState::init(g.num_vertices(), 0);
-        let out = level(&g, &[0], &state, 1, 4);
+        let out = expand(&g, &[0], &state);
         let expected_sum: u64 = out.next.iter().map(|&v| g.degree(v)).sum();
         let expected_max: u64 = out.next.iter().map(|&v| g.degree(v)).max().unwrap_or(0);
         assert_eq!(out.next_edges, expected_sum);
