@@ -3,11 +3,13 @@
 //!
 //! The host-machine counterpart of the paper's Fig. 3 / Table IV per-kernel
 //! comparison: the hybrid must examine far fewer edges than either pure
-//! direction and therefore run fastest.
+//! direction and therefore run fastest. `validate` times the Graph 500
+//! check of the hybrid's output on the same graph and source, so a served
+//! query's traversal and validation costs read side by side.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use xbfs_engine::{bottomup, hybrid, reference, topdown, FixedMN};
+use xbfs_engine::{bottomup, hybrid, reference, topdown, validate, FixedMN};
 
 fn bench_kernels(c: &mut Criterion) {
     let g = xbfs_graph::rmat::rmat_csr(16, 16);
@@ -24,6 +26,10 @@ fn bench_kernels(c: &mut Criterion) {
             let mut policy = FixedMN::new(14.0, 24.0);
             black_box(hybrid::run(&g, src, &mut policy))
         })
+    });
+    let out = hybrid::run(&g, src, &mut FixedMN::new(14.0, 24.0)).output;
+    group.bench_function("validate", |b| {
+        b.iter(|| black_box(validate(&g, black_box(&out))))
     });
     group.bench_function("reference_fifo", |b| {
         b.iter(|| black_box(reference::run(&g, src)))

@@ -180,6 +180,20 @@ mod tests {
     }
 
     #[test]
+    fn detects_a_parent_visited_without_a_level() {
+        // The parent's level is the `UNREACHED` sentinel; the partial-tree
+        // check must report it, not overflow on it.
+        let g = xbfs_graph::gen::path(6);
+        let mut st = TraversalState::start(&g, 0);
+        let mut policy = FixedMN::new(14.0, 24.0);
+        st.step(&g, &mut policy);
+        st.step(&g, &mut policy);
+        st.output.parents[3] = 2;
+        st.output.parents[2] = 3;
+        assert!(scrub_state(&g, &st).is_some());
+    }
+
+    #[test]
     fn detects_a_discovery_count_mismatch() {
         let (g, mut st) = mid_state(2);
         // Fabricate a visit that no level discovered: parent+level look

@@ -105,7 +105,9 @@ pub fn partial_tree_violation(csr: &Csr, out: &BfsOutput) -> Option<String> {
         if p >= n || out.parents[p as usize] == NO_PARENT {
             return Some(format!("vertex {v}: parent {p} is unvisited"));
         }
-        if out.levels[p as usize] + 1 != l {
+        // A corrupt parent can be marked visited without a level; the
+        // unchecked `+ 1` would overflow on its `UNREACHED` sentinel.
+        if out.levels[p as usize].checked_add(1) != Some(l) {
             return Some(format!(
                 "vertex {v} at level {l}, parent {p} at level {}",
                 out.levels[p as usize]
@@ -242,6 +244,25 @@ mod tests {
 
         // Wrong graph: detected.
         assert!(partial_tree_violation(&gen::path(3), &whole).is_some());
+    }
+
+    #[test]
+    fn parent_visited_without_a_level_is_reported_not_overflowed() {
+        // Vertex 3 gains a parent but no level, and the lower-id vertex 2
+        // points at it: the parent's level is the `UNREACHED` sentinel.
+        let g = gen::path(6);
+        let mut st = crate::TraversalState::start(&g, 0);
+        let mut policy = crate::FixedMN::new(14.0, 24.0);
+        st.step(&g, &mut policy);
+        st.step(&g, &mut policy);
+        st.output.parents[3] = 2;
+        st.output.parents[2] = 3;
+        assert_eq!(
+            partial_tree_violation(&g, &st.output),
+            Some(format!(
+                "vertex 2 at level 2, parent 3 at level {UNREACHED}"
+            ))
+        );
     }
 
     #[test]

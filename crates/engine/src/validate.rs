@@ -9,6 +9,30 @@
 //! 4. every tree edge spans exactly one level;
 //! 5. no graph edge connects a visited vertex to an unvisited one (i.e. the
 //!    traversal is complete), and no graph edge spans more than one level.
+//!
+//! # One pass over the visited rows
+//!
+//! After the length and source checks, [`validate`] decides properties 2–5
+//! in a single sweep over the CSR in vertex order. Every vertex folds its
+//! parent/level agreement. An unvisited vertex's row is skipped. A visited
+//! vertex's row is streamed once, without early exit, folding two facts:
+//! every neighbour is visited and within one level of it, and its parent
+//! is among its neighbours. A non-source vertex then needs that parent
+//! visited exactly one level shallower.
+//!
+//! Skipping unvisited rows loses nothing because every [`Csr`] is
+//! symmetric (both constructors guarantee it). An edge between a visited
+//! and an unvisited vertex is therefore also stored in the visited
+//! vertex's row, where the sweep sees it, and `parent ∈ adj(v)` holds
+//! exactly when `v ∈ adj(parent)`. Edges between two unvisited vertices
+//! constrain nothing.
+//!
+//! The sweep only decides. When a row fails, the exact error comes from a
+//! cold reporter that runs the check as two plain loops, a tree-edge loop
+//! and then an edge sweep over every row. It reports the first violation
+//! in that order, so the error for a given output does not depend on which
+//! row the fast sweep tripped on. The reporter doubles as the test oracle
+//! for the sweep.
 
 use crate::{BfsOutput, UNREACHED};
 use xbfs_graph::{Csr, VertexId, NO_PARENT};
@@ -75,6 +99,12 @@ impl std::error::Error for ValidationError {}
 
 /// Validate `out` as a BFS of `csr` from `out.source`.
 ///
+/// Relies on `csr` being symmetric, which both [`Csr`] constructors
+/// guarantee: the single pass skips unvisited rows and looks each parent
+/// up in its child's row (see the module docs). On failure the error is
+/// the first violation of the tree-edge loop, then of the edge sweep, in
+/// vertex order.
+///
 /// # Examples
 /// ```
 /// use xbfs_engine::{topdown, validate};
@@ -87,6 +117,75 @@ impl std::error::Error for ValidationError {}
 /// assert!(validate(&g, &out).is_err());
 /// ```
 pub fn validate(csr: &Csr, out: &BfsOutput) -> Result<(), ValidationError> {
+    let n = csr.num_vertices() as usize;
+    if out.parents.len() != n || out.levels.len() != n {
+        return Err(ValidationError::WrongLength);
+    }
+    let s = out.source as usize;
+    if out.parents[s] != out.source || out.levels[s] != 0 {
+        return Err(ValidationError::BadSource);
+    }
+    if visited_rows_sound(csr, out) {
+        Ok(())
+    } else {
+        first_violation(csr, out)
+    }
+}
+
+/// The single pass: `true` iff properties 2–5 hold. Assumes the lengths
+/// were checked and `csr` is symmetric.
+fn visited_rows_sound(csr: &Csr, out: &BfsOutput) -> bool {
+    let offsets = csr.row_offsets();
+    let columns = csr.column_indices();
+    let levels = &out.levels[..];
+    for (u, (&parent, &level)) in out.parents.iter().zip(levels).enumerate() {
+        if (parent != NO_PARENT) != (level != UNREACHED) {
+            return false;
+        }
+        if level == UNREACHED {
+            continue;
+        }
+        let row = &columns[offsets[u] as usize..offsets[u + 1] as usize];
+        let (near, parent_adjacent) = scan_row(levels, row, level, parent);
+        // A parent found in the row is in range, and `near` already
+        // requires it visited, so one level shallower is all that is left.
+        let tree_edge = u == out.source as usize
+            || (parent_adjacent && levels[parent as usize].wrapping_add(1) == level);
+        if !(near && tree_edge) {
+            return false;
+        }
+    }
+    true
+}
+
+/// One visited row at `level`: whether every neighbour is visited and
+/// within one level, and whether `parent` is among the neighbours.
+#[inline]
+fn scan_row(levels: &[u32], row: &[VertexId], level: u32, parent: VertexId) -> (bool, bool) {
+    let wide_level = u64::from(level);
+    let mut near = true;
+    let mut parent_adjacent = false;
+    for &v in row {
+        // In u64 nothing wraps: `lv + 1 - level ∈ {0, 1, 2}` holds exactly
+        // when `lv` is within one level. An unreached neighbour
+        // (`UNREACHED` = `u32::MAX`) fails it as well, unless the row sits
+        // at `u32::MAX - 1`.
+        let lv = u64::from(levels[v as usize]);
+        near &= (lv + 1).wrapping_sub(wide_level) <= 2;
+        parent_adjacent |= v == parent;
+    }
+    if level == u32::MAX - 1 {
+        // A valid tree needs a path of `u32::MAX` vertices to get here,
+        // but a corrupt level map can claim it.
+        near &= row.iter().all(|&v| levels[v as usize] != UNREACHED);
+    }
+    (near, parent_adjacent)
+}
+
+/// The exact reporter: the first violation, found by a tree-edge loop and
+/// then an edge sweep over every row. Cold; runs only on rejected outputs.
+#[cold]
+fn first_violation(csr: &Csr, out: &BfsOutput) -> Result<(), ValidationError> {
     let n = csr.num_vertices() as usize;
     if out.parents.len() != n || out.levels.len() != n {
         return Err(ValidationError::WrongLength);
@@ -148,6 +247,9 @@ pub fn validate(csr: &Csr, out: &BfsOutput) -> Result<(), ValidationError> {
 mod tests {
     use super::*;
     use crate::topdown;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+    use std::sync::OnceLock;
     use xbfs_graph::gen;
 
     fn valid_run() -> (Csr, BfsOutput) {
@@ -284,5 +386,184 @@ mod tests {
         assert!(msg.contains("vertex 4"), "{msg}");
         assert!(msg.contains("level 2"), "{msg}");
         assert!(msg.contains("parent level 3"), "{msg}");
+    }
+
+    /// Graphs for the differential tests: R-MAT (hubs and isolated
+    /// vertices), a road-like lattice, two components and the closed-form
+    /// shapes.
+    fn corpus() -> &'static [Csr] {
+        static CORPUS: OnceLock<Vec<Csr>> = OnceLock::new();
+        CORPUS.get_or_init(|| {
+            vec![
+                xbfs_graph::rmat::rmat_csr(8, 8),
+                gen::road_like(12, 12, 8, 3),
+                gen::two_cliques(5),
+                gen::star(9),
+                gen::path(10),
+                gen::complete(6),
+            ]
+        })
+    }
+
+    /// `(kind, vertex seed, argument)`: parent-bit flip, level-bit flip,
+    /// erase, re-parent to a random vertex, level ±1, copy another
+    /// vertex's entry.
+    type Corruption = (u8, u32, u32);
+
+    fn corrupt(out: &mut BfsOutput, (kind, a, b): Corruption) {
+        let n = out.parents.len() as u32;
+        let v = (a % n) as usize;
+        match kind {
+            0 => out.parents[v] ^= 1 << (b % 32),
+            1 => out.levels[v] ^= 1 << (b % 32),
+            2 => {
+                out.parents[v] = NO_PARENT;
+                out.levels[v] = UNREACHED;
+            }
+            3 => out.parents[v] = b % n,
+            4 if b % 2 == 0 => out.levels[v] = out.levels[v].wrapping_add(1),
+            4 => out.levels[v] = out.levels[v].wrapping_sub(1),
+            _ => {
+                let w = (b % n) as usize;
+                out.parents[v] = out.parents[w];
+                out.levels[v] = out.levels[w];
+            }
+        }
+    }
+
+    /// A corpus graph, a source seed and 1–3 corruptions.
+    fn arb_case() -> impl Strategy<Value = (usize, u32, Vec<Corruption>)> {
+        (
+            0..corpus().len(),
+            any::<u32>(),
+            prop::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 1..4),
+        )
+    }
+
+    /// The corrupted output of one generated case on its graph.
+    fn corrupted(
+        (graph, source, corruptions): (usize, u32, Vec<Corruption>),
+    ) -> (&'static Csr, BfsOutput) {
+        let g = &corpus()[graph];
+        let mut out = topdown::run(g, source % g.num_vertices()).output;
+        for c in corruptions {
+            corrupt(&mut out, c);
+        }
+        (g, out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn single_pass_matches_the_reporter(case in arb_case()) {
+            let (g, out) = corrupted(case);
+            let exact = first_violation(g, &out);
+            prop_assert_eq!(validate(g, &out), exact);
+            if exact != Err(ValidationError::BadSource) {
+                prop_assert_eq!(visited_rows_sound(g, &out), exact.is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn corruption_cases_reach_every_outcome() {
+        // The differential property is only as strong as the outputs it
+        // sees: its generator must reach acceptance and every error.
+        let mut rng = TestRng::from_name("corruption_cases_reach_every_outcome");
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..2048 {
+            let (g, out) = corrupted(arb_case().generate(&mut rng));
+            seen.insert(match first_violation(g, &out) {
+                Ok(()) => "ok",
+                Err(ValidationError::WrongLength) => "length",
+                Err(ValidationError::BadSource) => "source",
+                Err(ValidationError::VisitMismatch { .. }) => "mismatch",
+                Err(ValidationError::PhantomTreeEdge { .. }) => "phantom",
+                Err(ValidationError::BadTreeLevel { .. }) => "tree level",
+                Err(ValidationError::LevelSkip { .. }) => "skip",
+                Err(ValidationError::Incomplete { .. }) => "incomplete",
+            });
+        }
+        let expected = [
+            "incomplete",
+            "mismatch",
+            "ok",
+            "phantom",
+            "skip",
+            "source",
+            "tree level",
+        ];
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), expected);
+    }
+
+    /// A pinned corner of the single pass: the reporter, `validate` and the
+    /// pass's decision must all agree with the expected result.
+    fn assert_pinned(g: &Csr, out: &BfsOutput, expected: Result<(), ValidationError>) {
+        assert_eq!(first_violation(g, out), expected);
+        assert_eq!(validate(g, out), expected);
+        assert_eq!(visited_rows_sound(g, out), expected.is_ok());
+    }
+
+    #[test]
+    fn source_with_an_unreached_neighbour_is_incomplete() {
+        // At level 0 a u32 `level - 1` would wrap to `UNREACHED`; the
+        // source row must still reject its unreached leaf.
+        let g = gen::star(4);
+        let mut out = topdown::run(&g, 0).output;
+        out.parents[2] = NO_PARENT;
+        out.levels[2] = UNREACHED;
+        assert_pinned(&g, &out, Err(ValidationError::Incomplete { u: 0, v: 2 }));
+    }
+
+    #[test]
+    fn level_just_below_the_sentinel_is_rejected() {
+        // `u32::MAX - 1` + 1 is `UNREACHED`, so the widened compare alone
+        // would accept an unreached neighbour of a row at that level.
+        let levels = [u32::MAX - 2, u32::MAX - 1, UNREACHED];
+        assert_eq!(scan_row(&levels, &[0], u32::MAX - 1, 0), (true, true));
+        assert_eq!(scan_row(&levels, &[0, 2], u32::MAX - 1, 0), (false, true));
+        assert_eq!(scan_row(&levels, &[1, 2], u32::MAX - 2, 1), (false, true));
+
+        // Whole outputs: row 0 sits at that level, one level below its
+        // parent, beside an unreached vertex. The error is the reporter's
+        // first violation, at vertex 1.
+        let el = xbfs_graph::EdgeList::from_edges(4, vec![(0, 1), (0, 3), (1, 2)]).unwrap();
+        let g = Csr::from_edge_list(&el);
+        let mut out = topdown::run(&g, 2).output;
+        out.levels[0] = u32::MAX - 1;
+        out.levels[1] = u32::MAX - 2;
+        out.parents[3] = NO_PARENT;
+        out.levels[3] = UNREACHED;
+        assert_pinned(
+            &g,
+            &out,
+            Err(ValidationError::BadTreeLevel {
+                v: 1,
+                level: u32::MAX - 2,
+                parent_level: 0,
+            }),
+        );
+    }
+
+    #[test]
+    fn parent_with_bit_31_flipped_is_a_phantom_edge() {
+        // Out of range: never found in the row, never used as an index.
+        let g = gen::path(5);
+        let mut out = topdown::run(&g, 0).output;
+        out.parents[2] ^= 1 << 31;
+        assert_pinned(&g, &out, Err(ValidationError::PhantomTreeEdge { v: 2 }));
+    }
+
+    #[test]
+    fn unreached_vertex_beside_reached_ones_names_the_reached_end_first() {
+        // Vertex 0 is unreached and its only neighbour is reached. The pass
+        // skips row 0 and trips on row 1; the error still names the edge
+        // as the row-0 sweep met it, reached end first.
+        let g = gen::path(4);
+        let mut out = topdown::run(&g, 3).output;
+        out.parents[0] = NO_PARENT;
+        out.levels[0] = UNREACHED;
+        assert_pinned(&g, &out, Err(ValidationError::Incomplete { u: 1, v: 0 }));
     }
 }

@@ -1,7 +1,6 @@
 //! Compressed sparse row adjacency — the storage every BFS kernel traverses.
 
 use crate::{vix, EdgeList, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// An undirected graph in CSR form.
 ///
@@ -14,7 +13,12 @@ use serde::{Deserialize, Serialize};
 /// `num_edges()` reports the number of *undirected* edges; the adjacency
 /// array holds `2 * num_edges()` entries. This matches the paper's
 /// `|E| = edgefactor × 2^SCALE` accounting.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Symmetry and canonical order are invariants, not conventions: the two
+/// constructors establish them (`from_parts` checks untrusted input), and
+/// there is deliberately no serde path around them. Graph 500 validation
+/// relies on symmetry to skip unvisited rows.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Csr {
     num_vertices: VertexId,
     /// `num_vertices + 1` offsets into `column_indices`.
