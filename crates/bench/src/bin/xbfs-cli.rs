@@ -419,7 +419,7 @@ fn cmd_bfs_online(args: &Args, ui: &Ui, g: &Csr, src: u32, seed: u64) -> Result<
         if st.frontier.is_empty() {
             break;
         }
-        let ctx = xbfs_core::policy_online::switch_context_for(g, &st);
+        let ctx = st.switch_context(g);
         let offline_arm = match offline.direction(&ctx) {
             Direction::TopDown => Placement::CpuTd,
             Direction::BottomUp => Placement::CpuBu,

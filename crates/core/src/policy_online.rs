@@ -12,8 +12,9 @@
 //! * [`OnlineBandit`] — a seeded, deterministic multi-armed bandit over
 //!   discretized frontier-feature bins. Each level's
 //!   [`SwitchContext`] (frontier size, Σdeg, max deg, unvisited-edge
-//!   estimate — the same features the work-stealing kernels already fold
-//!   into `Partial::discover`) maps to a bin; the arms are the four
+//!   estimate — the features
+//!   [`TraversalState::switch_context`](xbfs_engine::TraversalState::switch_context)
+//!   builds for every level) maps to a bin; the arms are the four
 //!   direction × device placements. The reward signal is the realized
 //!   per-level simulated cost the `KernelCost` trace spans already price.
 //! * [`PolicyRun`] — one traversal's view of the bandit: a snapshot taken
@@ -465,31 +466,6 @@ impl SharedPolicy {
     /// Total observations the master has accumulated.
     pub fn total_plays(&self) -> u64 {
         self.inner.lock().expect("policy lock").total_plays()
-    }
-}
-
-/// Build the [`SwitchContext`] the cross executor's decision hook feeds
-/// the bandit: the same features [`TraversalState::step`] computes, read
-/// out before the step so the decision can be forced.
-///
-/// [`TraversalState::step`]: xbfs_engine::TraversalState::step
-pub fn switch_context_for(
-    csr: &xbfs_graph::Csr,
-    state: &xbfs_engine::TraversalState,
-) -> SwitchContext {
-    let (frontier_edges, max_frontier_degree) =
-        state.frontier.iter().fold((0u64, 0u64), |(sum, max), &v| {
-            let d = csr.degree(v);
-            (sum.saturating_add(d), max.max(d))
-        });
-    SwitchContext {
-        level: state.next_level,
-        frontier_vertices: state.frontier.len() as u64,
-        frontier_edges,
-        max_frontier_degree,
-        unvisited_edges: state.unvisited_edges,
-        total_vertices: csr.num_vertices() as u64,
-        total_edges: csr.num_directed_edges(),
     }
 }
 

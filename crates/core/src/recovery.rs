@@ -1343,7 +1343,7 @@ fn run_rung_cross(
         let was_handed = driver.handed_off();
         let decision = match policy {
             Some(cell) if !state.frontier.is_empty() => {
-                let ctx = crate::policy_online::switch_context_for(csr, &state);
+                let ctx = state.switch_context(csr);
                 let offline = driver.offline_placement(&ctx);
                 Some(cell.borrow().decide(&ctx, was_handed, offline))
             }

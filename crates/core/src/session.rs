@@ -32,7 +32,7 @@
 use crate::checkpoint::{CheckpointPolicy, LevelCheckpoint};
 use crate::cross::{CrossDriver, CrossParams, Placement};
 use crate::health::Device;
-use crate::policy_online::{self, Decision, PolicyCell};
+use crate::policy_online::{Decision, PolicyCell};
 use crate::recovery::{
     execute_fresh, execute_resume, ExecArgs, RecoveredRun, ResilienceConfig, RunReport, Rung,
 };
@@ -539,7 +539,7 @@ impl<'a> BatchSession<'a> {
                     continue;
                 }
                 let decision = policy.map(|cell| {
-                    let ctx = policy_online::switch_context_for(self.csr, &states[lane]);
+                    let ctx = states[lane].switch_context(self.csr);
                     let offline = drivers[lane].offline_placement(&ctx);
                     cell.borrow().decide(&ctx, handed_off[lane], offline)
                 });

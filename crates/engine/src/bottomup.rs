@@ -1,44 +1,9 @@
-//! Sequential bottom-up BFS (the paper's Algorithm 2).
+//! Bottom-up BFS (the paper's Algorithm 2): the stepping engine with every
+//! level forced bottom-up. The level kernel itself lives with its parallel
+//! driver in [`par`](crate::par); see [`hybrid`] for how a level runs.
 
-use crate::{hybrid, AlwaysBottomUp, BfsOutput, Traversal};
-use xbfs_graph::{Bitmap, Csr, VertexId};
-
-/// Expand one bottom-up level.
-///
-/// Every unvisited vertex `v` scans its neighbors until it finds one in the
-/// current frontier, adopts it as parent and stops (lines 7–12 of
-/// Algorithm 2). The early exit is why bottom-up wins on huge frontiers:
-/// most scans stop after a handful of probes. Conversely on a 1-vertex
-/// frontier nearly every unvisited edge is examined — the paper's GPUBU
-/// level-1 pathology (Table IV).
-///
-/// Returns the next frontier (as a vertex list), the number of edges
-/// examined, and the number of vertex slots scanned (all of `|V|` — the
-/// Algorithm 2 outer loop visits every vertex).
-pub(crate) fn level(
-    csr: &Csr,
-    frontier: &Bitmap,
-    out: &mut BfsOutput,
-    next_level: u32,
-) -> (Vec<VertexId>, u64, u64) {
-    let mut next = Vec::new();
-    let mut examined = 0u64;
-    for v in csr.vertices() {
-        if out.visited(v) {
-            continue;
-        }
-        for &u in csr.neighbors(v) {
-            examined += 1;
-            if frontier.get(u) {
-                out.parents[v as usize] = u;
-                out.levels[v as usize] = next_level;
-                next.push(v);
-                break;
-            }
-        }
-    }
-    (next, examined, csr.num_vertices() as u64)
-}
+use crate::{hybrid, AlwaysBottomUp, Traversal};
+use xbfs_graph::{Csr, VertexId};
 
 /// Run a complete bottom-up traversal from `source`.
 pub fn run(csr: &Csr, source: VertexId) -> Traversal {

@@ -2,24 +2,27 @@
 //!
 //! One loop drives every sequential engine in this crate: before each level
 //! it measures the frontier (`|V|cq`, `|E|cq`), asks the [`SwitchPolicy`]
-//! for a direction, converts the frontier representation if needed (queue
-//! for top-down, bitmap for bottom-up — the paper's §V-A storage choices)
-//! and runs the corresponding kernel. With [`AlwaysTopDown`] /
+//! for a direction and runs that level through the pool's kernel pair on
+//! the calling thread — top-down over the frontier queue, bottom-up
+//! against a frontier bitmap built for the level (the paper's §V-A
+//! storage choices). The whole frontier or vertex range runs as one
+//! in-order chunk, exactly what a one-thread [`par::run`] dispatch runs,
+//! so the two engines agree parent for parent. With [`AlwaysTopDown`] /
 //! [`AlwaysBottomUp`] it degenerates to Algorithms 1 / 2; with a
 //! [`FixedMN`](crate::FixedMN) policy it is Beamer-style combination BFS.
 //!
 //! [`AlwaysTopDown`]: crate::AlwaysTopDown
 //! [`AlwaysBottomUp`]: crate::AlwaysBottomUp
+//! [`par::run`]: crate::par::run
 
 use crate::{
-    bottomup,
+    par,
     stats::LevelRecord,
-    topdown,
     trace::{TraceEvent, TraceSink},
-    BfsOutput, Direction, SwitchContext, SwitchPolicy, Traversal,
+    BfsOutput, SwitchContext, SwitchPolicy, Traversal,
 };
 use serde::{Deserialize, Serialize};
-use xbfs_graph::{Bitmap, Csr, VertexId};
+use xbfs_graph::{Bitmap, Csr, VertexId, NO_PARENT};
 
 /// The complete mid-traversal state of the level-synchronous driver:
 /// everything needed to execute the next level, and nothing tied to a
@@ -67,6 +70,27 @@ impl TraversalState {
         self.frontier.is_empty()
     }
 
+    /// The switch features of the next level: the frontier's size, degree
+    /// sum and largest degree, and the graph-wide totals. The degree sum
+    /// saturates: a pathological dense frontier must clamp at `u64::MAX`
+    /// rather than wrap and flip the switch decision.
+    pub fn switch_context(&self, csr: &Csr) -> SwitchContext {
+        let (frontier_edges, max_frontier_degree) =
+            self.frontier.iter().fold((0u64, 0u64), |(sum, max), &v| {
+                let d = csr.degree(v);
+                (sum.saturating_add(d), max.max(d))
+            });
+        SwitchContext {
+            level: self.next_level,
+            frontier_vertices: self.frontier.len() as u64,
+            frontier_edges,
+            max_frontier_degree,
+            unvisited_edges: self.unvisited_edges,
+            total_vertices: csr.num_vertices() as u64,
+            total_edges: csr.num_directed_edges(),
+        }
+    }
+
     /// Execute one level: measure the frontier, ask `policy` for a
     /// direction, run the kernel, and append the level's [`LevelRecord`].
     /// Returns the new record, or `None` if the traversal was already
@@ -75,56 +99,33 @@ impl TraversalState {
         if self.frontier.is_empty() {
             return None;
         }
-        let n = csr.num_vertices();
-        let level = self.next_level;
-        let frontier_vertices = self.frontier.len() as u64;
-        let (frontier_edges, max_frontier_degree) = frontier_degree_stats(csr, &self.frontier);
-        let ctx = SwitchContext {
-            level,
-            frontier_vertices,
-            frontier_edges,
-            max_frontier_degree,
-            unvisited_edges: self.unvisited_edges,
-            total_vertices: n as u64,
-            total_edges: csr.num_directed_edges(),
-        };
+        let ctx = self.switch_context(csr);
         let direction = policy.direction(&ctx);
+        let (outcome, vertices_scanned) = par::level_inline(
+            csr,
+            &self.frontier,
+            direction,
+            &mut self.output,
+            ctx.level + 1,
+        );
 
-        let (next, edges_examined, vertices_scanned) = match direction {
-            Direction::TopDown => {
-                let (next, examined) =
-                    topdown::level(csr, &self.frontier, &mut self.output, level + 1);
-                (next, examined, frontier_vertices)
-            }
-            Direction::BottomUp => {
-                let mut bits = Bitmap::new(n as usize);
-                for &v in &self.frontier {
-                    bits.set(v);
-                }
-                bottomup::level(csr, &bits, &mut self.output, level + 1)
-            }
-        };
-
-        let discovered = next.len() as u64;
-        let discovered_edges = next
-            .iter()
-            .fold(0u64, |sum, &v| sum.saturating_add(csr.degree(v)));
+        let discovered = outcome.next.len() as u64;
         self.levels.push(LevelRecord {
-            level,
-            frontier_vertices,
-            frontier_edges,
-            max_frontier_degree,
+            level: ctx.level,
+            frontier_vertices: ctx.frontier_vertices,
+            frontier_edges: ctx.frontier_edges,
+            max_frontier_degree: ctx.max_frontier_degree,
             unvisited_vertices: self.unvisited_vertices,
             unvisited_edges: self.unvisited_edges,
-            edges_examined,
+            edges_examined: outcome.edges_examined,
             vertices_scanned,
             discovered,
             direction,
         });
 
         self.unvisited_vertices = self.unvisited_vertices.saturating_sub(discovered);
-        self.unvisited_edges = self.unvisited_edges.saturating_sub(discovered_edges);
-        self.frontier = next;
+        self.unvisited_edges = self.unvisited_edges.saturating_sub(outcome.next_edges);
+        self.frontier = outcome.next;
         self.next_level += 1;
         self.levels.last()
     }
@@ -166,9 +167,13 @@ impl TraversalState {
     }
 
     /// Structural consistency against `csr` — the gate a deserialized
-    /// state must pass before the driver will resume from it. Checks map
-    /// lengths, the level/record bookkeeping, and that every frontier
-    /// vertex really sits at distance `next_level`.
+    /// state must pass before the driver will resume from it, and the
+    /// first pass of a mid-run scrub. Checks map lengths and the
+    /// level/record bookkeeping, then that the frontier is exactly the set
+    /// of vertices at distance `next_level` (each listed once, none
+    /// missing), that the unvisited counters match the maps, that the
+    /// records are numbered in order, and that the source, every level's
+    /// discoveries and the unvisited vertices add up to the graph.
     pub fn check_against(&self, csr: &Csr) -> Result<(), crate::XbfsError> {
         let n = csr.num_vertices() as usize;
         let fail = |what: String| Err(crate::XbfsError::Checkpoint { what });
@@ -198,6 +203,58 @@ impl TraversalState {
                     self.output.levels[v as usize], self.next_level
                 ));
             }
+        }
+        let mut listed = Bitmap::new(n);
+        for &v in &self.frontier {
+            if listed.get(v) {
+                return fail(format!("frontier vertex {v} is listed twice"));
+            }
+            listed.set(v);
+        }
+        // One pass over the maps for every count the bookkeeping claims.
+        let (mut at_next, mut unvisited, mut unvisited_edges) = (0u64, 0u64, 0u64);
+        for v in 0..n {
+            if self.output.parents[v] == NO_PARENT {
+                unvisited += 1;
+                unvisited_edges += csr.degree(v as VertexId);
+            } else if self.output.levels[v] == self.next_level {
+                at_next += 1;
+            }
+        }
+        if at_next != self.frontier.len() as u64 {
+            return fail(format!(
+                "{at_next} vertices sit at level {}, the frontier holds {}",
+                self.next_level,
+                self.frontier.len()
+            ));
+        }
+        if self.unvisited_vertices != unvisited {
+            return fail(format!(
+                "state counts {} unvisited vertices, the maps hold {unvisited}",
+                self.unvisited_vertices
+            ));
+        }
+        if self.unvisited_edges != unvisited_edges {
+            return fail(format!(
+                "state counts {} unvisited edges, the maps hold {unvisited_edges}",
+                self.unvisited_edges
+            ));
+        }
+        if let Some((i, r)) = self
+            .levels
+            .iter()
+            .enumerate()
+            .find(|&(i, r)| r.level as usize != i)
+        {
+            return fail(format!("record {i} is numbered level {}", r.level));
+        }
+        let discovered = self.levels.iter().map(|r| r.discovered);
+        if discovered.clone().try_fold(1 + unvisited, u64::checked_add) != Some(n as u64) {
+            return fail(format!(
+                "source + {} discovered across {} level(s) + {unvisited} unvisited != {n} vertices",
+                discovered.fold(0, u64::saturating_add),
+                self.levels.len()
+            ));
         }
         Ok(())
     }
@@ -233,20 +290,10 @@ pub fn run_traced(
     state.into_traversal()
 }
 
-/// `(Σ degree, max degree)` over the frontier — `|E|cq` and the level's
-/// serial critical path. The sum saturates: a pathological dense frontier
-/// must clamp at `u64::MAX` rather than wrap and flip the switch decision.
-pub(crate) fn frontier_degree_stats(csr: &Csr, frontier: &[VertexId]) -> (u64, u64) {
-    frontier.iter().fold((0, 0), |(sum, max), &v| {
-        let d = csr.degree(v);
-        (u64::saturating_add(sum, d), max.max(d))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bottomup as bu, topdown as td, FixedMN};
+    use crate::{bottomup as bu, topdown as td, Direction, FixedMN};
     use xbfs_graph::gen;
 
     #[test]
@@ -430,5 +477,41 @@ mod tests {
 
         let smaller = gen::path(3);
         assert!(st.check_against(&smaller).is_err());
+
+        // States every listed vertex of which looks right, but which the
+        // engine cannot produce.
+        let rejects = |bad: &TraversalState, needle: &str| {
+            let err = bad.check_against(&g).expect_err(needle).to_string();
+            assert!(err.contains(needle), "{err}");
+        };
+        assert!(st.frontier.len() > 1, "fixture needs a wide frontier");
+        let mut bad = st.clone();
+        bad.frontier.push(bad.frontier[0]); // repeated
+        rejects(&bad, "listed twice");
+
+        let mut bad = st.clone();
+        bad.frontier.pop(); // erased
+        rejects(&bad, "the frontier holds");
+
+        let mut bad = st.clone();
+        bad.unvisited_vertices = 0;
+        rejects(&bad, "unvisited vertices");
+
+        let mut bad = st.clone();
+        bad.unvisited_edges = 0;
+        rejects(&bad, "unvisited edges");
+
+        let mut bad = st.clone();
+        bad.step(&g, &mut FixedMN::new(14.0, 24.0));
+        bad.levels.swap(0, 1); // numbered out of order
+        rejects(&bad, "record 0 is numbered level 1");
+
+        let mut bad = st.clone();
+        bad.levels[0].discovered += 1; // discoveries no longer add up
+        rejects(&bad, "discovered");
+
+        let mut bad = st.clone();
+        bad.levels[0].discovered = u64::MAX; // and must not overflow
+        rejects(&bad, "discovered");
     }
 }

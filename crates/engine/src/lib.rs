@@ -9,22 +9,27 @@
 //!   frontier for a parent, stopping at the first hit (Algorithm 2); cheap
 //!   when the frontier is huge.
 //!
-//! The [`hybrid`] module implements Beamer-style direction-optimizing BFS
+//! Each direction has one level kernel, kept in [`par`] and run by two
+//! drivers. The [`hybrid`] module steps a [`TraversalState`] level by
+//! level on the calling thread: Beamer-style direction-optimizing BFS
 //! parameterized by a [`SwitchPolicy`] — the `(M, N)` thresholds of the
 //! paper's Fig. 4: bottom-up iff `|E|cq ≥ |E|/M` or `|V|cq ≥ |V|/N`.
+//! [`topdown`] and [`bottomup`] are that driver with the direction forced.
+//! [`par::run`] runs the same kernels on a work-stealing thread pool (CAS
+//! parent-claiming, atomic bitmap frontiers), used for the real-machine
+//! scaling experiments (Fig. 10); with one thread it matches the stepping
+//! engine exactly.
 //!
-//! Every kernel returns a [`Traversal`]: the BFS output (parent + level
+//! Every engine returns a [`Traversal`]: the BFS output (parent + level
 //! maps, exactly the Graph 500 deliverable) plus a per-level
 //! [`LevelRecord`] trace (`|V|cq`, `|E|cq`, edges examined, direction).
 //! The trace is the raw material for the paper's Figs. 1–3 and the input
 //! the architecture simulator replays to charge per-level costs.
 //!
-//! [`par`] holds the multi-threaded variants (chunked work distribution over
-//! scoped threads, CAS parent-claiming, atomic bitmap frontiers)
-//! used for the real-machine scaling experiments (Fig. 10). [`validate`](crate::validate::validate)
-//! implements the Graph 500-style output checker, [`metrics`] the TEPS
-//! accounting, and [`mod@reference`] the naive queue-based baseline the paper
-//! compares against in §V-D. [`scrub`] is the mid-run counterpart of the
+//! [`validate`](crate::validate::validate) implements the Graph 500-style
+//! output checker, [`metrics`] the TEPS accounting, and
+//! [`mod@reference`] the naive queue-based baseline the paper compares
+//! against in §V-D. [`scrub`] is the mid-run counterpart of the
 //! validator: an opt-in per-level invariant pass the recovery runtime uses
 //! to catch silent data corruption before it reaches the caller.
 

@@ -1,19 +1,24 @@
-//! Parallel bottom-up level kernel.
+//! The bottom-up level kernel (the paper's Algorithm 2).
 //!
-//! Owner-computes partitioning: each worker scans only the unvisited
-//! vertices of the (disjoint) ranges it holds against the read-only
-//! frontier bitmap. A vertex is written by at most one worker, so parent
+//! Every unvisited vertex `v` scans its neighbors until it finds one in the
+//! current frontier, adopts it as parent and stops (lines 7–12 of
+//! Algorithm 2). The early exit is why bottom-up wins on huge frontiers:
+//! most scans stop after a handful of probes. Conversely, on a 1-vertex
+//! frontier nearly every unvisited edge is examined — the paper's GPUBU
+//! level-1 pathology (Table IV). The outer loop visits every vertex, so a
+//! level scans all of `|V|`.
+//!
+//! [`chunk`] is the unit of work over a vertex range. The work-stealing
+//! pool feeds it disjoint cursor-claimed ranges, which is all
+//! owner-computes needs: each vertex is written by at most one worker, so
 //! adoption needs plain stores, not CAS — the structural advantage the
 //! paper attributes to bottom-up ("each unvisited vertex searches for one
-//! vertex from the CQ as its parent", §II-A).
-//!
-//! [`chunk`] is the unit of work the work-stealing pool feeds with
-//! cursor-claimed vertex ranges. The ranges are disjoint, which is all
-//! owner-computes needs.
+//! vertex from the CQ as its parent", §II-A). The stepping engine feeds it
+//! the whole vertex range as one chunk.
 
 use super::multi::MultiParState;
-use super::pool::Partial;
-use super::ParState;
+use super::pool::{LevelOutcome, Partial};
+use super::TreeMaps;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xbfs_graph::{AtomicBitmap, Csr, VertexId};
@@ -27,19 +32,19 @@ pub(crate) fn chunk(
     csr: &Csr,
     frontier: &AtomicBitmap,
     range: Range<usize>,
-    state: &ParState,
+    maps: &mut impl TreeMaps,
     next_level: u32,
-    out: &mut Partial,
+    out: &mut LevelOutcome,
 ) {
     for v in range {
         let v = v as VertexId;
-        if state.visited(v) {
+        if maps.visited(v) {
             continue;
         }
         for &u in csr.neighbors(v) {
             out.edges_examined += 1;
             if frontier.get(u) {
-                state.adopt(v, u, next_level);
+                maps.adopt(v, u, next_level);
                 out.discover(v, csr.degree(v));
                 break;
             }
@@ -86,7 +91,7 @@ pub(crate) fn multi_chunk(
                 while bits != 0 {
                     let lane = bits.trailing_zeros() as usize;
                     state.adopt(v, lane, u, next_level);
-                    out.discover_in(lane, v, degree);
+                    out.lanes[lane].discover(v, degree);
                     bits &= bits - 1;
                 }
                 pending &= !adopt;
@@ -101,6 +106,7 @@ pub(crate) fn multi_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::ParState;
 
     fn frontier_of(n: usize, members: &[VertexId]) -> AtomicBitmap {
         let bm = AtomicBitmap::new(n);
@@ -112,13 +118,13 @@ mod tests {
 
     /// Scan every vertex against `frontier` to level 1 as one chunk, the
     /// way a single worker claiming the whole range would.
-    fn scan(g: &Csr, frontier: &AtomicBitmap, state: &ParState) -> Partial {
-        let mut out = Partial::default();
+    fn scan(g: &Csr, frontier: &AtomicBitmap, mut state: &ParState) -> LevelOutcome {
+        let mut out = LevelOutcome::default();
         chunk(
             g,
             frontier,
             0..g.num_vertices() as usize,
-            state,
+            &mut state,
             1,
             &mut out,
         );
@@ -132,27 +138,9 @@ mod tests {
         let frontier = frontier_of(6, &[0]);
         let out = scan(&g, &frontier, &state);
         assert_eq!(out.next, vec![1]);
-        assert!(state.visited(1));
-        assert!(!state.visited(2));
-    }
-
-    #[test]
-    fn matches_sequential_kernel_results() {
-        let g = xbfs_graph::rmat::rmat_csr(8, 8);
-        let n = g.num_vertices();
-        // Seed both states with the same two-level prefix.
-        let mut seq_out = crate::BfsOutput::init(n, 0);
-        let state = ParState::init(n, 0);
-        let frontier = frontier_of(n as usize, &[0]);
-        let (seq_next, seq_examined, _) =
-            crate::bottomup::level(&g, &frontier.snapshot(), &mut seq_out, 1);
-        let par = scan(&g, &frontier, &state);
-        let mut par_next = par.next.clone();
-        par_next.sort_unstable();
-        let mut seq_sorted = seq_next.clone();
-        seq_sorted.sort_unstable();
-        assert_eq!(par_next, seq_sorted);
-        assert_eq!(par.edges_examined, seq_examined);
+        let tree = state.into_output();
+        assert!(tree.visited(1));
+        assert!(!tree.visited(2));
     }
 
     #[test]

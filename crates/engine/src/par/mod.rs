@@ -1,12 +1,15 @@
-//! Multi-threaded BFS kernels.
+//! The BFS level kernels and the multi-threaded drivers that run them.
 //!
-//! These are the "real hardware" kernels behind the paper's CPU numbers and
-//! the Fig. 10 scaling study: CAS parent-claiming for top-down (first
-//! writer wins, exactly one tree edge per vertex) and owner-computes
-//! partitioning for bottom-up (each worker exclusively scans the vertices
-//! of the chunks it claims, so parent writes need no CAS).
+//! One kernel pair serves every engine: the top-down chunk kernel (the
+//! paper's Algorithm 1) and the bottom-up one (Algorithm 2). They reach
+//! the parent and level maps through the crate-private `TreeMaps` trait:
+//! CAS parent-claiming on shared atomic maps for the pool's workers (first
+//! writer wins, exactly one tree edge per vertex), plain stores on a
+//! [`BfsOutput`] for the stepping engine. Bottom-up is owner-computes
+//! either way: each worker exclusively scans the vertices of the chunks
+//! it claims, so parent writes need no CAS.
 //!
-//! One **work-stealing** scheduler drives the kernels ([`run`] /
+//! One **work-stealing** scheduler drives the kernels on threads ([`run`] /
 //! [`run_traced`], and the lane-packed [`run_multi`]): a persistent
 //! worker pool spawned once per traversal; workers claim fixed-size chunks
 //! of the frontier (top-down) or vertex range (bottom-up) off a shared
@@ -18,8 +21,13 @@
 //! race is won by an arbitrary frontier vertex) but always produce identical
 //! *level maps* — the property the test suite pins down. With
 //! `threads == 1` the pool degenerates to sequential execution on the
-//! calling thread (chunks are claimed in order, nothing is spawned), and
-//! even the parents match the sequential engine exactly.
+//! calling thread (chunks are claimed in order, nothing is spawned). The
+//! stepping engine ([`TraversalState::step`]) runs each level as one
+//! in-order chunk on the calling thread, which is exactly what a
+//! one-thread dispatch runs, so it matches a one-thread [`run`] parent for
+//! parent by construction.
+//!
+//! [`TraversalState::step`]: crate::TraversalState::step
 
 mod bottomup;
 mod multi;
@@ -34,8 +42,29 @@ use crate::{
     trace::{TraceEvent, TraceSink, NULL_SINK},
     BfsOutput, Direction, SwitchContext, SwitchPolicy, Traversal, UNREACHED,
 };
+use pool::LevelOutcome;
 use std::sync::atomic::{AtomicU32, Ordering};
-use xbfs_graph::{AtomicBitmap, Csr, VertexId, NO_PARENT};
+use xbfs_graph::{AtomicBitmap, Bitmap, Csr, VertexId, NO_PARENT};
+
+/// The parent and level maps a level kernel writes its tree into.
+///
+/// `&ParState` claims with a CAS, so the pool's workers can share it;
+/// [`BfsOutput`] stores plainly, for the stepping engine on one thread.
+/// The kernels are generic over the two because stable Rust has no safe
+/// zero-copy view of `&mut [u32]` as `&[AtomicU32]`, and converting the
+/// maps once per level would add an O(V) copy to every served query.
+pub(crate) trait TreeMaps {
+    /// `true` if `v` has been visited.
+    fn visited(&self, v: VertexId) -> bool;
+
+    /// Claim `v` with parent `u` at `level` if it is unvisited; `true` if
+    /// this call claimed it (top-down).
+    fn claim(&mut self, v: VertexId, u: VertexId, level: u32) -> bool;
+
+    /// Adopt the unvisited `v` with parent `u` at `level`. The caller owns
+    /// `v` exclusively (bottom-up owner-computes), so no race is possible.
+    fn adopt(&mut self, v: VertexId, u: VertexId, level: u32);
+}
 
 /// Shared traversal state for the parallel kernels.
 ///
@@ -65,34 +94,6 @@ impl ParState {
         }
     }
 
-    #[inline]
-    pub(crate) fn visited(&self, v: VertexId) -> bool {
-        self.parents[v as usize].load(Ordering::Relaxed) != NO_PARENT
-    }
-
-    /// Claim `v` with parent `u`; `true` if this call won the race.
-    #[inline]
-    pub(crate) fn claim(&self, v: VertexId, u: VertexId, level: u32) -> bool {
-        if self.parents[v as usize]
-            .compare_exchange(NO_PARENT, u, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.levels[v as usize].store(level, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Uncontended adoption (bottom-up owner-computes; `v` is exclusive to
-    /// the calling thread).
-    #[inline]
-    pub(crate) fn adopt(&self, v: VertexId, u: VertexId, level: u32) {
-        debug_assert!(!self.visited(v));
-        self.parents[v as usize].store(u, Ordering::Relaxed);
-        self.levels[v as usize].store(level, Ordering::Relaxed);
-    }
-
     fn into_output(self) -> BfsOutput {
         BfsOutput {
             source: self.source,
@@ -104,6 +105,89 @@ impl ParState {
             levels: self.levels.into_iter().map(AtomicU32::into_inner).collect(),
         }
     }
+}
+
+impl TreeMaps for &ParState {
+    #[inline]
+    fn visited(&self, v: VertexId) -> bool {
+        self.parents[v as usize].load(Ordering::Relaxed) != NO_PARENT
+    }
+
+    #[inline]
+    fn claim(&mut self, v: VertexId, u: VertexId, level: u32) -> bool {
+        if self.parents[v as usize]
+            .compare_exchange(NO_PARENT, u, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+        {
+            self.levels[v as usize].store(level, Ordering::Relaxed);
+            true
+        } else {
+            false
+        }
+    }
+
+    #[inline]
+    fn adopt(&mut self, v: VertexId, u: VertexId, level: u32) {
+        debug_assert!(!self.visited(v));
+        self.parents[v as usize].store(u, Ordering::Relaxed);
+        self.levels[v as usize].store(level, Ordering::Relaxed);
+    }
+}
+
+impl TreeMaps for BfsOutput {
+    #[inline]
+    fn visited(&self, v: VertexId) -> bool {
+        BfsOutput::visited(self, v)
+    }
+
+    #[inline]
+    fn claim(&mut self, v: VertexId, u: VertexId, level: u32) -> bool {
+        let fresh = !self.visited(v);
+        if fresh {
+            self.adopt(v, u, level);
+        }
+        fresh
+    }
+
+    #[inline]
+    fn adopt(&mut self, v: VertexId, u: VertexId, level: u32) {
+        debug_assert!(!self.visited(v));
+        self.parents[v as usize] = u;
+        self.levels[v as usize] = level;
+    }
+}
+
+/// Run one level on the calling thread: the whole frontier (top-down) or
+/// the whole vertex range (bottom-up) as one in-order chunk, which is
+/// exactly what a one-thread pool dispatch runs. Returns the level's
+/// outcome and its `vertices_scanned`.
+pub(crate) fn level_inline(
+    csr: &Csr,
+    frontier: &[VertexId],
+    direction: Direction,
+    output: &mut BfsOutput,
+    next_level: u32,
+) -> (LevelOutcome, u64) {
+    let mut out = LevelOutcome::default();
+    let scanned = match direction {
+        Direction::TopDown => {
+            topdown::chunk(csr, frontier, output, next_level, &mut out);
+            frontier.len() as u64
+        }
+        Direction::BottomUp => {
+            // Filled with plain stores, then copied into the atomic
+            // words the kernel reads: one word per 64 vertices.
+            let n = csr.num_vertices() as usize;
+            let mut bits = Bitmap::new(n);
+            for &v in frontier {
+                bits.set(v);
+            }
+            let bits = AtomicBitmap::from(&bits);
+            bottomup::chunk(csr, &bits, 0..n, output, next_level, &mut out);
+            n as u64
+        }
+    };
+    (out, scanned)
 }
 
 /// Thread count for tests: `XBFS_TEST_THREADS` if set to a positive
@@ -129,7 +213,7 @@ fn drive(
     source: VertexId,
     policy: &mut dyn SwitchPolicy,
     sink: &dyn TraceSink,
-    mut exec: impl FnMut(Vec<VertexId>, Direction, u32) -> (pool::StolenOutcome, u64),
+    mut exec: impl FnMut(Vec<VertexId>, Direction, u32) -> (LevelOutcome, u64),
 ) -> Vec<LevelRecord> {
     let n = csr.num_vertices();
     let total_edges = csr.num_directed_edges();
@@ -359,13 +443,35 @@ mod tests {
 
     #[test]
     fn single_thread_matches_sequential_exactly() {
-        // With one thread even the parent choices match the sequential
-        // engine: in-order chunk claiming, no races.
-        let g = xbfs_graph::rmat::rmat_csr(8, 16);
-        let seq = hybrid::run(&g, 0, &mut AlwaysTopDown);
-        let stealing = run(&g, 0, &mut AlwaysTopDown, 1);
-        assert_eq!(seq.output, stealing.output);
-        assert_eq!(seq.levels, stealing.levels);
+        // With one thread even the parent choices match the stepping
+        // engine: in-order chunk claiming, no races. Pinned for every
+        // direction script on a skewed, a long-diameter and a
+        // disconnected graph.
+        let rmat = xbfs_graph::rmat::rmat_csr(9, 16);
+        let comps = xbfs_graph::components::connected_components(&rmat);
+        let giant = comps.largest().expect("non-empty graph");
+        let giant_source = comps.members(giant)[0];
+        let graphs = [
+            ("rmat", rmat, giant_source),
+            ("road", gen::road_like(12, 16, 20, 3), 0),
+            ("two-cliques", gen::two_cliques(9), 11),
+        ];
+        let policy = |name: &str| -> Box<dyn SwitchPolicy> {
+            match name {
+                "td" => Box::new(AlwaysTopDown),
+                "bu" => Box::new(AlwaysBottomUp),
+                _ => Box::new(FixedMN::new(14.0, 24.0)),
+            }
+        };
+        for (graph, g, source) in &graphs {
+            for name in ["td", "bu", "hybrid"] {
+                let seq = hybrid::run(g, *source, policy(name).as_mut());
+                let stealing = run(g, *source, policy(name).as_mut(), 1);
+                assert_eq!(seq.output, stealing.output, "{graph} {name}");
+                assert_eq!(seq.levels, stealing.levels, "{graph} {name}");
+                assert!(seq.levels.len() > 1, "{graph} {name}: trivial run");
+            }
+        }
     }
 
     #[test]

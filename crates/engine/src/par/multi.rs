@@ -19,7 +19,7 @@
 //! `threads == 1` and a direction-forcing policy even the parents match
 //! the sequential engine lane for lane.
 
-use super::pool::{LaneAccum, LevelJob, WorkerPool};
+use super::pool::{LevelJob, LevelOutcome, WorkerPool};
 use crate::{
     error::XbfsError,
     stats::LevelRecord,
@@ -296,7 +296,7 @@ pub fn run_multi_traced(
                 offsets.push(offsets.last().expect("non-empty") + f.len());
             }
 
-            let outcomes: Vec<LaneAccum> = match direction {
+            let outcomes: Vec<LevelOutcome> = match direction {
                 Direction::TopDown => {
                     worker_pool.dispatch(
                         csr,

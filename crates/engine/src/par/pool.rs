@@ -204,27 +204,35 @@ const BU_CHUNK: usize = 1024;
 /// bottom-up frontier bitmap (one relaxed `fetch_or` per item).
 const PUBLISH_CHUNK: usize = 4096;
 
-/// Per-lane accumulator of a multi-source level: one source's share of a
-/// worker's [`Partial`]. Field-for-field the same bookkeeping as the
-/// single-source quad, so the lane-packed kernels fold the *same* stats
-/// the switch heuristic reads — just 64 of them at a time.
+/// What one level produced, as the kernels fold it at discovery time:
+/// one worker's share, one lane's share, or a whole merged level.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct LaneAccum {
-    /// Vertices discovered for this lane (claimed or adopted).
+pub(crate) struct LevelOutcome {
+    /// Vertices discovered (claimed or adopted), in discovery order.
     pub next: Vec<VertexId>,
-    /// Edges examined on behalf of this lane.
+    /// Edges examined.
     pub edges_examined: u64,
-    /// Σ degree over `next` — this lane's share of the next `|E|cq`.
+    /// Σ degree over `next` — the next level's `|E|cq`, folded in here so
+    /// the driver never rescans the frontier.
     pub next_edges: u64,
-    /// Max degree over `next` — this lane's next serial critical path.
+    /// Max degree over `next` — the next level's serial critical path.
     pub next_max_degree: u64,
 }
 
-impl LaneAccum {
-    /// Merge this accumulator into the per-lane merged outcome. Saturating
-    /// folds: a pathological dense lane must clamp at `u64::MAX` rather
-    /// than wrap and corrupt the next round's switch decision.
-    pub(crate) fn merge_into(self, out: &mut LaneAccum) {
+impl LevelOutcome {
+    /// Record a discovered vertex and fold its degree into the next
+    /// frontier's stats.
+    #[inline]
+    pub(crate) fn discover(&mut self, v: VertexId, degree: u64) {
+        self.next.push(v);
+        self.next_edges = self.next_edges.saturating_add(degree);
+        self.next_max_degree = self.next_max_degree.max(degree);
+    }
+
+    /// Merge this share into `out`, after what `out` already holds.
+    /// Saturating folds: a pathological dense frontier must clamp at
+    /// `u64::MAX` rather than wrap and corrupt the next switch decision.
+    pub(crate) fn merge_into(self, out: &mut LevelOutcome) {
         out.next.extend_from_slice(&self.next);
         out.edges_examined = out.edges_examined.saturating_add(self.edges_examined);
         out.next_edges = out.next_edges.saturating_add(self.next_edges);
@@ -235,69 +243,21 @@ impl LaneAccum {
 /// What one worker accumulated over the chunks it claimed in one level.
 #[derive(Debug, Default)]
 pub(crate) struct Partial {
-    /// Vertices this worker discovered (claimed or adopted).
-    pub next: Vec<VertexId>,
-    /// Edges this worker examined.
-    pub edges_examined: u64,
-    /// Σ degree over `next` — this worker's share of the *next* frontier's
-    /// `|E|cq`, folded in here so the driver never rescans the frontier.
-    pub next_edges: u64,
-    /// Max degree over `next` — the next level's serial critical path.
-    pub next_max_degree: u64,
-    /// Per-lane accumulators for lane-packed multi-source jobs; empty for
+    /// The worker's share of a single-source level.
+    pub level: LevelOutcome,
+    /// Per-lane shares of a lane-packed multi-source level; empty for
     /// single-source jobs. Sized lazily by [`Partial::ensure_lanes`].
-    pub lanes: Vec<LaneAccum>,
+    pub lanes: Vec<LevelOutcome>,
 }
 
 impl Partial {
-    /// Record a discovered vertex and fold its degree into the next
-    /// frontier's stats.
-    #[inline]
-    pub(crate) fn discover(&mut self, v: VertexId, degree: u64) {
-        self.next.push(v);
-        self.next_edges = self.next_edges.saturating_add(degree);
-        self.next_max_degree = self.next_max_degree.max(degree);
-    }
-
-    /// Size the per-lane accumulators for a multi-source job. Idempotent.
+    /// Size the per-lane shares for a multi-source job. Idempotent.
     #[inline]
     pub(crate) fn ensure_lanes(&mut self, lanes: usize) {
         if self.lanes.len() < lanes {
-            self.lanes.resize_with(lanes, LaneAccum::default);
+            self.lanes.resize_with(lanes, LevelOutcome::default);
         }
     }
-
-    /// [`Partial::discover`] for one lane of a multi-source job: record a
-    /// vertex discovered on `lane`'s behalf and fold its degree into that
-    /// lane's Σdeg / max-deg — the same per-batch stats the switch
-    /// heuristic reads. Callers must have sized the lanes first.
-    #[inline]
-    pub(crate) fn discover_in(&mut self, lane: usize, v: VertexId, degree: u64) {
-        let acc = &mut self.lanes[lane];
-        acc.next.push(v);
-        acc.next_edges = acc.next_edges.saturating_add(degree);
-        acc.next_max_degree = acc.next_max_degree.max(degree);
-    }
-
-    pub(crate) fn merge_into(self, out: &mut StolenOutcome) {
-        out.next.extend_from_slice(&self.next);
-        out.edges_examined = out.edges_examined.saturating_add(self.edges_examined);
-        out.next_edges = out.next_edges.saturating_add(self.next_edges);
-        out.next_max_degree = out.next_max_degree.max(self.next_max_degree);
-    }
-}
-
-/// Aggregated result of one work-stealing level dispatch.
-#[derive(Debug, Default)]
-pub(crate) struct StolenOutcome {
-    /// The next frontier (unordered beyond per-worker claim order).
-    pub next: Vec<VertexId>,
-    /// Edges examined across all workers.
-    pub edges_examined: u64,
-    /// Σ degree over `next` (`|E|cq` of the next level).
-    pub next_edges: u64,
-    /// Max degree over `next`.
-    pub next_max_degree: u64,
 }
 
 /// One level's worth of work, owned by the pool's job slot while workers
@@ -570,6 +530,7 @@ impl WorkerPool {
         let kernel_span = sink.enabled().then(|| job.kernel_span()).flatten();
         let started_s = kernel_span.map(|_| self.t0.elapsed().as_secs_f64());
         let mut local = Partial::default();
+        let mut maps = state;
         let mut claimed = false;
         let mut failure = None;
         loop {
@@ -592,13 +553,18 @@ impl WorkerPool {
                 } => topdown::chunk(
                     csr,
                     &frontier[range.clone()],
-                    state,
+                    &mut maps,
                     *next_level,
-                    &mut local,
+                    &mut local.level,
                 ),
-                LevelJob::BottomUp { bits, next_level } => {
-                    bottomup::chunk(csr, bits, range.clone(), state, *next_level, &mut local)
-                }
+                LevelJob::BottomUp { bits, next_level } => bottomup::chunk(
+                    csr,
+                    bits,
+                    range.clone(),
+                    &mut maps,
+                    *next_level,
+                    &mut local.level,
+                ),
                 LevelJob::MultiPublish {
                     frontiers,
                     offsets,
@@ -669,11 +635,11 @@ impl WorkerPool {
 
     /// Drain every worker's partial (in worker order) into one outcome and
     /// release the job slot.
-    pub(crate) fn collect(&self) -> StolenOutcome {
-        let mut out = StolenOutcome::default();
+    pub(crate) fn collect(&self) -> LevelOutcome {
+        let mut out = LevelOutcome::default();
         for slot in &self.partials {
             let partial = std::mem::take(&mut *slot.lock().expect("pool partial lock"));
-            partial.merge_into(&mut out);
+            partial.level.merge_into(&mut out);
         }
         *self.job.write().expect("pool job lock") = None;
         out
@@ -691,8 +657,8 @@ impl WorkerPool {
     /// Drain every worker's per-lane accumulators (in worker order, then
     /// lane order) into one merged outcome per lane and release the job
     /// slot — the multi-source sibling of [`WorkerPool::collect`].
-    pub(crate) fn collect_multi(&self, lanes: usize) -> Vec<LaneAccum> {
-        let mut out: Vec<LaneAccum> = vec![LaneAccum::default(); lanes];
+    pub(crate) fn collect_multi(&self, lanes: usize) -> Vec<LevelOutcome> {
+        let mut out: Vec<LevelOutcome> = vec![LevelOutcome::default(); lanes];
         for slot in &self.partials {
             let partial = std::mem::take(&mut *slot.lock().expect("pool partial lock"));
             for (lane, acc) in partial.lanes.into_iter().enumerate() {

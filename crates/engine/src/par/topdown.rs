@@ -1,17 +1,20 @@
-//! Parallel top-down level kernel.
+//! The top-down level kernel (the paper's Algorithm 1).
 //!
-//! Workers examine the out-edges of frontier vertices and claim unvisited
-//! targets with a CAS ([`ParState::claim`]). Exactly one claimant wins per
-//! vertex, so each discovered vertex lands in exactly one worker's local
-//! next-queue — concatenating the locals yields a duplicate-free next
-//! frontier without any shared queue contention.
+//! For every frontier vertex `u`, examine every out-edge `(u, v)` and
+//! claim `v` if it is unvisited (lines 7–12 of Algorithm 1). A level
+//! examines exactly the frontier's out-degree sum, `|E|cq`, which is the
+//! whole point of top-down on small frontiers.
 //!
-//! [`chunk`] is the unit of work the work-stealing pool feeds with
-//! cursor-claimed frontier chunks.
+//! [`chunk`] is the unit of work. The work-stealing pool feeds it
+//! cursor-claimed frontier chunks and claims through the CAS of
+//! [`ParState`](super::ParState): exactly one claimant wins per vertex,
+//! so each discovered vertex lands in exactly one worker's local
+//! next-queue. The stepping engine feeds it the whole frontier as one
+//! chunk and claims with plain stores.
 
 use super::multi::MultiParState;
-use super::pool::Partial;
-use super::ParState;
+use super::pool::{LevelOutcome, Partial};
+use super::TreeMaps;
 use std::ops::Range;
 use xbfs_graph::{Csr, VertexId};
 
@@ -23,14 +26,14 @@ use xbfs_graph::{Csr, VertexId};
 pub(crate) fn chunk(
     csr: &Csr,
     frontier: &[VertexId],
-    state: &ParState,
+    maps: &mut impl TreeMaps,
     next_level: u32,
-    out: &mut Partial,
+    out: &mut LevelOutcome,
 ) {
     for &u in frontier {
         for &v in csr.neighbors(u) {
             out.edges_examined += 1;
-            if state.claim(v, u, next_level) {
+            if maps.claim(v, u, next_level) {
                 out.discover(v, csr.degree(v));
             }
         }
@@ -45,8 +48,8 @@ pub(crate) fn chunk(
 /// lane's own order*, so with one thread every lane reproduces its solo
 /// sequential parents exactly; claims land as single bits in the shared
 /// lane-packed visited words. Per-lane Σdeg / max-deg fold into the
-/// partial's lane accumulators at claim time ([`Partial::discover_in`]),
-/// so the per-batch switch decision needs no frontier rescan.
+/// partial's lane shares at claim time, so the per-batch switch decision
+/// needs no frontier rescan.
 pub(crate) fn multi_chunk(
     csr: &Csr,
     state: &MultiParState,
@@ -68,7 +71,7 @@ pub(crate) fn multi_chunk(
             for &v in csr.neighbors(u) {
                 out.lanes[lane].edges_examined += 1;
                 if state.claim(v, lane, u, next_level) {
-                    out.discover_in(lane, v, csr.degree(v));
+                    out.lanes[lane].discover(v, csr.degree(v));
                 }
             }
         }
@@ -79,12 +82,13 @@ pub(crate) fn multi_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::ParState;
 
     /// Expand `frontier` to level 1 as one chunk, the way a single worker
     /// claiming the whole frontier would.
-    fn expand(g: &Csr, frontier: &[VertexId], state: &ParState) -> Partial {
-        let mut out = Partial::default();
-        chunk(g, frontier, state, 1, &mut out);
+    fn expand(g: &Csr, frontier: &[VertexId], mut state: &ParState) -> LevelOutcome {
+        let mut out = LevelOutcome::default();
+        chunk(g, frontier, &mut state, 1, &mut out);
         out
     }
 
@@ -121,7 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn folds_next_frontier_degree_stats_at_claim_time() {
+    fn folds_next_frontier_degrees_at_claim_time() {
         let g = xbfs_graph::rmat::rmat_csr(8, 8);
         let state = ParState::init(g.num_vertices(), 0);
         let out = expand(&g, &[0], &state);

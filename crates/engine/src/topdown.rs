@@ -1,34 +1,9 @@
-//! Sequential top-down BFS (the paper's Algorithm 1).
+//! Top-down BFS (the paper's Algorithm 1): the stepping engine with every
+//! level forced top-down. The level kernel itself lives with its parallel
+//! driver in [`par`](crate::par); see [`hybrid`] for how a level runs.
 
-use crate::{hybrid, AlwaysTopDown, BfsOutput, Traversal};
+use crate::{hybrid, AlwaysTopDown, Traversal};
 use xbfs_graph::{Csr, VertexId};
-
-/// Expand one top-down level.
-///
-/// For every `u` in the frontier, examine every out-edge `(u, v)`; claim `v`
-/// if unvisited (lines 7–12 of Algorithm 1). Returns the next frontier and
-/// the number of edges examined — always exactly the frontier's out-degree
-/// sum (`|E|cq`), which is the whole point of top-down on small frontiers.
-pub(crate) fn level(
-    csr: &Csr,
-    frontier: &[VertexId],
-    out: &mut BfsOutput,
-    next_level: u32,
-) -> (Vec<VertexId>, u64) {
-    let mut next = Vec::new();
-    let mut examined = 0u64;
-    for &u in frontier {
-        for &v in csr.neighbors(u) {
-            examined += 1;
-            if !out.visited(v) {
-                out.parents[v as usize] = u;
-                out.levels[v as usize] = next_level;
-                next.push(v);
-            }
-        }
-    }
-    (next, examined)
-}
 
 /// Run a complete top-down traversal from `source`.
 pub fn run(csr: &Csr, source: VertexId) -> Traversal {

@@ -64,11 +64,6 @@ impl Bitmap {
         self.words[i / BITS] &= !(1u64 << (i % BITS));
     }
 
-    /// Zero every bit, keeping capacity.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Population count.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -83,11 +78,6 @@ impl Bitmap {
                 word,
                 base: (wi * BITS) as u32,
             })
-    }
-
-    /// Bytes of backing storage (simulator byte accounting).
-    pub fn storage_bytes(&self) -> u64 {
-        (self.words.len() * std::mem::size_of::<u64>()) as u64
     }
 }
 
@@ -123,18 +113,6 @@ impl AtomicBitmap {
         Self { len, words }
     }
 
-    /// Capacity in bits.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if capacity is zero.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Test bit `v` (relaxed).
     #[inline]
     pub fn get(&self, v: VertexId) -> bool {
@@ -150,42 +128,6 @@ impl AtomicBitmap {
         debug_assert!(i < self.len);
         let mask = 1u64 << (i % BITS);
         self.words[i / BITS].fetch_or(mask, Ordering::Relaxed) & mask == 0
-    }
-
-    /// Zero every bit. Requires `&mut` — callers reset between levels, not
-    /// concurrently with traversal.
-    pub fn clear_all(&mut self) {
-        for w in &mut self.words {
-            *w.get_mut() = 0;
-        }
-    }
-
-    /// Population count (relaxed snapshot).
-    pub fn count(&self) -> usize {
-        self.words
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
-    }
-
-    /// Snapshot into a plain [`Bitmap`].
-    pub fn snapshot(&self) -> Bitmap {
-        Bitmap {
-            len: self.len,
-            words: self
-                .words
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-
-    /// Copy a plain bitmap's contents in (single-threaded phase).
-    pub fn load_from(&mut self, src: &Bitmap) {
-        assert_eq!(self.len, src.len, "bitmap capacity mismatch");
-        for (dst, &s) in self.words.iter_mut().zip(&src.words) {
-            *dst.get_mut() = s;
-        }
     }
 }
 
@@ -227,34 +169,22 @@ mod tests {
     }
 
     #[test]
-    fn clear_all_resets() {
-        let mut bm = Bitmap::new(100);
-        bm.set(5);
-        bm.set(99);
-        bm.clear_all();
-        assert_eq!(bm.count(), 0);
-        assert_eq!(bm.len(), 100);
-    }
-
-    #[test]
     fn atomic_set_reports_novelty() {
         let bm = AtomicBitmap::new(70);
         assert!(bm.set(69));
         assert!(!bm.set(69));
         assert!(bm.get(69));
-        assert_eq!(bm.count(), 1);
+        assert!(!bm.get(68));
     }
 
     #[test]
-    fn atomic_snapshot_roundtrip() {
-        let bm = AtomicBitmap::new(100);
-        bm.set(1);
-        bm.set(64);
-        let snap = bm.snapshot();
-        assert_eq!(snap.iter().collect::<Vec<_>>(), vec![1, 64]);
-        let back = AtomicBitmap::from(&snap);
-        assert!(back.get(1) && back.get(64));
-        assert_eq!(back.count(), 2);
+    fn atomic_from_plain_keeps_every_bit() {
+        let mut plain = Bitmap::new(100);
+        plain.set(1);
+        plain.set(64);
+        let at = AtomicBitmap::from(&plain);
+        let set: Vec<VertexId> = (0..100).filter(|&v| at.get(v)).collect();
+        assert_eq!(set, vec![1, 64]);
     }
 
     #[test]
@@ -273,18 +203,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(bm.count(), 4096);
-    }
-
-    #[test]
-    fn load_from_copies() {
-        let mut plain = Bitmap::new(80);
-        plain.set(7);
-        plain.set(79);
-        let mut at = AtomicBitmap::new(80);
-        at.load_from(&plain);
-        assert!(at.get(7) && at.get(79));
-        assert_eq!(at.count(), 2);
+        assert!((0..4096).all(|v| bm.get(v)));
     }
 
     #[test]

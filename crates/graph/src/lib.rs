@@ -14,9 +14,7 @@
 //! * [`gen`] — deterministic auxiliary generators (uniform random, path,
 //!   star, grid, binary tree, complete) used by tests and examples.
 //! * [`Bitmap`] / [`AtomicBitmap`] — dense vertex sets; the atomic variant
-//!   backs the parallel bottom-up frontier.
-//! * [`Frontier`] — queue and bitmap frontier representations with O(n)
-//!   conversions, mirroring the paper's "bit-map or bool-map" queues (§V-A).
+//!   backs the bottom-up frontier, the paper's "bit-map" queue (§V-A).
 //! * [`stats`] — degree distributions and per-traversal summaries that feed
 //!   the regression features of the paper's Fig. 7.
 //! * [`io`] — compact binary and text (de)serialization.
@@ -29,7 +27,6 @@ pub mod bitmap;
 pub mod components;
 pub mod csr;
 pub mod edge_list;
-pub mod frontier;
 pub mod gen;
 pub mod io;
 pub mod relabel;
@@ -39,7 +36,6 @@ pub mod stats;
 pub use bitmap::{AtomicBitmap, Bitmap};
 pub use csr::Csr;
 pub use edge_list::EdgeList;
-pub use frontier::Frontier;
 pub use rmat::{RmatConfig, RmatGenerator};
 pub use stats::GraphStats;
 

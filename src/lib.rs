@@ -7,8 +7,8 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`graph`] | `xbfs-graph` | CSR storage, Graph 500 R-MAT generator, bitmaps, frontiers |
-//! | [`engine`] | `xbfs-engine` | top-down / bottom-up / hybrid BFS kernels (sequential + parallel), validation, TEPS |
+//! | [`graph`] | `xbfs-graph` | CSR storage, Graph 500 R-MAT generator, bitmaps |
+//! | [`engine`] | `xbfs-engine` | one top-down / bottom-up kernel pair, stepped by the hybrid engine or run on a work-stealing pool; validation, TEPS |
 //! | [`archsim`] | `xbfs-archsim` | calibrated CPU/MIC/GPU cost models, link model, traversal profiles |
 //! | [`svm`] | `xbfs-svm` | ε-SVR (SMO-free dual coordinate descent), kernels, scaling, ridge baseline |
 //! | [`core`] | `xbfs-core` | switch-point regression, exhaustive oracle, cross-architecture executor (Algorithm 3) |
@@ -58,6 +58,6 @@ pub mod prelude {
         CriticalPath, Direction, FixedMN, MemorySink, NullSink, RingSink, SamplingSink,
         SwitchPolicy, TeeSink, TraceDiff, TraceEvent, TraceSink, Traversal, XbfsError,
     };
-    pub use xbfs_graph::{Csr, EdgeList, Frontier, GraphStats, RmatConfig};
+    pub use xbfs_graph::{Csr, EdgeList, GraphStats, RmatConfig};
     pub use xbfs_svm::{Regressor, Svr, SvrConfig};
 }

@@ -15,9 +15,9 @@ use proptest::prelude::*;
 use xbfs::archsim::fault::{CorruptPayload, FaultKind, FaultOp, FaultPlan, ScheduledFault};
 use xbfs::archsim::{ArchSpec, Link};
 use xbfs::core::checkpoint::CheckpointPolicy;
-use xbfs::core::recovery::ResilienceConfig;
+use xbfs::core::recovery::{ResilienceConfig, Rung};
 use xbfs::core::{chrome_trace_json, CrossParams, RecoveredRun, RunSession};
-use xbfs::engine::{validate, FixedMN, MemorySink, ScrubPolicy, XbfsError};
+use xbfs::engine::{hybrid, validate, AlwaysTopDown, FixedMN, MemorySink, ScrubPolicy, XbfsError};
 use xbfs::graph::Csr;
 
 fn fixture() -> (Csr, u32, ArchSpec, ArchSpec, Link, CrossParams) {
@@ -236,6 +236,49 @@ fn rollback_repair_beats_restart_from_scratch() {
         rolled.report.total_seconds,
         restarted.report.total_seconds
     );
+}
+
+/// A frontier-bitmap flip that *erases* a real frontier vertex, rather
+/// than adding a ghost one, is caught at the next level boundary and
+/// repaired by one rollback, so the cross rung still serves the query.
+#[test]
+fn erased_frontier_vertex_is_detected_and_repaired_on_the_cross_rung() {
+    let (g, src, ..) = fixture();
+    // Word 11, bit 18 addresses vertex 11 * 32 + 18 = 370, which level 0
+    // discovers: the flip after the level-0 kernel erases it from the
+    // level-1 frontier.
+    let clean = hybrid::run(&g, src, &mut AlwaysTopDown);
+    assert_eq!(
+        clean.output.levels[370], 1,
+        "fixture must put 370 on level 1"
+    );
+    let plan = FaultPlan {
+        scheduled: vec![ScheduledFault {
+            op: FaultOp::CpuKernel,
+            level: 0,
+            kind: FaultKind::BitFlip {
+                payload: CorruptPayload::Bitmap,
+                word: 11,
+                bit: 18,
+            },
+        }],
+        ..FaultPlan::none()
+    };
+    let config = ResilienceConfig {
+        checkpoint: CheckpointPolicy::every(1),
+        scrub: ScrubPolicy::every_level(),
+        ..ResilienceConfig::default_runtime()
+    };
+    let run = run_with(&g, src, &plan, &config).expect("the repaired run serves");
+    assert_eq!(validate(&g, &run.output), Ok(()));
+    assert!(run
+        .report
+        .events
+        .iter()
+        .any(|e| matches!(e.kind, FaultKind::BitFlip { .. })));
+    assert_eq!(run.report.corruption_detected, 1);
+    assert_eq!(run.report.corruption_repairs, 1);
+    assert_eq!(run.report.rung, Rung::CrossCpuGpu);
 }
 
 proptest! {

@@ -1,11 +1,9 @@
 //! Property tests on the graph substrate, exercised through the public
 //! umbrella API: CSR construction invariants, serialization round-trips,
-//! frontier/bitmap behavior, relabeling, and component consistency.
+//! bitmap behavior, relabeling, and component consistency.
 
 use proptest::prelude::*;
-use xbfs::graph::{
-    bitmap::Bitmap, components, frontier::Frontier, io, relabel, Csr, EdgeList, VertexId,
-};
+use xbfs::graph::{bitmap::Bitmap, components, io, relabel, Csr, EdgeList, VertexId};
 
 fn arb_edges() -> impl Strategy<Value = (VertexId, Vec<(VertexId, VertexId)>)> {
     (1u32..96).prop_flat_map(|n| {
@@ -106,21 +104,6 @@ proptest! {
         prop_assert_eq!(bm.count(), reference.len());
         prop_assert_eq!(bm.iter().collect::<Vec<_>>(),
                         reference.iter().copied().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn frontier_conversions_preserve_membership(
-        members in prop::collection::btree_set(0u32..256, 0..64)
-    ) {
-        let queue = Frontier::Queue(members.iter().copied().collect());
-        let bitmap = queue.clone().into_bitmap(256);
-        prop_assert_eq!(bitmap.len(), members.len());
-        for v in 0..256u32 {
-            prop_assert_eq!(bitmap.contains(v), members.contains(&v));
-        }
-        let back = bitmap.into_queue();
-        prop_assert_eq!(back.to_sorted_vec(),
-                        members.into_iter().collect::<Vec<_>>());
     }
 
     #[test]
