@@ -6,10 +6,21 @@
 //! direction and therefore run fastest. `validate` times the Graph 500
 //! check of the hybrid's output on the same graph and source, so a served
 //! query's traversal and validation costs read side by side.
+//!
+//! The `hardening_road128` group times the recovery ladder's per-boundary
+//! guards on the road-like graph of the `hardened-road` workload, apart
+//! from the traversal they guard: `scrub` scrubs a whole traversal's
+//! boundary states with one [`Scrubber`], as the ladder does with a scrub
+//! every level, and `checkpoint_byte_size` counts one mid-run checkpoint's
+//! serialized bytes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use xbfs_engine::{bottomup, hybrid, reference, topdown, validate, FixedMN};
+use xbfs_archsim::{fault::FaultPlan, ArchSpec, Link};
+use xbfs_core::{checkpoint::capture_at, CrossParams, Rung};
+use xbfs_engine::{
+    bottomup, hybrid, reference, topdown, validate, FixedMN, Scrubber, TraversalState,
+};
 
 fn bench_kernels(c: &mut Criterion) {
     let g = xbfs_graph::rmat::rmat_csr(16, 16);
@@ -37,5 +48,51 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels);
+fn bench_hardening(c: &mut Criterion) {
+    let g = xbfs_graph::gen::road_like(128, 128, 128, 1);
+    let src = xbfs_core::training::pick_source(&g, 1).unwrap();
+
+    // Every boundary state of one traversal, in order.
+    let mut boundaries = Vec::new();
+    let mut st = TraversalState::start(&g, src);
+    let mut policy = FixedMN::new(14.0, 24.0);
+    while st.step(&g, &mut policy).is_some() {
+        boundaries.push(st.clone());
+    }
+    let mid = boundaries.len() as u32 / 2;
+    let ck = capture_at(
+        &g,
+        src,
+        &ArchSpec::cpu_sandy_bridge(),
+        &ArchSpec::gpu_k20x(),
+        &Link::pcie3(),
+        &CrossParams {
+            handoff: FixedMN::new(64.0, 64.0),
+            gpu: FixedMN::new(14.0, 24.0),
+        },
+        &FaultPlan::none(),
+        Rung::CpuOnly,
+        mid,
+    )
+    .unwrap();
+
+    let mut group = c.benchmark_group("hardening_road128");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(3));
+    group.bench_function("scrub", |b| {
+        b.iter(|| {
+            let mut scrubber = Scrubber::default();
+            for st in &boundaries {
+                black_box(scrubber.scrub(&g, black_box(st)));
+            }
+        })
+    });
+    group.bench_function("checkpoint_byte_size", |b| {
+        b.iter(|| black_box(black_box(&ck).byte_size()))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_kernels, bench_hardening);
 criterion_main!(benches);

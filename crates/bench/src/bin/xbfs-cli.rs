@@ -37,9 +37,9 @@ use xbfs_core::{
     SloPolicy, SnapshotPolicy, TraceSamplePolicy,
 };
 use xbfs_engine::{
-    hybrid, par, scrub, stcon, tree, validate, AlwaysBottomUp, AlwaysTopDown, Direction, FixedMN,
-    MemorySink, ScrubPolicy, ShardedSink, SwitchPolicy, TraceEvent, TraceSink, TraversalState,
-    XbfsError,
+    hybrid, par, stcon, tree, validate, AlwaysBottomUp, AlwaysTopDown, Direction, FixedMN,
+    MemorySink, ScrubPolicy, Scrubber, ShardedSink, SwitchPolicy, TraceEvent, TraceSink,
+    TraversalState, XbfsError,
 };
 use xbfs_graph::{components, io, stats, Csr, GraphStats, RmatConfig, RmatGenerator};
 
@@ -519,8 +519,9 @@ fn cmd_bfs(args: &Args) -> Result<(), String> {
             );
         }
         let mut st = TraversalState::start(&g, src);
+        let mut scrubber = Scrubber::default();
         while st.step_traced(&g, policy.as_mut(), &sink).is_some() {
-            if let Some(what) = scrub::scrub_state(&g, &st) {
+            if let Some(what) = scrubber.scrub(&g, &st) {
                 return Err(XbfsError::CorruptionDetected {
                     what,
                     level: st.next_level as usize,

@@ -31,7 +31,7 @@ use crate::recovery::{reference_sequential_penalty, Rung, JITTER_SALT};
 use serde::{Deserialize, Serialize};
 use xbfs_archsim::fault::{FaultCursor, FaultEvent, FaultOp, FaultPlan, FaultSession};
 use xbfs_archsim::{cost, ArchSpec, Link};
-use xbfs_engine::{tree, AlwaysTopDown, FixedMN, TraversalState, XbfsError};
+use xbfs_engine::{tree, AlwaysTopDown, BfsOutput, FixedMN, TraversalState, XbfsError};
 use xbfs_graph::{Bitmap, Csr, VertexId};
 
 /// On-disk format version; bumped on any incompatible layout change.
@@ -161,16 +161,43 @@ impl LevelCheckpoint {
     }
 
     /// Serialized size in bytes — the number a `RunReport` exposes as
-    /// `checkpoint_bytes`.
+    /// `checkpoint_bytes`. Counted, not built: it equals
+    /// `to_json().len()`, but only a shell with the parent map, level map
+    /// and frontier emptied goes through the serializer. Each of those
+    /// arrays then adds its numbers' decimal digits and the commas
+    /// between them.
     pub fn byte_size(&self) -> u64 {
-        self.to_json().len() as u64
+        let state = &self.state;
+        let shell = LevelCheckpoint {
+            state: TraversalState {
+                output: BfsOutput {
+                    source: state.output.source,
+                    parents: Vec::new(),
+                    levels: Vec::new(),
+                },
+                frontier: Vec::new(),
+                levels: state.levels.clone(),
+                ..*state
+            },
+            placements: self.placements.clone(),
+            events: self.events.clone(),
+            fault_cursor: self.fault_cursor.clone(),
+            ..*self
+        };
+        shell.to_json().len() as u64
+            + json_array_items(&state.output.parents)
+            + json_array_items(&state.output.levels)
+            + json_array_items(&state.frontier)
     }
 
-    /// Write to `path` as JSON.
-    pub fn spill(&self, path: &str) -> Result<(), XbfsError> {
-        std::fs::write(path, self.to_json()).map_err(|e| XbfsError::Checkpoint {
+    /// Write to `path` as JSON, returning the bytes written: a spilled
+    /// capture serializes once and counts that string.
+    pub fn spill(&self, path: &str) -> Result<u64, XbfsError> {
+        let json = self.to_json();
+        std::fs::write(path, &json).map_err(|e| XbfsError::Checkpoint {
             what: format!("spill to {path}: {e}"),
-        })
+        })?;
+        Ok(json.len() as u64)
     }
 
     /// Read a spilled checkpoint back from `path`.
@@ -185,6 +212,14 @@ impl LevelCheckpoint {
     /// format version, graph identity, engine-state bookkeeping, partial
     /// BFS-tree consistency, and cross-rung placement coherence.
     pub fn validate_for(&self, csr: &Csr) -> Result<(), XbfsError> {
+        self.audit(csr, true)
+    }
+
+    /// [`validate_for`](Self::validate_for), with its two passes over the
+    /// engine state (`check_against` and the partial tree) run only if
+    /// `check_state`. A capture whose state a scrub passed at the same
+    /// boundary keeps the header and rung checks alone.
+    pub(crate) fn audit(&self, csr: &Csr, check_state: bool) -> Result<(), XbfsError> {
         let fail = |what: String| Err(XbfsError::Checkpoint { what });
         if self.format_version != CHECKPOINT_FORMAT_VERSION {
             return fail(format!(
@@ -213,9 +248,11 @@ impl LevelCheckpoint {
                 self.clock_s, self.lost_s
             ));
         }
-        self.state.check_against(csr)?;
-        if let Some(v) = tree::partial_tree_violation(csr, &self.state.output) {
-            return fail(format!("partial tree: {v}"));
+        if check_state {
+            self.state.check_against(csr)?;
+            if let Some(v) = tree::partial_tree_violation(csr, &self.state.output) {
+                return fail(format!("partial tree: {v}"));
+            }
         }
         match self.rung {
             Rung::CrossCpuGpu => {
@@ -253,6 +290,16 @@ impl LevelCheckpoint {
         }
         bits.iter().collect()
     }
+}
+
+/// The bytes a JSON array of `values` holds beyond an empty `[]`: every
+/// element's decimal digits, plus the commas between them.
+fn json_array_items(values: &[u32]) -> u64 {
+    let digits: u64 = values
+        .iter()
+        .map(|&v| u64::from(v.checked_ilog10().map_or(1, |d| d + 1)))
+        .sum();
+    digits + (values.len() as u64).saturating_sub(1)
 }
 
 fn fault_free(session: &mut FaultSession<'_>, op: FaultOp, level: u32) -> Result<(), XbfsError> {
@@ -393,6 +440,7 @@ pub fn capture_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbfs_archsim::fault::{CorruptPayload, FaultKind};
 
     fn fixture() -> (Csr, u32, ArchSpec, ArchSpec, Link, CrossParams) {
         let g = xbfs_graph::rmat::rmat_csr(9, 16);
@@ -448,8 +496,75 @@ mod tests {
             assert!(ck.validate_for(&g).is_ok());
             let back = LevelCheckpoint::from_json(&ck.to_json()).expect("parses");
             assert_eq!(back, ck);
-            assert!(ck.byte_size() > 0);
+            assert_eq!(ck.byte_size(), ck.to_json().len() as u64);
         }
+    }
+
+    #[test]
+    fn byte_size_is_exactly_the_serialized_length() {
+        let (g, src, cpu, gpu, link, params) = fixture();
+        // A device-resident cross checkpoint: an immediate handoff.
+        let eager = CrossParams {
+            handoff: FixedMN::new(1e9, 1e9),
+            gpu: params.gpu,
+        };
+        let mut ck = capture_at(
+            &g,
+            src,
+            &cpu,
+            &gpu,
+            &link,
+            &eager,
+            &FaultPlan::none(),
+            Rung::CrossCpuGpu,
+            2,
+        )
+        .expect("capture");
+        assert_eq!(ck.residency, Residency::Device);
+        let exact = |ck: &LevelCheckpoint, what: &str| {
+            assert_eq!(ck.byte_size(), ck.to_json().len() as u64, "{what}");
+        };
+        exact(&ck, "device-resident capture");
+
+        // Values real captures never hold.
+        ck.clock_s = f64::NAN;
+        ck.lost_s = f64::INFINITY;
+        assert!(ck.to_json().contains("\"clock_s\":null"));
+        exact(&ck, "non-finite clocks serialize as null");
+        ck.retries = u32::MAX;
+        ck.num_vertices = u32::MAX;
+        ck.num_directed_edges = u64::MAX;
+        ck.device_discovered = u64::MAX;
+        ck.jitter_rng = u64::MAX;
+        ck.state.unvisited_edges = u64::MAX;
+        ck.state.output.parents[0] = 0;
+        exact(&ck, "extreme counters");
+        ck.events = vec![
+            FaultEvent {
+                op: FaultOp::Transfer,
+                level: usize::MAX,
+                kind: FaultKind::BitFlip {
+                    payload: CorruptPayload::Bitmap,
+                    word: u32::MAX,
+                    bit: 31,
+                },
+                attempt: 1,
+            },
+            FaultEvent {
+                op: FaultOp::GpuKernel,
+                level: 0,
+                kind: FaultKind::KernelTimeout,
+                attempt: 2,
+            },
+        ];
+        exact(&ck, "fault events");
+        ck.state.frontier.truncate(1);
+        exact(&ck, "one-vertex frontier");
+        ck.state.frontier.clear();
+        exact(&ck, "empty frontier");
+        ck.state.output.parents.clear();
+        ck.state.output.levels.clear();
+        exact(&ck, "empty maps");
     }
 
     #[test]
@@ -581,7 +696,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ck.json");
         let path = path.to_str().unwrap();
-        ck.spill(path).expect("spill");
+        let written = ck.spill(path).expect("spill");
+        assert_eq!(written, ck.byte_size());
         let back = LevelCheckpoint::load(path).expect("load");
         assert_eq!(back, ck);
         assert!(LevelCheckpoint::load("/nonexistent/ck.json").is_err());

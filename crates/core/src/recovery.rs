@@ -47,10 +47,9 @@ use xbfs_archsim::fault::{
 };
 use xbfs_archsim::{cost, ArchSpec, Link};
 use xbfs_engine::{
-    scrub::scrub_state,
     trace::{RungOutcome, TraceEvent, TraceSink},
-    validate, AlwaysTopDown, BfsOutput, FixedMN, LevelRecord, ScrubPolicy, TraversalState,
-    XbfsError,
+    validate, AlwaysTopDown, BfsOutput, FixedMN, LevelRecord, ScrubPolicy, Scrubber,
+    TraversalState, XbfsError,
 };
 use xbfs_graph::{Csr, VertexId};
 
@@ -422,6 +421,9 @@ struct Recovery<'a> {
     skipped: Vec<Rung>,
     /// Scrub cadence for mid-run corruption detection.
     scrub: ScrubPolicy,
+    /// The scrub itself, trusting the last boundary it passed on the
+    /// current rung's state.
+    scrubber: Scrubber,
     /// Whether link transfers are integrity-checksummed at the receiver.
     checksum_transfers: bool,
     /// Bounded in-rung repair attempts per rung after detected corruption.
@@ -479,6 +481,7 @@ impl<'a> Recovery<'a> {
             resumes: Vec::new(),
             skipped: Vec::new(),
             scrub: config.scrub,
+            scrubber: Scrubber::default(),
             checksum_transfers: config.checksum_transfers,
             corruption_repair_limit: config.corruption_repair_limit,
             corruption_detected: 0,
@@ -527,6 +530,7 @@ impl<'a> Recovery<'a> {
             resumes: Vec::new(),
             skipped: Vec::new(),
             scrub: config.scrub,
+            scrubber: Scrubber::default(),
             checksum_transfers: config.checksum_transfers,
             corruption_repair_limit: config.corruption_repair_limit,
             corruption_detected: 0,
@@ -815,12 +819,16 @@ impl<'a> Recovery<'a> {
 
     /// Cut a checkpoint at the level boundary in front of `st` if one is
     /// due. Device-resident state is drained over the link first (charged
-    /// on the clock), so the stored checkpoint is host-durable.
+    /// on the clock), so the stored checkpoint is host-durable. The capture
+    /// audits `st` before trusting it, unless `scrubbed`: a scrub passed
+    /// this very state at this boundary.
+    #[allow(clippy::too_many_arguments)]
     fn maybe_capture(
         &mut self,
         csr: &Csr,
         rung: Rung,
         st: &TraversalState,
+        scrubbed: bool,
         driver: Option<&CrossDriver>,
         device_discovered: u64,
         link: &Link,
@@ -870,19 +878,19 @@ impl<'a> Recovery<'a> {
             jitter_rng: self.jitter_rng,
             breakers: self.health.snapshot(),
         };
-        if ck.validate_for(csr).is_err() {
+        if ck.audit(csr, !scrubbed).is_err() {
             // A state that fails its own audit must never become a resume
             // point; keep the previous checkpoint and let end-of-rung
             // validation deal with the corruption.
             return Ok(());
         }
         self.checkpoints_taken += 1;
-        let bytes = ck.byte_size();
-        self.checkpoint_bytes += bytes;
         let spilled = self.checkpoint.spill.is_some();
-        if let Some(path) = self.checkpoint.spill.clone() {
-            ck.spill(&path).map_err(RungError::Fatal)?;
-        }
+        let bytes = match &self.checkpoint.spill {
+            Some(path) => ck.spill(path).map_err(RungError::Fatal)?,
+            None => ck.byte_size(),
+        };
+        self.checkpoint_bytes += bytes;
         self.latest = Some(ck);
         if self.sink.enabled() {
             self.sink.record(&TraceEvent::Checkpoint {
@@ -903,13 +911,18 @@ impl<'a> Recovery<'a> {
     /// completion. Scrubbing charges no simulated time — the pass is
     /// memory-bandwidth work the runtime overlaps with the next level's
     /// setup — so enabling it on a fault-free run leaves the clock (and
-    /// the whole trace) untouched.
-    fn maybe_scrub(&mut self, csr: &Csr, rung: Rung, st: &TraversalState) -> Result<(), RungError> {
+    /// the whole trace) untouched. Returns whether a scrub ran and passed.
+    fn maybe_scrub(
+        &mut self,
+        csr: &Csr,
+        rung: Rung,
+        st: &TraversalState,
+    ) -> Result<bool, RungError> {
         if !self.scrub.due(st.next_level) {
-            return Ok(());
+            return Ok(false);
         }
-        let Some(what) = scrub_state(csr, st) else {
-            return Ok(());
+        let Some(what) = self.scrubber.scrub(csr, st) else {
+            return Ok(true);
         };
         self.corruption_detected += 1;
         if self.sink.enabled() {
@@ -941,6 +954,8 @@ impl<'a> Recovery<'a> {
         link: &Link,
     ) -> Result<RungStart, RungError> {
         let external = std::mem::take(&mut self.external);
+        // A fresh or restored state: nothing the scrub passed carries over.
+        self.scrubber = Scrubber::default();
         let Some(ck) = self.latest.clone() else {
             return Ok(RungStart {
                 state: TraversalState::start(csr, source),
@@ -1330,11 +1345,12 @@ fn run_rung_cross(
     loop {
         // Scrub before the capture gate: a corrupt state must be caught
         // here, never frozen into a resume point.
-        rec.maybe_scrub(csr, Rung::CrossCpuGpu, &state)?;
+        let scrubbed = rec.maybe_scrub(csr, Rung::CrossCpuGpu, &state)?;
         rec.maybe_capture(
             csr,
             Rung::CrossCpuGpu,
             &state,
+            scrubbed,
             Some(&driver),
             device_discovered,
             link,
@@ -1442,8 +1458,8 @@ fn run_rung_cpu_only(
         rec.start_for(Rung::CpuOnly, csr, source, params, cpu, gpu, link)?;
     let mut mn = FixedMN::new(14.0, 24.0);
     loop {
-        rec.maybe_scrub(csr, Rung::CpuOnly, &state)?;
-        rec.maybe_capture(csr, Rung::CpuOnly, &state, None, 0, link)?;
+        let scrubbed = rec.maybe_scrub(csr, Rung::CpuOnly, &state)?;
+        rec.maybe_capture(csr, Rung::CpuOnly, &state, scrubbed, None, 0, link)?;
         let level_start_s = rec.clock.elapsed_s;
         if state.step(csr, &mut mn).is_none() {
             break;
@@ -1481,8 +1497,8 @@ fn run_rung_reference(
     let mut td = AlwaysTopDown;
     let penalty = reference_sequential_penalty(cpu);
     loop {
-        rec.maybe_scrub(csr, Rung::Reference, &state)?;
-        rec.maybe_capture(csr, Rung::Reference, &state, None, 0, link)?;
+        let scrubbed = rec.maybe_scrub(csr, Rung::Reference, &state)?;
+        rec.maybe_capture(csr, Rung::Reference, &state, scrubbed, None, 0, link)?;
         let level_start_s = rec.clock.elapsed_s;
         if state.step(csr, &mut td).is_none() {
             break;
@@ -1914,6 +1930,86 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// Levels of the checkpoints cut between a silent flip and the repair
+    /// or rung end that answers it: each froze the corrupt state.
+    fn captures_after_the_flip(events: &[TraceEvent]) -> Vec<u32> {
+        let flip = events
+            .iter()
+            .position(|e| matches!(e, TraceEvent::Fault { .. }))
+            .expect("the flip fired");
+        events[flip..]
+            .iter()
+            .take_while(|e| {
+                !matches!(
+                    e,
+                    TraceEvent::CorruptionRepair { .. } | TraceEvent::RungEnd { .. }
+                )
+            })
+            .filter_map(|e| match e {
+                TraceEvent::Checkpoint { level, .. } => Some(*level),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Run the CPU-only rung, then the reference rung, with a checkpoint
+    /// every level and a parent flip in level 2's kernel, just before
+    /// boundary 3. No scrub runs at boundary 3, so the capture's own audit
+    /// is all that keeps the corrupt state from becoming a resume point.
+    fn flip_before_an_unscrubbed_boundary(scrub: ScrubPolicy) -> RecoveredRun {
+        let (g, src, ..) = setup();
+        let plan = FaultPlan {
+            scheduled: vec![parent_flip_at(2)],
+            ..FaultPlan::none()
+        };
+        let config = ResilienceConfig {
+            checkpoint: CheckpointPolicy::every(1),
+            scrub,
+            ..ResilienceConfig::default_runtime()
+        };
+        let sink = xbfs_engine::trace::MemorySink::new();
+        let result = run_ladder(
+            &g,
+            src,
+            &plan,
+            &config,
+            &[Rung::CpuOnly, Rung::Reference],
+            &sink,
+        );
+        let events = sink.events();
+        assert_eq!(captures_after_the_flip(&events), Vec::<u32>::new());
+        let run = result.expect("a repair or a lower rung serves");
+        assert_eq!(validate(&g, &run.output), Ok(()));
+        let cut = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Checkpoint { .. }))
+            .count();
+        assert_eq!(run.report.checkpoints_taken as usize, cut);
+        run
+    }
+
+    #[test]
+    fn a_capture_audits_when_scrubbing_is_off() {
+        let run = flip_before_an_unscrubbed_boundary(ScrubPolicy::Off);
+        // Nothing saw the flip before end-of-rung validation, and the
+        // reference rung started over rather than resume a corrupt state.
+        assert_eq!(run.report.corruption_detected, 0);
+        assert_eq!(run.report.rung, Rung::Reference);
+        assert!(run.report.resumes.is_empty(), "{:?}", run.report.resumes);
+    }
+
+    #[test]
+    fn a_capture_audits_between_scrubs() {
+        let run = flip_before_an_unscrubbed_boundary(ScrubPolicy::every(2));
+        // The boundary-4 scrub caught the flip, and the repair rolled back
+        // to the level-2 checkpoint the boundary-2 scrub had passed.
+        assert_eq!(run.report.corruption_detected, 1);
+        assert_eq!(run.report.corruption_repairs, 1);
+        assert_eq!(run.report.rung, Rung::CpuOnly);
+        let from: Vec<u32> = run.report.resumes.iter().map(|r| r.from_level).collect();
+        assert_eq!(from, vec![2]);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use error::XbfsError;
 pub use hybrid::TraversalState;
 pub use par::{run_multi, run_multi_traced, MAX_LANES};
 pub use policy::{AlwaysBottomUp, AlwaysTopDown, Direction, FixedMN, SwitchContext, SwitchPolicy};
-pub use scrub::ScrubPolicy;
+pub use scrub::{ScrubPolicy, Scrubber};
 pub use stats::{LevelRecord, Traversal};
 pub use trace::analysis::{
     critical_path, trace_diff, CriticalPath, PathSegment, PhaseDelta, TraceDiff,

@@ -227,9 +227,11 @@ proptest! {
             .expect("fault-free capture inside the traversal");
         prop_assert_eq!(ck.level(), level);
         prop_assert!(ck.validate_for(&g).is_ok());
-        let back = LevelCheckpoint::from_json(&ck.to_json()).expect("parses");
+        let json = ck.to_json();
+        let back = LevelCheckpoint::from_json(&json).expect("parses");
         prop_assert_eq!(&back, &ck);
         prop_assert_eq!(back.byte_size(), ck.byte_size());
+        prop_assert_eq!(ck.byte_size(), json.len() as u64);
     }
 
     /// Fault-free "checkpoint at ℓ then resume" produces a tree identical
