@@ -43,57 +43,77 @@ use xbfs_engine::{
 };
 use xbfs_graph::{components, io, stats, Csr, GraphStats, RmatConfig, RmatGenerator};
 
-/// Minimal flag parser: `--key value` pairs plus boolean `--text` /
-/// `--quiet` / `--threads-scaling` / `--batched` / `--scrub` /
-/// `--checksum`.
+/// A command's body.
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every command: its name, its body, and the flags it takes (without
+/// their `--`). This is the one place a command's accepted set is kept:
+/// [`Args::parse`] rejects any other flag before the command does any
+/// work, and a unit test pins each set to the command's USAGE block.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    ("gen", cmd_gen, "scale edgefactor seed out text"),
+    ("info", cmd_info, "graph text"),
+    (
+        "bfs",
+        cmd_bfs,
+        "graph source policy threads scrub checksum trace-out metrics-out quiet text",
+    ),
+    ("stcon", cmd_stcon, "graph from to text"),
+    ("components", cmd_components, "graph text"),
+    (
+        "adaptive",
+        cmd_adaptive,
+        "graph source fault-plan deadline retries checkpoint-interval spill resume scrub \
+         checksum report-json policy trace-out metrics-out quiet text",
+    ),
+    (
+        "serve",
+        cmd_serve,
+        "graph requests arrivals rate seed request-deadline chaos-dir chaos-every capacity \
+         queue-depth batch-window batch-lanes deadline retries checkpoint-interval spill-dir \
+         scrub checksum drain-at drain-mode snapshot-every timeseries-out slo-deadline-ratio \
+         slo-latency slo-latency-ratio flight-recorder postmortem-dir trace-sample policy \
+         report-json trace-out metrics-out quiet text",
+    ),
+    (
+        "bench",
+        cmd_bench,
+        "preset compare tolerance bench-dir baseline fault-plan report-json batched policy quiet",
+    ),
+    ("report", cmd_report, "timeseries"),
+];
+
+/// Flags that stand alone; every other flag takes a value.
+const SWITCHES: [&str; 5] = ["text", "quiet", "batched", "scrub", "checksum"];
+
+/// Minimal flag parser: `--key value` pairs plus the [`SWITCHES`].
 struct Args {
     pairs: Vec<(String, String)>,
-    text: bool,
-    quiet: bool,
-    threads_scaling: bool,
-    batched: bool,
-    scrub: bool,
-    checksum: bool,
+    switches: Vec<String>,
 }
 
 impl Args {
-    fn parse(argv: impl Iterator<Item = String>) -> Result<Self, String> {
+    /// Parse `argv` for `command`, which takes only the whitespace-separated
+    /// flags in `accepted`; any other flag is an error naming it.
+    fn parse(
+        command: &str,
+        accepted: &str,
+        argv: impl Iterator<Item = String>,
+    ) -> Result<Self, String> {
         let mut argv = argv.peekable();
         let mut pairs = Vec::new();
-        let mut text = false;
-        let mut quiet = false;
-        let mut threads_scaling = false;
-        let mut batched = false;
-        let mut scrub = false;
-        let mut checksum = false;
+        let mut switches = Vec::new();
         while let Some(arg) = argv.next() {
-            if arg == "--text" {
-                text = true;
-                continue;
-            }
-            if arg == "--quiet" {
-                quiet = true;
-                continue;
-            }
-            if arg == "--threads-scaling" {
-                threads_scaling = true;
-                continue;
-            }
-            if arg == "--batched" {
-                batched = true;
-                continue;
-            }
-            if arg == "--scrub" {
-                scrub = true;
-                continue;
-            }
-            if arg == "--checksum" {
-                checksum = true;
-                continue;
-            }
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{arg}'"));
             };
+            if !accepted.split_whitespace().any(|flag| flag == key) {
+                return Err(format!("{command} does not take --{key}"));
+            }
+            if SWITCHES.contains(&key) {
+                switches.push(key.to_string());
+                continue;
+            }
             // `--policy` may stand alone (`bench --policy` writes
             // POLICY.json) or take a mode (`serve --policy online:7`); a
             // following flag or the end of argv means the bare form.
@@ -106,15 +126,12 @@ impl Args {
             };
             pairs.push((key.to_string(), value));
         }
-        Ok(Self {
-            pairs,
-            text,
-            quiet,
-            threads_scaling,
-            batched,
-            scrub,
-            checksum,
-        })
+        Ok(Self { pairs, switches })
+    }
+
+    /// `true` if the switch `--key` was given.
+    fn on(&self, key: &str) -> bool {
+        self.switches.iter().any(|k| k == key)
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -139,6 +156,16 @@ impl Args {
     }
 }
 
+/// `println!` that survives a closed stdout. When the reader goes away
+/// (`xbfs-cli report … | head`), the narration ends but the command does
+/// not: the write error is dropped, so files are still written and the
+/// exit status stays the command's own.
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
 /// Human-narration channel. Machine outputs (`--report-json -`,
 /// `--trace-out -`, `--metrics-out -`) own stdout when they point there;
 /// narration then moves to stderr. `--quiet` drops it entirely.
@@ -153,7 +180,7 @@ impl Ui {
             .iter()
             .any(|k| args.get(k) == Some("-"));
         Self {
-            quiet: args.quiet,
+            quiet: args.on("quiet"),
             to_stderr: stdout_claimed,
         }
     }
@@ -165,7 +192,7 @@ impl Ui {
         if self.to_stderr {
             eprintln!("{}", msg.as_ref());
         } else {
-            println!("{}", msg.as_ref());
+            outln!("{}", msg.as_ref());
         }
     }
 }
@@ -204,7 +231,7 @@ fn export_trace(args: &Args, ui: &Ui, events: &[TraceEvent]) -> Result<(), Strin
 fn load_graph(args: &Args) -> Result<Csr, String> {
     let path = args.require("graph")?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    if args.text {
+    if args.on("text") {
         let el = io::read_edge_list(BufReader::new(&bytes[..]), 0)
             .map_err(|e| format!("{path}: {e}"))?;
         Ok(Csr::from_edge_list(&el))
@@ -240,12 +267,12 @@ fn resilience_from_args(args: &Args, spill: Option<String>) -> Result<Resilience
         retry,
         deadline_s,
         checkpoint,
-        scrub: if args.scrub {
+        scrub: if args.on("scrub") {
             ScrubPolicy::every_level()
         } else {
             ScrubPolicy::Off
         },
-        checksum_transfers: args.checksum,
+        checksum_transfers: args.on("checksum"),
         ..ResilienceConfig::default_runtime()
     };
     config.validate().map_err(|e| e.to_string())?;
@@ -269,7 +296,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     let out = args.require("out")?;
     let cfg = RmatConfig::new(scale, edgefactor).with_seed(seed);
     let mut generator = RmatGenerator::new(cfg);
-    if args.text {
+    if args.on("text") {
         let el = generator.edge_list();
         let mut buf = Vec::new();
         io::write_edge_list(&el, &mut buf).map_err(|e| e.to_string())?;
@@ -278,24 +305,24 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
         let csr = generator.csr();
         std::fs::write(out, io::encode_csr(&csr)).map_err(|e| e.to_string())?;
     }
-    println!("wrote {out} (SCALE {scale}, edgefactor {edgefactor}, seed {seed:#x})");
+    outln!("wrote {out} (SCALE {scale}, edgefactor {edgefactor}, seed {seed:#x})");
     Ok(())
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {
     let g = load_graph(args)?;
     let s = GraphStats::unknown(&g);
-    println!("vertices:        {}", g.num_vertices());
-    println!("edges:           {}", g.num_edges());
-    println!("average degree:  {:.2}", s.average_degree());
-    println!("isolated:        {}", stats::isolated_count(&g));
+    outln!("vertices:        {}", g.num_vertices());
+    outln!("edges:           {}", g.num_edges());
+    outln!("average degree:  {:.2}", s.average_degree());
+    outln!("isolated:        {}", stats::isolated_count(&g));
     if let Some((hub, deg)) = stats::max_degree_vertex(&g) {
-        println!("max degree:      {deg} (vertex {hub})");
+        outln!("max degree:      {deg} (vertex {hub})");
     }
     let comps = components::connected_components(&g);
-    println!("components:      {}", comps.count());
+    outln!("components:      {}", comps.count());
     if let Some(giant) = comps.largest() {
-        println!("largest comp.:   {} vertices", comps.sizes[giant as usize]);
+        outln!("largest comp.:   {} vertices", comps.sizes[giant as usize]);
     }
     Ok(())
 }
@@ -312,85 +339,6 @@ fn fingerprint(out: &xbfs_engine::BfsOutput) -> u64 {
     h
 }
 
-/// Parse `--sources a,b,c` into validated vertex ids.
-fn parse_sources(list: &str, g: &Csr) -> Result<Vec<u32>, String> {
-    let mut sources = Vec::new();
-    for part in list.split(',') {
-        let part = part.trim();
-        let s: u32 = part
-            .parse()
-            .map_err(|_| format!("--sources: cannot parse '{part}'"))?;
-        if s >= g.num_vertices() {
-            return Err(format!("--sources: vertex {s} out of range"));
-        }
-        sources.push(s);
-    }
-    if sources.is_empty() {
-        return Err("--sources needs at least one vertex".to_string());
-    }
-    Ok(sources)
-}
-
-/// `bfs --sources a,b,c`: one lane-packed multi-source batch through the
-/// parallel engine, with a per-source summary and output fingerprint.
-fn cmd_bfs_multi(args: &Args, ui: &Ui, g: &Csr, sources: &[u32]) -> Result<(), String> {
-    if args.scrub {
-        return Err("--scrub drives the single-source stepping engine; drop --sources".into());
-    }
-    let threads: usize = args.parse_num("threads")?.unwrap_or(1);
-    if threads == 0 {
-        return Err(XbfsError::InvalidArgument {
-            what: "--threads must be at least 1, got 0".to_string(),
-        }
-        .to_string());
-    }
-    let policy_name = args.get("policy").unwrap_or("hybrid");
-    if matches!(
-        PolicyMode::parse(policy_name),
-        Some(PolicyMode::Online { .. })
-    ) {
-        return Err(
-            "--policy online drives the single-source stepping engine; drop --sources".into(),
-        );
-    }
-    let mut policy: Box<dyn SwitchPolicy> = match policy_name {
-        "td" => Box::new(AlwaysTopDown),
-        "bu" => Box::new(AlwaysBottomUp),
-        "hybrid" | "offline" => Box::new(FixedMN::new(14.0, 24.0)),
-        "model" => Box::new(CostModelPolicy::new(ArchSpec::cpu_sandy_bridge())),
-        other => return Err(format!("unknown policy '{other}'")),
-    };
-    let tracing = args.get("trace-out").is_some() || args.get("metrics-out").is_some();
-    let sink = ShardedSink::new();
-    let start = std::time::Instant::now();
-    let lanes = if tracing {
-        par::run_multi_traced(g, sources, policy.as_mut(), threads, &sink)
-    } else {
-        par::run_multi(g, sources, policy.as_mut(), threads)
-    }
-    .map_err(|e| e.to_string())?;
-    let secs = start.elapsed().as_secs_f64();
-    ui.say(format!(
-        "batched BFS over {} lane(s) ({policy_name}, {threads} thread(s)): {:.3} ms",
-        lanes.len(),
-        secs * 1e3,
-    ));
-    for (lane, t) in lanes.iter().enumerate() {
-        validate(g, &t.output).map_err(|e| format!("lane {lane} validation failed: {e}"))?;
-        ui.say(format!(
-            "  lane {lane} source {}: {} vertices in {} levels, {} edges examined, \
-             checksum {:#018x}",
-            t.output.source,
-            t.output.visited_count(),
-            t.depth(),
-            t.total_edges_examined(),
-            fingerprint(&t.output),
-        ));
-    }
-    export_trace(args, ui, &sink.events())?;
-    Ok(())
-}
-
 /// `bfs --policy online[:SEED]`: per-level bandit direction choice on the
 /// single-threaded stepping engine. Each level the bandit picks an arm
 /// for the current feature bin and is rewarded with the simulated CPU
@@ -403,7 +351,7 @@ fn cmd_bfs_online(args: &Args, ui: &Ui, g: &Csr, src: u32, seed: u64) -> Result<
             "--policy online drives the single-threaded stepping engine; drop --threads".into(),
         );
     }
-    if args.scrub {
+    if args.on("scrub") {
         return Err("--policy online and --scrub both drive the stepping engine; pick one".into());
     }
     let arch = ArchSpec::cpu_sandy_bridge();
@@ -457,7 +405,7 @@ fn cmd_bfs_online(args: &Args, ui: &Ui, g: &Csr, src: u32, seed: u64) -> Result<
         sim_s * 1e3,
         secs * 1e3,
     ));
-    if args.checksum {
+    if args.on("checksum") {
         ui.say(format!("checksum {:#018x}", fingerprint(&t.output)));
     }
     ui.say(format!(
@@ -474,13 +422,6 @@ fn cmd_bfs_online(args: &Args, ui: &Ui, g: &Csr, src: u32, seed: u64) -> Result<
 fn cmd_bfs(args: &Args) -> Result<(), String> {
     let ui = Ui::new(args);
     let g = load_graph(args)?;
-    if let Some(list) = args.get("sources") {
-        if args.get("source").is_some() {
-            return Err("--source and --sources are mutually exclusive".into());
-        }
-        let sources = parse_sources(list, &g)?;
-        return cmd_bfs_multi(args, &ui, &g, &sources);
-    }
     let src = source_for(args, &g)?;
     let threads: usize = args.parse_num("threads")?.unwrap_or(1);
     if threads == 0 {
@@ -510,7 +451,7 @@ fn cmd_bfs(args: &Args) -> Result<(), String> {
     // go through the sharded (seq-ordered) sink.
     let sink = ShardedSink::new();
     let start = std::time::Instant::now();
-    let t = if args.scrub {
+    let t = if args.on("scrub") {
         // Scrubbed runs drive the stepping engine so the invariant audit
         // can run between levels — single-threaded by construction.
         if threads > 1 {
@@ -540,14 +481,14 @@ fn cmd_bfs(args: &Args) -> Result<(), String> {
     };
     let secs = start.elapsed().as_secs_f64();
     validate(&g, &t.output).map_err(|e| format!("validation failed: {e}"))?;
-    if args.scrub {
+    if args.on("scrub") {
         ui.say(format!(
             "scrub: {} level boundar{} audited clean",
             t.levels.len(),
             if t.levels.len() == 1 { "y" } else { "ies" },
         ));
     }
-    if args.checksum {
+    if args.on("checksum") {
         // A stable fingerprint of the parent and level maps: compare it
         // across runs or machines to spot silent corruption on real
         // hardware (simulated transfer checksums live under `adaptive`).
@@ -583,9 +524,9 @@ fn cmd_stcon(args: &Args) -> Result<(), String> {
     }
     match stcon::st_connectivity(&g, a, b) {
         stcon::StResult::Connected { distance } => {
-            println!("{a} and {b} are connected: shortest path {distance} edge(s)")
+            outln!("{a} and {b} are connected: shortest path {distance} edge(s)")
         }
-        stcon::StResult::Disconnected => println!("{a} and {b} are not connected"),
+        stcon::StResult::Disconnected => outln!("{a} and {b} are not connected"),
     }
     Ok(())
 }
@@ -595,7 +536,7 @@ fn cmd_components(args: &Args) -> Result<(), String> {
     let comps = components::connected_components(&g);
     let mut sizes = comps.sizes.clone();
     sizes.sort_unstable_by(|a, b| b.cmp(a));
-    println!(
+    outln!(
         "{} component(s); sizes (desc, top 10): {:?}",
         comps.count(),
         &sizes[..sizes.len().min(10)]
@@ -1192,34 +1133,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("{}: {e}", bench_path.display()))?;
     ui.say(format!("wrote {}", bench_path.display()));
 
-    if args.threads_scaling {
-        // Wall-clock thread scaling: informational only, written as its
-        // own artifact and never read by the deterministic --compare gate
-        // below.
-        ui.say(format!(
-            "running threaded-scaling sweep (work-stealing engine at {:?} threads)…",
-            perf::SCALING_THREADS
-        ));
-        let scaling = perf::run_threaded_scaling(&preset);
-        for case in &scaling.cases {
-            ui.say(format!(
-                "  {} thread(s): {:8.3} ms wall, {:.3e} TEPS, speedup {:.2}x",
-                case.threads,
-                case.wall_seconds * 1e3,
-                case.teps,
-                case.speedup,
-            ));
-        }
-        let scaling_path = bench_dir.join("SCALING.json");
-        std::fs::write(&scaling_path, scaling.to_json())
-            .map_err(|e| format!("{}: {e}", scaling_path.display()))?;
-        ui.say(format!(
-            "wrote {} (informational; excluded from the perf gate)",
-            scaling_path.display()
-        ));
-    }
-
-    if args.batched {
+    if args.on("batched") {
         // Simulated-clock batch amortization sweep: deterministic, but
         // its case set is not in the committed baseline, so it lives in
         // its own artifact that the --compare gate below never reads.
@@ -1386,7 +1300,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
 
     let start = f(&windows[0], "start_s");
     let end = f(windows.last().expect("non-empty"), "end_s");
-    println!(
+    outln!(
         "telemetry report: {} window(s), {start:.3} s – {end:.3} s",
         windows.len()
     );
@@ -1397,18 +1311,25 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         .map(|w| u(w, "queue_depth_peak"))
         .max()
         .unwrap_or(0);
-    println!(
+    outln!(
         "queue depth: {} (mean per window, peak {peak})",
         sparkline(&depths)
     );
 
-    println!();
-    println!(
+    outln!();
+    outln!(
         "{:>6} {:>13} {:>9} {:>9} {:>9} {:>8} {:>7} {:>9}",
-        "window", "span (s)", "admit/s", "shed/s", "done/s", "q mean", "q peak", "busy mean"
+        "window",
+        "span (s)",
+        "admit/s",
+        "shed/s",
+        "done/s",
+        "q mean",
+        "q peak",
+        "busy mean"
     );
     for w in &windows {
-        println!(
+        outln!(
             "{:>6} {:>6.3}–{:>6.3} {:>9.2} {:>9.2} {:>9.2} {:>8.2} {:>7} {:>9.2}",
             u(w, "index"),
             f(w, "start_s"),
@@ -1422,13 +1343,18 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         );
     }
 
-    println!();
-    println!(
+    outln!();
+    outln!(
         "{:>6} {:>9} {:>10} {:>10} {:>10} {:>12}",
-        "window", "completed", "p50 (s)", "p95 (s)", "p99 (s)", "wait p95 (s)"
+        "window",
+        "completed",
+        "p50 (s)",
+        "p95 (s)",
+        "p99 (s)",
+        "wait p95 (s)"
     );
     for w in &windows {
-        println!(
+        outln!(
             "{:>6} {:>9} {:>10} {:>10} {:>10} {:>12}",
             u(w, "index"),
             u(w, "completed"),
@@ -1439,13 +1365,13 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         );
     }
 
-    println!();
+    outln!();
     match &slo {
-        None => println!("SLO: not configured"),
+        None => outln!("SLO: not configured"),
         Some(s) => {
             let policy = s.get("policy").cloned().unwrap_or(serde_json::Value::Null);
             let met = s.get("met").and_then(|v| v.as_bool()).unwrap_or(false);
-            println!(
+            outln!(
                 "SLO verdict: {} — deadline hit {:.4} (target {}), latency hit {:.4} \
                  (target {}, objective {} s)",
                 if met { "MET" } else { "VIOLATED" },
@@ -1465,7 +1391,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
                 if let (Some((di, db)), Some((li, lb))) =
                     (worst("deadline_burn"), worst("latency_burn"))
                 {
-                    println!(
+                    outln!(
                         "peak burn: deadline {db:.2}x (window {di}), \
                          latency {lb:.2}x (window {li})"
                     );
@@ -1481,7 +1407,7 @@ usage: xbfs-cli <command> [flags]
 commands:
   gen        --scale S [--edgefactor E] [--seed X] --out FILE [--text]
   info       --graph FILE [--text]
-  bfs        --graph FILE [--source V | --sources a,b,c]
+  bfs        --graph FILE [--source V]
              [--policy td|bu|hybrid|model|offline|online[:SEED]]
              [--threads T] [--scrub] [--checksum]
              [--trace-out T.json] [--metrics-out M.prom] [--quiet] [--text]
@@ -1506,7 +1432,7 @@ commands:
              [--quiet] [--text]
   bench      [--preset scaled|paper] [--compare BASELINE.json] [--tolerance REL]
              [--bench-dir DIR] [--baseline FILE] [--fault-plan OVERLAY.json]
-             [--report-json R.json] [--threads-scaling] [--batched] [--policy]
+             [--report-json R.json] [--batched] [--policy]
              [--quiet]
   report     --timeseries TS.jsonl
 
@@ -1525,12 +1451,6 @@ level boundary, rolling the rung back to its last trusted checkpoint on a
 hit; bfs --scrub runs the same audit on the real engine, and bfs
 --checksum prints a stable output fingerprint to compare across runs.
 
-bfs --sources a,b,c runs up to 64 BFS traversals as one lane-packed batch
-through the parallel engine (one u64 word carries every lane's frontier
-bit) and prints a per-source summary plus a stable FNV-1a output checksum
-per lane — compare the checksums against solo runs to prove lane
-isolation.
-
 --trace-out records the run as chrome://tracing JSON (load the file at
 https://ui.perfetto.dev); --metrics-out writes Prometheus text-format
 counters keyed by device, rung, and direction. Both accept '-' for stdout;
@@ -1547,9 +1467,10 @@ counts queue wait against each synthetic request. --chaos-dir mixes the
 committed fault plans into every --chaos-every-th query (default 4).
 --batch-window W (default 0 = off) turns on the batching stage: whenever
 a slot frees, up to W compatible queued queries (fault-free; --batch-lanes
-caps the word, default 64) run as one lane-packed BatchSession occupying a
-single slot, with per-query deadlines still settled individually at the
-batch completion instant.
+caps the batch, default 64) run as one BatchSession occupying a single
+slot, with per-query deadlines still settled individually at the batch
+completion instant. Batching amortizes the simulated clock only: each
+lane still costs the CPU time of a solo query.
 
 serve telemetry (all off by default, all on the simulated clock — the
 same seeded run replays byte-for-byte): --snapshot-every S closes a
@@ -1580,14 +1501,10 @@ nonzero naming every metric that regressed beyond --tolerance (default
 change). --fault-plan replaces the fault-free half with an overlay plan —
 the hook for proving the gate trips. Set UPDATE_BASELINE=1 to rewrite
 --baseline (default bench/baseline.json) instead, mirroring UPDATE_GOLDEN
-for golden traces. --threads-scaling additionally measures the
-work-stealing parallel engine at 1/2/4/8 threads on one skewed graph and
-writes the wall-clock results to SCALING.json in --bench-dir; those
-numbers are informational and never part of the deterministic gate.
---batched prices a 2/4/8-lane BatchSession against the same sources run
+for golden traces. --batched prices a 2/4/8-lane BatchSession against the same sources run
 solo and writes the simulated-clock amortization curve to BATCHED.json in
 --bench-dir — deterministic, but its case set is absent from the
-committed baseline, so it too stays out of the --compare gate.
+committed baseline, so it stays out of the --compare gate.
 
 --policy offline|online[:SEED] selects the per-level placement policy:
 offline (the default) is the paper's fixed (M, N) pipeline, byte-identical
@@ -1600,8 +1517,8 @@ both in simulated order, so a seeded stream replays byte-for-byte. bfs
 --policy online[:SEED] runs the same bandit restricted to the raw CPU
 engine's direction choice. bench --policy writes an informational
 POLICY.json (offline vs online vs oracle regret per query cohort, on
-R-MAT plus road-like and small-world generators); like SCALING/BATCHED
-it never joins the --compare gate.";
+R-MAT plus road-like and small-world generators); like BATCHED it never
+joins the --compare gate.";
 
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
@@ -1609,34 +1526,75 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let args = match Args::parse(argv) {
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        outln!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(&(_, run, accepted)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        eprintln!("error: unknown command '{command}'");
+        return ExitCode::FAILURE;
+    };
+    let args = match Args::parse(&command, accepted, argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let result = match command.as_str() {
-        "gen" => cmd_gen(&args),
-        "info" => cmd_info(&args),
-        "bfs" => cmd_bfs(&args),
-        "stcon" => cmd_stcon(&args),
-        "components" => cmd_components(&args),
-        "adaptive" => cmd_adaptive(&args),
-        "serve" => cmd_serve(&args),
-        "bench" => cmd_bench(&args),
-        "report" => cmd_report(&args),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        other => Err(format!("unknown command '{other}'")),
-    };
-    match result {
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The flags USAGE names for each command, from its synopsis block
+    /// (the lines between `commands:` and the first blank line).
+    fn usage_flags() -> Vec<(String, Vec<String>)> {
+        let synopsis = USAGE
+            .split("commands:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .expect("USAGE has a commands block");
+        let mut blocks: Vec<(String, Vec<String>)> = Vec::new();
+        for line in synopsis.lines() {
+            let body = line.strip_prefix("  ").expect("indented synopsis line");
+            if !body.starts_with(' ') {
+                let name = body.split_whitespace().next().expect("command name");
+                blocks.push((name.to_string(), Vec::new()));
+            }
+            let flags = &mut blocks.last_mut().expect("a command line first").1;
+            for part in body.split("--").skip(1) {
+                let flag: String = part
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                    .collect();
+                if !flag.is_empty() && !flags.contains(&flag) {
+                    flags.push(flag);
+                }
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn accepted_flags_match_usage() {
+        let usage = usage_flags();
+        let names: Vec<&str> = usage.iter().map(|(name, _)| name.as_str()).collect();
+        let commands: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
+        assert_eq!(names, commands);
+        for ((name, named), (_, _, accepted)) in usage.iter().zip(COMMANDS) {
+            let mut named: Vec<&str> = named.iter().map(String::as_str).collect();
+            let mut accepted: Vec<&str> = accepted.split_whitespace().collect();
+            named.sort_unstable();
+            accepted.sort_unstable();
+            assert_eq!(named, accepted, "{name}: USAGE and COMMANDS disagree");
         }
     }
 }

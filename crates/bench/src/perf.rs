@@ -28,7 +28,7 @@ use xbfs_core::{
 };
 use xbfs_engine::metrics::{harmonic_mean_teps, Teps};
 use xbfs_engine::trace::analysis::critical_path;
-use xbfs_engine::{hybrid, par, reference, FixedMN, MemorySink};
+use xbfs_engine::{reference, MemorySink};
 use xbfs_graph::{gen, Csr};
 
 /// Version of the `BENCH_<n>.json` schema; bumped on breaking changes so
@@ -255,115 +255,6 @@ fn run_case(
     }
 }
 
-/// Thread counts the threaded-scaling sweep measures (the paper's Fig. 10
-/// axis, truncated to what a laptop plausibly has).
-pub const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// The paper SCALE the scaling sweep runs at (mapped through the preset) —
-/// the skewed R-MAT instance whose hubs the work-stealing scheduler exists
-/// to balance.
-pub const SCALING_PAPER_SCALE: u32 = 21;
-
-/// One thread count's measurement of the scaling sweep.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ScalingCase {
-    /// Threads the traversal ran on.
-    pub threads: usize,
-    /// Measured wall-clock seconds for the traversal (nondeterministic —
-    /// informational only, never gated).
-    pub wall_seconds: f64,
-    /// Traversed edges per wall-clock second.
-    pub teps: f64,
-    /// Speedup relative to the single-thread run.
-    pub speedup: f64,
-}
-
-/// The wall-clock threaded-scaling sweep of the work-stealing engine at
-/// [`SCALING_THREADS`] on one skewed suite graph.
-///
-/// Every metric here is *measured wall time* and therefore
-/// nondeterministic; the sweep is recorded as an informational artifact
-/// (`SCALING.json`) and deliberately excluded from the deterministic
-/// perf gate ([`compare`] never reads it).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ScalingReport {
-    /// Preset the sweep ran under.
-    pub preset: String,
-    /// Generated graph SCALE (after the preset's shift).
-    pub scale: u32,
-    /// Generated graph edgefactor.
-    pub edgefactor: u32,
-    /// BFS source vertex.
-    pub source: u32,
-    /// Undirected edges in the traversed component (TEPS numerator).
-    pub component_edges: u64,
-    /// Every measurement, in [`SCALING_THREADS`] order.
-    pub cases: Vec<ScalingCase>,
-}
-
-impl ScalingReport {
-    /// Serialize to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("scaling report serializes")
-    }
-
-    /// Parse from JSON.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| format!("scaling report parse error: {e:?}"))
-    }
-}
-
-/// Run the threaded-scaling sweep under `preset` at the default
-/// [`SCALING_PAPER_SCALE`].
-///
-/// # Panics
-/// Panics if any parallel run's level map disagrees with the sequential
-/// hybrid engine — schedule-independence of the level map is a hard
-/// engine invariant, not a tunable.
-pub fn run_threaded_scaling(preset: &Preset) -> ScalingReport {
-    run_threaded_scaling_at(preset, SCALING_PAPER_SCALE)
-}
-
-/// [`run_threaded_scaling`] at an explicit paper SCALE (tests use a
-/// smaller instance).
-pub fn run_threaded_scaling_at(preset: &Preset, paper_scale: u32) -> ScalingReport {
-    let scale = preset.scale(paper_scale);
-    let ef = SUITE_EDGEFACTOR;
-    let g = crate::experiments::graph(scale, ef);
-    let src = crate::experiments::source(&g, scale, ef);
-
-    let reference_run = hybrid::run(&g, src, &mut FixedMN::new(14.0, 24.0));
-    let component_edges = reference::component_edges(&g, &reference_run.output);
-
-    let mut cases = Vec::new();
-    let mut one_thread_s = None;
-    for threads in SCALING_THREADS {
-        let mut policy = FixedMN::new(14.0, 24.0);
-        let started = Instant::now();
-        let t = par::run(&g, src, &mut policy, threads);
-        let wall_seconds = started.elapsed().as_secs_f64();
-        assert_eq!(
-            t.output.levels, reference_run.output.levels,
-            "{threads} threads diverged from the sequential level map"
-        );
-        let base = *one_thread_s.get_or_insert(wall_seconds);
-        cases.push(ScalingCase {
-            threads,
-            wall_seconds,
-            teps: Teps::new(component_edges, wall_seconds).teps(),
-            speedup: base / wall_seconds,
-        });
-    }
-    ScalingReport {
-        preset: preset.name.to_string(),
-        scale,
-        edgefactor: ef,
-        source: src,
-        component_edges,
-        cases,
-    }
-}
-
 /// Lane counts the batched sweep prices — powers of two up to an
 /// eighth-full u64 word keep the sweep quick while still showing the
 /// amortization curve.
@@ -396,8 +287,8 @@ pub struct BatchedCase {
 /// Every metric here lives on the simulated clock and is deterministic,
 /// but the case set is not in the committed baseline and [`compare`]
 /// rejects cases absent from it — so the sweep is recorded as its own
-/// informational artifact (`BATCHED.json`, following the `SCALING.json`
-/// precedent) rather than folded into `BENCH_<n>.json`.
+/// informational artifact (`BATCHED.json`) rather than folded into
+/// `BENCH_<n>.json`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BatchedReport {
     /// Preset the sweep ran under.
@@ -585,11 +476,10 @@ impl PolicyFamilyCase {
 /// across queries exactly like the service's capacity-1 admission order.
 ///
 /// Every metric lives on the simulated clock and the stream is fully
-/// seeded, so the report is deterministic — but like `SCALING.json` and
-/// `BATCHED.json` it is recorded as an informational artifact
-/// (`POLICY.json`) and deliberately excluded from the perf gate
-/// ([`compare`] never reads it): its point is the offline/online *trend*,
-/// not a pinned number.
+/// seeded, so the report is deterministic — but like `BATCHED.json` it
+/// is recorded as an informational artifact (`POLICY.json`) and
+/// deliberately excluded from the perf gate ([`compare`] never reads it):
+/// its point is the offline/online *trend*, not a pinned number.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PolicyReport {
     /// Preset the sweep ran under.
@@ -1057,25 +947,6 @@ mod tests {
         std::fs::write(dir.join("BENCH_x.json"), "{}").unwrap();
         assert!(next_bench_path(&dir).ends_with("BENCH_8.json"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn threaded_scaling_sweep_covers_every_thread_count_and_round_trips() {
-        // A small paper scale keeps this fast; the sweep itself asserts
-        // level-map identity against the sequential engine internally.
-        let report = run_threaded_scaling_at(&Preset::scaled(), 13);
-        let threads: Vec<usize> = report.cases.iter().map(|c| c.threads).collect();
-        assert_eq!(threads, SCALING_THREADS.to_vec());
-        for case in &report.cases {
-            assert!(case.wall_seconds > 0.0);
-            assert!(case.teps > 0.0);
-            assert!(case.speedup > 0.0);
-            if case.threads == 1 {
-                assert!((case.speedup - 1.0).abs() < 1e-12);
-            }
-        }
-        let parsed = ScalingReport::from_json(&report.to_json()).expect("parse back");
-        assert_eq!(parsed, report);
     }
 
     #[test]

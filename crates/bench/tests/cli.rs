@@ -1,7 +1,8 @@
 //! End-to-end tests of the `xbfs-cli` binary.
 
+use std::io::Write;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_xbfs-cli"))
@@ -125,6 +126,78 @@ fn errors_are_clean() {
         .unwrap();
     assert!(!out.status.success());
     std::fs::remove_file(bad).ok();
+}
+
+#[test]
+fn flags_a_command_does_not_take_fail_before_any_work() {
+    let graph = tmpfile("unknown-flags.xbfs");
+    stdout_of(cli().args(["gen", "--scale", "9", "--out", graph.to_str().unwrap()]));
+    let graph = graph.to_str().unwrap();
+    for (argv, flag) in [
+        (
+            vec!["bfs", "--graph", graph, "--sources", "0,1"],
+            "--sources",
+        ),
+        (vec!["bfs", "--graph", graph, "--sourc", "5"], "--sourc"),
+        (
+            vec!["adaptive", "--graph", graph, "--checkpoint-intervals", "2"],
+            "--checkpoint-intervals",
+        ),
+    ] {
+        let out = cli().args(&argv).output().unwrap();
+        assert!(!out.status.success(), "{argv:?} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("does not take {flag}")),
+            "{argv:?}: {stderr}"
+        );
+        // Rejected before any work: no traversal, no training narration.
+        assert!(out.stdout.is_empty(), "{argv:?} ran anyway");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_file(graph).ok();
+}
+
+#[test]
+fn a_closed_stdout_ends_the_narration_not_the_command() {
+    // `report --timeseries -` reads its whole stream from stdin before it
+    // prints, so closing stdout's read end first makes every line of the
+    // dashboard hit a broken pipe.
+    let stream = concat!(
+        r#"{"kind":"window","index":0,"start_s":0.0,"end_s":0.5,"queue_depth_mean":1.0,"queue_depth_peak":3,"in_flight_mean":1.0,"in_flight_peak":1,"admitted":2,"shed":0,"completed":2,"deadline_missed":0,"deadline_shed":0,"latency_slo_missed":0,"admit_rate_hz":4.0,"shed_rate_hz":0.0,"complete_rate_hz":4.0,"batch_dispatches":0,"batch_lanes":0,"corruption_detected":0,"corruption_repaired":0,"latency":{"count":2,"sum_s":0.1,"p50_s":0.05,"p95_s":0.05,"p99_s":0.05},"queue_wait":{"count":2,"sum_s":0.0,"p50_s":0.0,"p95_s":0.0,"p99_s":0.0}}"#,
+        "\n",
+    );
+    let mut child = cli()
+        .args(["report", "--timeseries", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(stream.as_bytes()).unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "report failed: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // A command that writes a file still writes it, and still exits 0.
+    let graph = tmpfile("closed-stdout.xbfs");
+    let mut child = cli()
+        .args(["gen", "--scale", "9", "--out", graph.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "gen failed: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(graph.exists(), "gen must still write its graph");
+    std::fs::remove_file(graph).ok();
 }
 
 #[test]
@@ -305,21 +378,9 @@ fn bench_compare_against_committed_baseline_passes() {
         baseline,
         "--bench-dir",
         bench_dir.to_str().unwrap(),
-        "--threads-scaling",
     ]));
     let narration = String::from_utf8_lossy(&out.stdout);
     assert!(narration.contains("perf gate passed"), "{narration}");
-    assert!(narration.contains("work-stealing"), "{narration}");
-
-    // The scaling sweep writes its own informational artifact; it is not
-    // part of the BenchReport schema, so the deterministic gate above
-    // passed against the unchanged committed baseline.
-    let scaling_path = bench_dir.join("SCALING.json");
-    let scaling_text = std::fs::read_to_string(&scaling_path).expect("SCALING.json written");
-    let scaling =
-        xbfs_bench::perf::ScalingReport::from_json(&scaling_text).expect("scaling parses");
-    assert_eq!(scaling.cases.len(), xbfs_bench::perf::SCALING_THREADS.len());
-    assert!(scaling.cases.iter().all(|c| c.wall_seconds > 0.0));
 
     // The run leaves a versioned snapshot behind.
     let snapshot = bench_dir.join("BENCH_1.json");

@@ -79,4 +79,4 @@ pub use service::{
     QueryRequestBuilder, QueryService, QueryTrace, ScheduleItem, ServiceConfig, ServiceReport,
     TraceSamplePolicy,
 };
-pub use session::{BatchRun, BatchSession, LaneRun, RunSession};
+pub use session::{BatchRun, BatchSession, LaneRun, RunSession, MAX_LANES};

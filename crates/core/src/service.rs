@@ -51,12 +51,12 @@ use crate::observe::trace_event_json;
 use crate::policy_online::{Observation, PolicyMode, PolicyRun, SharedPolicy};
 use crate::recovery::{RecoveredRun, ResilienceConfig, Rung};
 use crate::runtime::AdaptiveRuntime;
-use crate::session::{BatchSession, RunSession};
+use crate::session::{BatchSession, RunSession, MAX_LANES};
 use serde::{Deserialize, Serialize};
 use xbfs_archsim::{ArchSpec, FaultPlan, Link};
 use xbfs_engine::par::payload_to_string;
 use xbfs_engine::trace::{MemorySink, RingSink, SamplingSink, TeeSink, TraceEvent, TraceSink};
-use xbfs_engine::{XbfsError, MAX_LANES};
+use xbfs_engine::XbfsError;
 use xbfs_graph::{Csr, GraphStats, VertexId};
 
 /// One query submitted to the service.
@@ -201,9 +201,9 @@ pub enum DrainMode {
     Cancel,
 }
 
-/// Which queued queries may share a batch word. Batches always exclude
-/// queries with fault plans: lane-packed lockstep execution has no
-/// per-lane recovery ladder, so a faulty query would poison its word.
+/// Which queued queries may share a batch. Batches always exclude
+/// queries with fault plans: lockstep execution has no per-lane recovery
+/// ladder, so a faulty query would poison its batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BatchCompat {
     /// Any fault-free query joins, deadline or not; per-lane deadlines
@@ -235,9 +235,9 @@ pub struct BatchPolicy {
     /// Most queries collected per dispatch; `0` or `1` disables batching
     /// (every query runs solo, exactly the pre-batching service).
     pub window: u32,
-    /// Hard lane bound per batch (≤ 64, the `u64` word width).
+    /// Hard lane bound per batch (≤ [`MAX_LANES`]).
     pub max_lanes: u32,
-    /// Which queued queries are allowed to share a word.
+    /// Which queued queries are allowed to share a batch.
     pub compat: BatchCompat,
 }
 

@@ -1,6 +1,6 @@
 //! [`RunSession`] — the one composable entry point to resilient
 //! cross-architecture execution — and [`BatchSession`], its multi-source
-//! sibling that serves up to 64 lane-packed traversals per batch.
+//! sibling that steps up to [`MAX_LANES`] traversals in lockstep.
 //!
 //! Every resilient run starts from this builder — the CLI, the
 //! experiments and the query service, which builds one session per
@@ -39,7 +39,7 @@ use crate::recovery::{
 use crate::runtime::AdaptiveRuntime;
 use xbfs_archsim::{cost, ArchSpec, FaultPlan, Link};
 use xbfs_engine::trace::{TraceEvent, TraceSink, NULL_SINK};
-use xbfs_engine::{validate, TraversalState, XbfsError, MAX_LANES};
+use xbfs_engine::{validate, TraversalState, XbfsError};
 use xbfs_graph::{Csr, GraphStats, VertexId};
 
 /// Where the devices and switch parameters come from.
@@ -244,7 +244,7 @@ impl<'a> RunSession<'a> {
 /// per-lane report, exactly what a solo [`RunSession`] would have produced.
 #[derive(Clone, Debug)]
 pub struct LaneRun {
-    /// Zero-based lane index within the batch word.
+    /// Zero-based lane index within the batch.
     pub lane: u32,
     /// BFS source vertex of the lane.
     pub source: VertexId,
@@ -265,19 +265,27 @@ pub struct BatchRun {
     pub total_seconds: f64,
 }
 
-/// The batched sibling of [`RunSession`]: up to 64 sources traverse the
-/// graph as one lane-packed batch on the simulated platform.
+/// Most sources one [`BatchSession`] carries; the service's
+/// [`BatchPolicy::max_lanes`](crate::BatchPolicy::max_lanes) is bounded by
+/// it too.
+pub const MAX_LANES: usize = 64;
+
+/// The batched sibling of [`RunSession`]: up to [`MAX_LANES`] sources
+/// traverse the graph as one batch on the simulated platform.
 ///
 /// The lanes advance in *lockstep rounds*. Each round makes one
 /// cross-combination placement decision per lane (the same Algorithm 3
 /// latch a solo run would make, driven by the lane's own frontier), then
 /// charges the simulated clock **once per placement group**: lanes that
 /// share a sweep direction and device this round cost the batch only the
-/// slowest lane's level time, because a lane-packed kernel serves the
-/// whole `u64` word in one sweep ([`xbfs_engine::run_multi`] is the
-/// real-hardware counterpart). Lanes handing off CPU→GPU in the same
-/// round likewise share one link transfer. That is the amortization that
-/// makes a k-query burst cost ~one traversal instead of k.
+/// slowest lane's level time, as if one lane-packed kernel served them
+/// all in one sweep. Lanes handing off CPU→GPU in the same round likewise
+/// share one link transfer. That is the amortization that makes a k-query
+/// burst cost ~one traversal instead of k.
+///
+/// Batching amortizes only the simulated clock. On the host, each lane
+/// runs the solo stepping engine and is validated on its own, so a lane
+/// costs the CPU time of a solo session.
 ///
 /// Per-lane *results* are exactly the solo results: each lane's parents,
 /// levels, and [`LevelRecord`](xbfs_engine::LevelRecord)s are produced by

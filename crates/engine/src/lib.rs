@@ -50,7 +50,6 @@ pub mod validate;
 
 pub use error::XbfsError;
 pub use hybrid::TraversalState;
-pub use par::{run_multi, run_multi_traced, MAX_LANES};
 pub use policy::{AlwaysBottomUp, AlwaysTopDown, Direction, FixedMN, SwitchContext, SwitchPolicy};
 pub use scrub::{ScrubPolicy, Scrubber};
 pub use stats::{LevelRecord, Traversal};

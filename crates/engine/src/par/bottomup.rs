@@ -16,11 +16,9 @@
 //! vertex from the CQ as its parent", §II-A). The stepping engine feeds it
 //! the whole vertex range as one chunk.
 
-use super::multi::MultiParState;
-use super::pool::{LevelOutcome, Partial};
+use super::pool::LevelOutcome;
 use super::TreeMaps;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use xbfs_graph::{AtomicBitmap, Csr, VertexId};
 
 /// Scan one contiguous vertex range, accumulating into `out`.
@@ -47,57 +45,6 @@ pub(crate) fn chunk(
                 maps.adopt(v, u, next_level);
                 out.discover(v, csr.degree(v));
                 break;
-            }
-        }
-    }
-}
-
-/// Scan one contiguous vertex range of a lane-packed multi-source
-/// bottom-up level: ONE union sweep serves every active lane at once.
-///
-/// Per vertex, `pending` holds the active lanes that have not visited it;
-/// each neighbor probe charges every still-pending lane one examined edge
-/// (exactly what each lane's solo sequential scan would charge), and a
-/// frontier word hit adopts the vertex into every matching pending lane
-/// simultaneously. Adoption depends only on frontier *membership* and
-/// adjacency order — both lane-local — so per-lane parents are identical
-/// to each lane's solo bottom-up sweep at any thread count.
-pub(crate) fn multi_chunk(
-    csr: &Csr,
-    state: &MultiParState,
-    frontier_words: &[AtomicU64],
-    active: u64,
-    range: Range<usize>,
-    next_level: u32,
-    out: &mut Partial,
-) {
-    out.ensure_lanes(state.lanes());
-    for v in range {
-        let v = v as VertexId;
-        let mut pending = active & !state.visited_word(v);
-        if pending == 0 {
-            continue;
-        }
-        for &u in csr.neighbors(v) {
-            let mut bits = pending;
-            while bits != 0 {
-                out.lanes[bits.trailing_zeros() as usize].edges_examined += 1;
-                bits &= bits - 1;
-            }
-            let adopt = pending & frontier_words[u as usize].load(Ordering::Relaxed);
-            if adopt != 0 {
-                let degree = csr.degree(v);
-                let mut bits = adopt;
-                while bits != 0 {
-                    let lane = bits.trailing_zeros() as usize;
-                    state.adopt(v, lane, u, next_level);
-                    out.lanes[lane].discover(v, degree);
-                    bits &= bits - 1;
-                }
-                pending &= !adopt;
-                if pending == 0 {
-                    break;
-                }
             }
         }
     }

@@ -10,12 +10,16 @@
 //! it claims, so parent writes need no CAS.
 //!
 //! One **work-stealing** scheduler drives the kernels on threads ([`run`] /
-//! [`run_traced`], and the lane-packed [`run_multi`]): a persistent
-//! worker pool spawned once per traversal; workers claim fixed-size chunks
-//! of the frontier (top-down) or vertex range (bottom-up) off a shared
-//! atomic cursor, so an R-MAT hub cannot serialize a level by landing in
-//! one worker's statically assigned range. EXPERIMENTS.md keeps the last
-//! measurements of the static fork-join scheduler it replaced.
+//! [`run_traced`]): a persistent worker pool spawned once per traversal;
+//! workers claim fixed-size chunks of the frontier (top-down) or vertex
+//! range (bottom-up) off a shared atomic cursor, so an R-MAT hub cannot
+//! serialize a level by landing in one worker's statically assigned range.
+//! EXPERIMENTS.md keeps the last measurements of the static fork-join
+//! scheduler it replaced.
+//!
+//! Every driver traverses one source. A batch of sources
+//! (`xbfs_core::BatchSession`) steps each lane through the stepping
+//! engine on its own.
 //!
 //! Parallel runs may pick different *parents* than sequential runs (the CAS
 //! race is won by an arbitrary frontier vertex) but always produce identical
@@ -30,11 +34,9 @@
 //! [`TraversalState::step`]: crate::TraversalState::step
 
 mod bottomup;
-mod multi;
 mod pool;
 mod topdown;
 
-pub use multi::{run_multi, run_multi_traced, MAX_LANES};
 pub use pool::{parallel_ranges, payload_to_string, try_parallel_ranges};
 
 use crate::{

@@ -1,13 +1,13 @@
 //! Parallel scheduling primitives: the work-stealing [`WorkerPool`] and
 //! the one-shot [`parallel_ranges`] helper.
 //!
-//! * [`WorkerPool`] — the scheduler behind [`super::run`] and
-//!   [`super::run_multi`]: `threads - 1` helper workers are spawned once
-//!   per traversal and parked between levels; each level the driver
-//!   publishes a [`LevelJob`] and every worker (driver included) claims
-//!   fixed-size chunks off a shared atomic cursor until the item space is
-//!   drained. A hub-heavy chunk delays one worker by at most one chunk's
-//!   work instead of serializing a statically assigned range.
+//! * [`WorkerPool`] — the scheduler behind [`super::run`]: `threads - 1`
+//!   helper workers are spawned once per traversal and parked between
+//!   levels; each level the driver publishes a [`LevelJob`] and every
+//!   worker (driver included) claims fixed-size chunks off a shared
+//!   atomic cursor until the item space is drained. A hub-heavy chunk
+//!   delays one worker by at most one chunk's work instead of
+//!   serializing a statically assigned range.
 //! * [`parallel_ranges`] / [`try_parallel_ranges`] — fork-join for
 //!   one-shot jobs (the oracle sweep): split `0..n_items` into at most
 //!   `threads` contiguous ranges, spawn a scoped worker per range, join.
@@ -20,12 +20,11 @@
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, RwLock};
 use std::time::Instant;
 
-use super::multi::MultiParState;
-use super::{bottomup, multi, topdown, ParState};
+use super::{bottomup, topdown, ParState};
 use crate::error::XbfsError;
 use crate::trace::{TraceEvent, TraceSink};
 use xbfs_graph::{AtomicBitmap, Csr, VertexId};
@@ -205,7 +204,7 @@ const BU_CHUNK: usize = 1024;
 const PUBLISH_CHUNK: usize = 4096;
 
 /// What one level produced, as the kernels fold it at discovery time:
-/// one worker's share, one lane's share, or a whole merged level.
+/// one worker's share or a whole merged level.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct LevelOutcome {
     /// Vertices discovered (claimed or adopted), in discovery order.
@@ -240,26 +239,6 @@ impl LevelOutcome {
     }
 }
 
-/// What one worker accumulated over the chunks it claimed in one level.
-#[derive(Debug, Default)]
-pub(crate) struct Partial {
-    /// The worker's share of a single-source level.
-    pub level: LevelOutcome,
-    /// Per-lane shares of a lane-packed multi-source level; empty for
-    /// single-source jobs. Sized lazily by [`Partial::ensure_lanes`].
-    pub lanes: Vec<LevelOutcome>,
-}
-
-impl Partial {
-    /// Size the per-lane shares for a multi-source job. Idempotent.
-    #[inline]
-    pub(crate) fn ensure_lanes(&mut self, lanes: usize) {
-        if self.lanes.len() < lanes {
-            self.lanes.resize_with(lanes, LevelOutcome::default);
-        }
-    }
-}
-
 /// One level's worth of work, owned by the pool's job slot while workers
 /// chew through it.
 pub(crate) enum LevelJob {
@@ -285,44 +264,6 @@ pub(crate) enum LevelJob {
         /// Level the adopted vertices land on.
         next_level: u32,
     },
-    /// Publish up-to-64 per-lane frontiers into one lane-packed `u64`
-    /// bitmap (one word per vertex, one bit per lane).
-    MultiPublish {
-        /// Per-lane frontiers, concatenated by `offsets` into one item
-        /// space (empty lanes contribute nothing).
-        frontiers: Vec<Vec<VertexId>>,
-        /// Prefix sums over the frontier lengths (`lanes + 1` entries).
-        offsets: Vec<usize>,
-        /// The lane-packed words being filled (relaxed `fetch_or`
-        /// publication; read only after the dispatch barrier).
-        words: Arc<Vec<AtomicU64>>,
-    },
-    /// Expand one top-down batch level: each lane's frontier is swept in
-    /// its own order (so `threads == 1` reproduces each lane's sequential
-    /// parents exactly), claiming visited bits in the lane-packed words.
-    MultiTopDown {
-        /// Lane-packed traversal state the claims land in.
-        state: Arc<MultiParState>,
-        /// Per-lane frontiers, concatenated by `offsets`.
-        frontiers: Vec<Vec<VertexId>>,
-        /// Prefix sums over the frontier lengths (`lanes + 1` entries).
-        offsets: Vec<usize>,
-        /// Level the claimed vertices land on.
-        next_level: u32,
-    },
-    /// Expand one bottom-up batch level: a single union sweep over the
-    /// whole vertex range serves every active lane at once — the
-    /// amortization the u64 packing exists for.
-    MultiBottomUp {
-        /// Lane-packed traversal state the adoptions land in.
-        state: Arc<MultiParState>,
-        /// Lane-packed frontier words (read-only during the level).
-        words: Arc<Vec<AtomicU64>>,
-        /// Mask of lanes still traversing this round.
-        active: u64,
-        /// Level the adopted vertices land on.
-        next_level: u32,
-    },
 }
 
 impl LevelJob {
@@ -332,21 +273,16 @@ impl LevelJob {
             LevelJob::Publish { frontier, .. } | LevelJob::TopDown { frontier, .. } => {
                 frontier.len()
             }
-            LevelJob::BottomUp { .. } | LevelJob::MultiBottomUp { .. } => {
-                csr.num_vertices() as usize
-            }
-            LevelJob::MultiPublish { offsets, .. } | LevelJob::MultiTopDown { offsets, .. } => {
-                *offsets.last().expect("offsets never empty")
-            }
+            LevelJob::BottomUp { .. } => csr.num_vertices() as usize,
         }
     }
 
     /// Fixed chunk a worker claims per cursor bump.
     fn chunk(&self) -> usize {
         match self {
-            LevelJob::Publish { .. } | LevelJob::MultiPublish { .. } => PUBLISH_CHUNK,
-            LevelJob::TopDown { .. } | LevelJob::MultiTopDown { .. } => TD_CHUNK,
-            LevelJob::BottomUp { .. } | LevelJob::MultiBottomUp { .. } => BU_CHUNK,
+            LevelJob::Publish { .. } => PUBLISH_CHUNK,
+            LevelJob::TopDown { .. } => TD_CHUNK,
+            LevelJob::BottomUp { .. } => BU_CHUNK,
         }
     }
 
@@ -354,13 +290,9 @@ impl LevelJob {
     /// traced; `None` for the publish phases (bookkeeping, not a kernel).
     fn kernel_span(&self) -> Option<(&'static str, u32)> {
         match self {
-            LevelJob::Publish { .. } | LevelJob::MultiPublish { .. } => None,
-            LevelJob::TopDown { next_level, .. } | LevelJob::MultiTopDown { next_level, .. } => {
-                Some(("td-kernel", next_level - 1))
-            }
-            LevelJob::BottomUp { next_level, .. } | LevelJob::MultiBottomUp { next_level, .. } => {
-                Some(("bu-kernel", next_level - 1))
-            }
+            LevelJob::Publish { .. } => None,
+            LevelJob::TopDown { next_level, .. } => Some(("td-kernel", next_level - 1)),
+            LevelJob::BottomUp { next_level, .. } => Some(("bu-kernel", next_level - 1)),
         }
     }
 }
@@ -392,7 +324,7 @@ pub(crate) struct WorkerPool {
     done: Mutex<usize>,
     all_done: Condvar,
     /// Per-worker result slots (index = worker id; slot 0 is the driver).
-    partials: Vec<Mutex<Partial>>,
+    partials: Vec<Mutex<LevelOutcome>>,
     /// First panic caught at a chunk boundary, as a typed error.
     panic: Mutex<Option<XbfsError>>,
     /// Traversal start, the origin for kernel-span wall timestamps.
@@ -426,7 +358,7 @@ impl WorkerPool {
             done: Mutex::new(0),
             all_done: Condvar::new(),
             partials: (0..threads)
-                .map(|_| Mutex::new(Partial::default()))
+                .map(|_| Mutex::new(LevelOutcome::default()))
                 .collect(),
             panic: Mutex::new(None),
             t0: Instant::now(),
@@ -529,7 +461,7 @@ impl WorkerPool {
         let chunk = job.chunk();
         let kernel_span = sink.enabled().then(|| job.kernel_span()).flatten();
         let started_s = kernel_span.map(|_| self.t0.elapsed().as_secs_f64());
-        let mut local = Partial::default();
+        let mut local = LevelOutcome::default();
         let mut maps = state;
         let mut claimed = false;
         let mut failure = None;
@@ -555,49 +487,11 @@ impl WorkerPool {
                     &frontier[range.clone()],
                     &mut maps,
                     *next_level,
-                    &mut local.level,
-                ),
-                LevelJob::BottomUp { bits, next_level } => bottomup::chunk(
-                    csr,
-                    bits,
-                    range.clone(),
-                    &mut maps,
-                    *next_level,
-                    &mut local.level,
-                ),
-                LevelJob::MultiPublish {
-                    frontiers,
-                    offsets,
-                    words,
-                } => multi::publish_chunk(frontiers, offsets, words, range.clone()),
-                LevelJob::MultiTopDown {
-                    state: mstate,
-                    frontiers,
-                    offsets,
-                    next_level,
-                } => topdown::multi_chunk(
-                    csr,
-                    mstate,
-                    frontiers,
-                    offsets,
-                    range.clone(),
-                    *next_level,
                     &mut local,
                 ),
-                LevelJob::MultiBottomUp {
-                    state: mstate,
-                    words,
-                    active,
-                    next_level,
-                } => bottomup::multi_chunk(
-                    csr,
-                    mstate,
-                    words,
-                    *active,
-                    range.clone(),
-                    *next_level,
-                    &mut local,
-                ),
+                LevelJob::BottomUp { bits, next_level } => {
+                    bottomup::chunk(csr, bits, range.clone(), &mut maps, *next_level, &mut local)
+                }
             }));
             if let Err(p) = caught {
                 failure = Some(XbfsError::KernelPanic {
@@ -639,7 +533,7 @@ impl WorkerPool {
         let mut out = LevelOutcome::default();
         for slot in &self.partials {
             let partial = std::mem::take(&mut *slot.lock().expect("pool partial lock"));
-            partial.level.merge_into(&mut out);
+            partial.merge_into(&mut out);
         }
         *self.job.write().expect("pool job lock") = None;
         out
@@ -652,21 +546,6 @@ impl WorkerPool {
             Some(LevelJob::Publish { bits, .. }) => bits,
             _ => unreachable!("publish job must be in the slot"),
         }
-    }
-
-    /// Drain every worker's per-lane accumulators (in worker order, then
-    /// lane order) into one merged outcome per lane and release the job
-    /// slot — the multi-source sibling of [`WorkerPool::collect`].
-    pub(crate) fn collect_multi(&self, lanes: usize) -> Vec<LevelOutcome> {
-        let mut out: Vec<LevelOutcome> = vec![LevelOutcome::default(); lanes];
-        for slot in &self.partials {
-            let partial = std::mem::take(&mut *slot.lock().expect("pool partial lock"));
-            for (lane, acc) in partial.lanes.into_iter().enumerate() {
-                acc.merge_into(&mut out[lane]);
-            }
-        }
-        *self.job.write().expect("pool job lock") = None;
-        out
     }
 }
 

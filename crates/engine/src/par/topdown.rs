@@ -12,10 +12,8 @@
 //! next-queue. The stepping engine feeds it the whole frontier as one
 //! chunk and claims with plain stores.
 
-use super::multi::MultiParState;
-use super::pool::{LevelOutcome, Partial};
+use super::pool::LevelOutcome;
 use super::TreeMaps;
-use std::ops::Range;
 use xbfs_graph::{Csr, VertexId};
 
 /// Expand one contiguous chunk of the frontier, accumulating into `out`.
@@ -37,45 +35,6 @@ pub(crate) fn chunk(
                 out.discover(v, csr.degree(v));
             }
         }
-    }
-}
-
-/// Expand one chunk of a lane-packed multi-source top-down level.
-///
-/// The item space is the concatenation of every lane's frontier (prefix
-/// sums in `offsets`); `range` is a cursor-claimed slice of it, possibly
-/// spanning lane boundaries. Each lane's frontier is swept *in that
-/// lane's own order*, so with one thread every lane reproduces its solo
-/// sequential parents exactly; claims land as single bits in the shared
-/// lane-packed visited words. Per-lane Σdeg / max-deg fold into the
-/// partial's lane shares at claim time, so the per-batch switch decision
-/// needs no frontier rescan.
-pub(crate) fn multi_chunk(
-    csr: &Csr,
-    state: &MultiParState,
-    frontiers: &[Vec<VertexId>],
-    offsets: &[usize],
-    range: Range<usize>,
-    next_level: u32,
-    out: &mut Partial,
-) {
-    out.ensure_lanes(frontiers.len());
-    let mut idx = range.start;
-    while idx < range.end {
-        // Last lane whose start offset is <= idx; duplicate offsets from
-        // empty lanes resolve to the following non-empty lane.
-        let lane = offsets.partition_point(|&o| o <= idx) - 1;
-        let lane_end = offsets[lane + 1].min(range.end);
-        let local = (idx - offsets[lane])..(lane_end - offsets[lane]);
-        for &u in &frontiers[lane][local] {
-            for &v in csr.neighbors(u) {
-                out.lanes[lane].edges_examined += 1;
-                if state.claim(v, lane, u, next_level) {
-                    out.lanes[lane].discover(v, csr.degree(v));
-                }
-            }
-        }
-        idx = lane_end;
     }
 }
 

@@ -1,21 +1,15 @@
 //! Property tests for multi-source batching: a k-source batch must be
 //! indistinguishable, lane for lane, from k solo runs.
 //!
-//! Two layers are pinned down over seeded R-MAT instances:
-//!
-//! 1. **`BatchSession` vs `RunSession`** — every lane's parents, levels,
-//!    and per-level records equal the solo session's, and every lane is
-//!    Graph 500-validated. Only the shared batch clock differs (it must
-//!    not exceed the sum of the solo clocks).
-//! 2. **`par::run_multi` vs the sequential hybrid engine** — the
-//!    lane-packed kernels reproduce each lane's level map and records at
-//!    the thread count under test (the CI matrix runs this file under
-//!    `XBFS_TEST_THREADS` 1 and 4).
+//! Over seeded R-MAT instances, every `BatchSession` lane's parents,
+//! levels, level count and examined-edge count equal the solo
+//! `RunSession`'s, and every lane is Graph 500-validated. Only the shared
+//! batch clock differs (it must not exceed the sum of the solo clocks).
 
 use proptest::prelude::*;
 use xbfs::archsim::{ArchSpec, Link};
 use xbfs::core::{BatchSession, CrossParams, RunSession};
-use xbfs::engine::{hybrid, par, validate, FixedMN};
+use xbfs::engine::{validate, FixedMN};
 use xbfs::graph::{Csr, RmatConfig, RmatGenerator, VertexId};
 
 /// Seeded R-MAT instance plus 2..=8 arbitrary in-range sources
@@ -65,6 +59,10 @@ proptest! {
                 "lane {} parents diverged from solo", lane.lane);
             prop_assert_eq!(&lane.run.output.levels, &solo.output.levels,
                 "lane {} levels diverged from solo", lane.lane);
+            prop_assert_eq!(lane.run.report.levels_executed, solo.report.levels_executed,
+                "lane {} level count diverged from solo", lane.lane);
+            prop_assert_eq!(lane.run.report.edges_examined, solo.report.edges_examined,
+                "lane {} examined edges diverged from solo", lane.lane);
             prop_assert_eq!(validate(&g, &lane.run.output), Ok(()));
             solo_sum += solo.report.total_seconds;
         }
@@ -72,20 +70,5 @@ proptest! {
         // exceeds the solo clocks run back to back.
         prop_assert!(batch.total_seconds <= solo_sum,
             "batch {} s exceeds {} s of solo runs", batch.total_seconds, solo_sum);
-    }
-
-    #[test]
-    fn engine_multi_lanes_match_sequential_hybrid(
-        (g, sources) in arb_batch()
-    ) {
-        let threads = par::env_threads(4);
-        let lanes = par::run_multi(&g, &sources, &mut FixedMN::new(14.0, 24.0), threads)
-            .expect("in-range batch runs");
-        for (lane, (t, &source)) in lanes.iter().zip(&sources).enumerate() {
-            let solo = hybrid::run(&g, source, &mut FixedMN::new(14.0, 24.0));
-            prop_assert_eq!(&t.output.levels, &solo.output.levels,
-                "lane {} level map diverged at {} threads", lane, threads);
-            prop_assert_eq!(validate(&g, &t.output), Ok(()));
-        }
     }
 }
