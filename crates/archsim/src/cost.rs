@@ -2,10 +2,7 @@
 
 use crate::{ArchSpec, LevelProfile, TraversalProfile};
 use serde::{Deserialize, Serialize};
-use xbfs_engine::{
-    trace::{TraceEvent, TraceSink},
-    Direction, FixedMN, SwitchContext,
-};
+use xbfs_engine::{Direction, FixedMN, SwitchContext};
 
 /// The simulated cost of one level.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -95,33 +92,6 @@ pub fn level_cost_parts_for_record(
         work_s: total_s - overhead_s,
         bound,
     }
-}
-
-/// [`level_time_for_record`], additionally reporting the decomposed charge
-/// to `sink` as a [`TraceEvent::KernelCost`] stamped at simulated time
-/// `at_s`. The returned value is exactly `level_time_for_record`'s.
-pub fn level_time_for_record_traced(
-    arch: &ArchSpec,
-    rec: &xbfs_engine::LevelRecord,
-    device: &'static str,
-    at_s: f64,
-    sink: &dyn TraceSink,
-) -> f64 {
-    if !sink.enabled() {
-        return level_time_for_record(arch, rec);
-    }
-    let parts = level_cost_parts_for_record(arch, rec);
-    sink.record(&TraceEvent::KernelCost {
-        device,
-        level: rec.level,
-        direction: rec.direction,
-        total_s: parts.total_s,
-        overhead_s: parts.overhead_s,
-        work_s: parts.work_s,
-        bound: parts.bound,
-        at_s,
-    });
-    parts.total_s
 }
 
 /// Cost an explicit per-level direction script on a single device.
@@ -348,29 +318,16 @@ mod tests {
         // recovery ladder's numeric-identity contract depends on it.
         let g = xbfs_graph::rmat::rmat_csr(10, 16);
         let t = xbfs_engine::hybrid::run(&g, 0, &mut FixedMN::new(14.0, 24.0));
-        let sink = xbfs_engine::trace::MemorySink::new();
         for arch in [ArchSpec::cpu_sandy_bridge(), ArchSpec::gpu_k20x()] {
             for rec in &t.levels {
                 let plain = level_time_for_record(&arch, rec);
                 let parts = level_cost_parts_for_record(&arch, rec);
                 assert_eq!(parts.total_s.to_bits(), plain.to_bits());
-                let traced = level_time_for_record_traced(&arch, rec, "cpu", 0.0, &sink);
-                assert_eq!(traced.to_bits(), plain.to_bits());
-                let null = level_time_for_record_traced(
-                    &arch,
-                    rec,
-                    "cpu",
-                    0.0,
-                    &xbfs_engine::trace::NULL_SINK,
-                );
-                assert_eq!(null.to_bits(), plain.to_bits());
                 match rec.direction {
                     Direction::TopDown => assert!(parts.bound.starts_with("td-")),
                     Direction::BottomUp => assert_eq!(parts.bound, "bu"),
                 }
             }
         }
-        // One KernelCost event per (arch, level) pair through the live sink.
-        assert_eq!(sink.len(), 2 * t.levels.len());
     }
 }

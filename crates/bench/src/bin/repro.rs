@@ -21,11 +21,22 @@
 //! `xbfs-cli`, moves the human narration to stderr so the data stream
 //! stays clean. `--quiet` silences the narration entirely.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use xbfs_bench::{run_experiment_traced, write_artifact, Preset, ALL_EXPERIMENTS};
 use xbfs_core::chrome_trace_json;
 use xbfs_engine::MemorySink;
+
+/// `println!` that survives a closed stdout. When the reader goes away
+/// (`repro … | head`), the narration ends but the command does not: the
+/// write error is dropped, so artifacts are still written and the exit
+/// status stays the command's own.
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
 
 /// Human-narration channel, mirroring `xbfs-cli`: when `--trace-out -`
 /// claims stdout the narration moves to stderr; `--quiet` drops it.
@@ -42,7 +53,7 @@ impl Ui {
         if self.to_stderr {
             eprintln!("{}", msg.as_ref());
         } else {
-            println!("{}", msg.as_ref());
+            outln!("{}", msg.as_ref());
         }
     }
 }
@@ -86,7 +97,7 @@ fn main() -> ExitCode {
             }
             "--quiet" => quiet = true,
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "usage: repro [EXPERIMENT ...] [--preset scaled|paper] [--artifacts DIR]\n\
                      \x20            [--trace-out DIR|-] [--quiet]\n\
                      experiments: {} | all",
@@ -134,7 +145,6 @@ fn main() -> ExitCode {
                     "{id}: analytic experiment, no traversal executed — no trace"
                 ));
             } else if dest == "-" {
-                use std::io::Write;
                 if let Err(e) = std::io::stdout().write_all(chrome_trace_json(&events).as_bytes()) {
                     eprintln!("stdout: {e}");
                     return ExitCode::FAILURE;

@@ -201,6 +201,29 @@ fn a_closed_stdout_ends_the_narration_not_the_command() {
 }
 
 #[test]
+fn a_closed_stdout_does_not_fail_repro() {
+    // The first narration line already meets the closed pipe, as
+    // `repro … | head -n 1` makes every line after the first do.
+    let dir = tmpfile("closed-stdout-artifacts");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig3", "--artifacts", dir.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "repro failed: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        dir.join("fig3.json").exists(),
+        "repro must still write its artifact"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn bfs_trace_and_metrics_outputs() {
     let graph = tmpfile("bfs-trace.xbfs");
     let trace = tmpfile("bfs-trace.json");

@@ -25,13 +25,14 @@
 //! ([`Link::pullback_bytes`]) on the simulated clock before the
 //! checkpoint exists.
 
-use crate::cross::{CrossDriver, CrossParams, Placement};
+use crate::cross::{CrossParams, Placement};
 use crate::health::{BreakerPolicy, HealthSnapshot};
-use crate::recovery::{reference_sequential_penalty, Rung, JITTER_SALT};
+use crate::recovery::{kernel_op, price_level, Placer, Rung, JITTER_SALT};
 use serde::{Deserialize, Serialize};
 use xbfs_archsim::fault::{FaultCursor, FaultEvent, FaultOp, FaultPlan, FaultSession};
-use xbfs_archsim::{cost, ArchSpec, Link};
-use xbfs_engine::{tree, AlwaysTopDown, BfsOutput, FixedMN, TraversalState, XbfsError};
+use xbfs_archsim::{ArchSpec, Link};
+use xbfs_engine::trace::NULL_SINK;
+use xbfs_engine::{tree, BfsOutput, TraversalState, XbfsError};
 use xbfs_graph::{Bitmap, Csr, VertexId};
 
 /// On-disk format version; bumped on any incompatible layout change.
@@ -346,60 +347,31 @@ pub fn capture_at(
     let mut session = plan.session();
     let mut clock_s = 0.0;
     let mut state = TraversalState::start(csr, source);
-    let mut driver = CrossDriver::new(*params);
-    let mut cpu_policy = FixedMN::new(14.0, 24.0);
-    let mut reference_policy = AlwaysTopDown;
-    let mut device_discovered = 0u64;
+    let mut placer = Placer::fresh(rung, params);
 
     while state.next_level < level {
-        if state.is_complete() {
+        let Some(step) = placer.step(csr, &mut state, None, &NULL_SINK, clock_s) else {
             return Err(XbfsError::InvalidArgument {
                 what: format!(
                     "traversal completes after {} level(s); cannot checkpoint at level {level}",
                     state.next_level
                 ),
             });
+        };
+        let (pl, rec) = (step.placement, step.record);
+        if step.handoff {
+            fault_free(&mut session, FaultOp::Transfer, rec.level)?;
+            clock_s += link.transfer_time(Link::handoff_bytes(n, rec.frontier_vertices));
         }
-        match rung {
-            Rung::CrossCpuGpu => {
-                let was_handed = driver.handed_off();
-                let pl = driver.step(csr, &mut state).expect("not complete");
-                let rec = *state.levels.last().expect("step pushed a record");
-                if pl.on_gpu() && !was_handed {
-                    fault_free(&mut session, FaultOp::Transfer, rec.level)?;
-                    clock_s += link.transfer_time(Link::handoff_bytes(n, rec.frontier_vertices));
-                }
-                let (op, arch) = if pl.on_gpu() {
-                    (FaultOp::GpuKernel, gpu)
-                } else {
-                    (FaultOp::CpuKernel, cpu)
-                };
-                fault_free(&mut session, op, rec.level)?;
-                clock_s += cost::level_time_for_record(arch, &rec);
-                if pl.on_gpu() {
-                    device_discovered += rec.discovered;
-                }
-            }
-            Rung::CpuOnly => {
-                state.step(csr, &mut cpu_policy).expect("not complete");
-                let rec = *state.levels.last().expect("step pushed a record");
-                fault_free(&mut session, FaultOp::CpuKernel, rec.level)?;
-                clock_s += cost::level_time_for_record(cpu, &rec);
-            }
-            Rung::Reference => {
-                // The reference rung is fault-free by construction; only
-                // the clock advances.
-                state
-                    .step(csr, &mut reference_policy)
-                    .expect("not complete");
-                let rec = *state.levels.last().expect("step pushed a record");
-                clock_s +=
-                    cost::level_time_for_record(cpu, &rec) * reference_sequential_penalty(cpu);
-            }
+        // The reference rung is fault-free by construction; only the
+        // clock advances.
+        if rung != Rung::Reference {
+            fault_free(&mut session, kernel_op(pl).0, rec.level)?;
         }
+        clock_s += price_level(rung, pl, &rec, cpu, gpu, clock_s, &NULL_SINK);
     }
 
-    let residency = if rung == Rung::CrossCpuGpu && driver.handed_off() {
+    let residency = if placer.handed_off() {
         Residency::Device
     } else {
         Residency::Host
@@ -408,7 +380,7 @@ pub fn capture_at(
         // Draining the device's delta is what makes the checkpoint durable.
         clock_s += link.transfer_time(Link::pullback_bytes(
             n,
-            device_discovered,
+            placer.device_discovered(),
             state.frontier.len() as u64,
         ));
     }
@@ -419,13 +391,9 @@ pub fn capture_at(
         rung,
         residency,
         state,
-        placements: if rung == Rung::CrossCpuGpu {
-            driver.placements().to_vec()
-        } else {
-            Vec::new()
-        },
-        handed_off: rung == Rung::CrossCpuGpu && driver.handed_off(),
-        device_discovered,
+        placements: placer.placements().to_vec(),
+        handed_off: placer.handed_off(),
+        device_discovered: placer.device_discovered(),
         clock_s,
         lost_s: 0.0,
         retries: 0,
@@ -441,6 +409,7 @@ pub fn capture_at(
 mod tests {
     use super::*;
     use xbfs_archsim::fault::{CorruptPayload, FaultKind};
+    use xbfs_engine::FixedMN;
 
     fn fixture() -> (Csr, u32, ArchSpec, ArchSpec, Link, CrossParams) {
         let g = xbfs_graph::rmat::rmat_csr(9, 16);

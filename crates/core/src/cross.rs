@@ -29,8 +29,9 @@ pub enum Placement {
     /// Top-down on the CPU.
     CpuTd,
     /// Bottom-up on the CPU. Algorithm 3 never emits this — the paper's
-    /// CPU phase is a top-down prefix — but the online policy may place a
-    /// peak level here when the learned cost means favor it.
+    /// CPU phase is a top-down prefix — but the CPU-only rung places its
+    /// bottom-up levels here, and the online policy may place a peak level
+    /// here when the learned cost means favor it.
     CpuBu,
     /// Top-down on the GPU.
     GpuTd,

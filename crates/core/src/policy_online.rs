@@ -59,12 +59,14 @@
 //! direction-independent — so the policy only moves simulated seconds,
 //! never parents or levels.
 
-use crate::cross::Placement;
+use crate::cross::{CrossDriver, Placement};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use xbfs_engine::SwitchContext;
+use xbfs_engine::trace::{TraceEvent, TraceSink};
+use xbfs_engine::{LevelRecord, SwitchContext, TraversalState};
+use xbfs_graph::Csr;
 
 /// Number of bandit arms: the four direction × device placements.
 pub const POLICY_ARMS: usize = 4;
@@ -419,6 +421,62 @@ impl PolicyRun {
 /// execution (the drivers hold shared references to their arguments, so
 /// the per-level decide/observe cycle needs a cell).
 pub type PolicyCell = RefCell<PolicyRun>;
+
+/// One executed level: where it ran, its engine record, the bandit's
+/// decision when the online policy placed it, and whether it fired the
+/// one-way CPU→GPU handoff.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LevelStep {
+    pub placement: Placement,
+    pub record: LevelRecord,
+    pub decision: Option<Decision>,
+    pub handoff: bool,
+}
+
+/// Step one level of `state` at the placement `policy`'s bandit decides,
+/// or at Algorithm 3's when no policy is attached, and record the
+/// decision on `sink` at simulated time `at_s`. `None` once the
+/// traversal is complete. The cross rung and every `BatchSession` lane
+/// step through here.
+pub(crate) fn step_level(
+    csr: &Csr,
+    state: &mut TraversalState,
+    driver: &mut CrossDriver,
+    policy: Option<&PolicyCell>,
+    sink: &dyn TraceSink,
+    at_s: f64,
+) -> Option<LevelStep> {
+    let was_handed = driver.handed_off();
+    let decision = match policy {
+        Some(cell) if !state.is_complete() => {
+            let ctx = state.switch_context(csr);
+            let offline = driver.offline_placement(&ctx);
+            Some(cell.borrow().decide(&ctx, was_handed, offline))
+        }
+        _ => None,
+    };
+    let placement = match decision {
+        Some(d) => driver.step_forced(csr, state, d.placement),
+        None => driver.step(csr, state),
+    }?;
+    let record = *state.levels.last().expect("step pushed a record");
+    if let (Some(d), true) = (decision, sink.enabled()) {
+        sink.record(&TraceEvent::PolicyDecision {
+            level: record.level,
+            bin: d.bin,
+            device: placement.device(),
+            direction: placement.direction(),
+            explore: d.explore,
+            at_s,
+        });
+    }
+    Some(LevelStep {
+        placement,
+        record,
+        decision,
+        handoff: placement.on_gpu() && !was_handed,
+    })
+}
 
 /// The master bandit a service (or any multi-query caller) owns: cheap to
 /// clone, snapshot per query, and apply deltas in completion order.

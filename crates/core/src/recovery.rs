@@ -38,8 +38,9 @@
 //! produced it, or a typed [`XbfsError`] — never a panic.
 
 use crate::checkpoint::{CheckpointPolicy, LevelCheckpoint, Residency, CHECKPOINT_FORMAT_VERSION};
-use crate::cross::{CrossDriver, CrossParams};
+use crate::cross::{CrossDriver, CrossParams, Placement};
 use crate::health::{BreakerPolicy, BreakerTransition, Device, DeviceHealth};
+use crate::policy_online::{step_level, LevelStep, PolicyCell};
 use crate::seeded::splitmix_unit;
 use serde::{Deserialize, Serialize};
 use xbfs_archsim::fault::{
@@ -47,8 +48,8 @@ use xbfs_archsim::fault::{
 };
 use xbfs_archsim::{cost, ArchSpec, Link};
 use xbfs_engine::{
-    trace::{RungOutcome, TraceEvent, TraceSink},
-    validate, AlwaysTopDown, BfsOutput, FixedMN, LevelRecord, ScrubPolicy, Scrubber,
+    trace::{RungOutcome, TraceEvent, TraceSink, NULL_SINK},
+    validate, AlwaysTopDown, BfsOutput, Direction, FixedMN, LevelRecord, ScrubPolicy, Scrubber,
     TraversalState, XbfsError,
 };
 use xbfs_graph::{Csr, VertexId};
@@ -58,11 +59,9 @@ use xbfs_graph::{Csr, VertexId};
 /// means "this stream, at this position".
 pub(crate) const JITTER_SALT: u64 = 0x5851_f42d_4c95_7f2d;
 
-/// The cost model's single-thread penalty for the sequential reference
-/// rung: one core doing the work of all of them.
-pub(crate) fn reference_sequential_penalty(cpu: &ArchSpec) -> f64 {
-    cpu.cost.parallel_units.max(1.0)
-}
+/// The degradation ladder, top rung first. A resume enters it at the
+/// checkpoint's rung.
+const LADDER: [Rung; 3] = [Rung::CrossCpuGpu, Rung::CpuOnly, Rung::Reference];
 
 /// Bounded retry with exponential backoff and seeded jitter.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -365,26 +364,6 @@ enum RungError {
     },
 }
 
-/// What a fallible operation left behind: clean state, or a silent bit
-/// flip the caller must apply to the live traversal (the operation itself
-/// reported success — only a later scrub or validation can see it).
-enum OpOutcome {
-    Clean,
-    Corrupted {
-        payload: CorruptPayload,
-        word: u32,
-        bit: u8,
-    },
-}
-
-/// A rung's starting point: fresh at level 0, or mid-traversal from the
-/// newest checkpoint.
-struct RungStart {
-    state: TraversalState,
-    driver: CrossDriver,
-    device_discovered: u64,
-}
-
 /// Shared per-ladder mutable state threaded through the rungs.
 struct Recovery<'a> {
     session: FaultSession<'a>,
@@ -500,43 +479,19 @@ impl<'a> Recovery<'a> {
         sink: &'a dyn TraceSink,
     ) -> Result<Self, XbfsError> {
         let session = plan.session_at(&ck.fault_cursor)?;
-        let mut health = DeviceHealth::new(config.breaker, plan.seed);
-        health.restore(&ck.breakers);
-        Ok(Self {
-            session,
-            retry: config.retry,
-            clock: Clock {
-                elapsed_s: ck.clock_s,
-                budget_s: config.deadline_s,
-            },
-            jitter_rng: ck.jitter_rng,
-            events: ck.events.clone(),
-            retries: ck.retries,
-            lost_s: ck.lost_s,
-            stall_factor: plan.stall_factor,
-            health,
-            checkpoint: config.checkpoint.clone(),
-            latest: Some(ck.clone()),
-            checkpoints_taken: 0,
-            checkpoint_bytes: 0,
-            checkpoint_seconds: 0.0,
-            resumed_from_level: Some(ck.level()),
-            external: true,
-            furthest_completed: ck.level(),
-            levels_replayed: 0,
-            levels_executed: 0,
-            edges_examined: 0,
-            saved_seconds: 0.0,
-            resumes: Vec::new(),
-            skipped: Vec::new(),
-            scrub: config.scrub,
-            scrubber: Scrubber::default(),
-            checksum_transfers: config.checksum_transfers,
-            corruption_repair_limit: config.corruption_repair_limit,
-            corruption_detected: 0,
-            corruption_repairs: 0,
-            sink,
-        })
+        let mut rec = Self::new(plan, config, &[], sink);
+        rec.session = session;
+        rec.health.restore(&ck.breakers);
+        rec.clock.elapsed_s = ck.clock_s;
+        rec.jitter_rng = ck.jitter_rng;
+        rec.events = ck.events.clone();
+        rec.retries = ck.retries;
+        rec.lost_s = ck.lost_s;
+        rec.latest = Some(ck.clone());
+        rec.resumed_from_level = Some(ck.level());
+        rec.external = true;
+        rec.furthest_completed = ck.level();
+        Ok(rec)
     }
 
     /// Emit the span for one attempt of a fallible operation: a
@@ -590,111 +545,59 @@ impl<'a> Recovery<'a> {
     /// retrying transients per policy and feeding every outcome to the
     /// device's circuit breaker. `bytes` is the payload size reported on
     /// transfer spans (0 for kernels). An injected bit flip the defenses
-    /// could not see returns [`OpOutcome::Corrupted`]: the operation
-    /// *succeeded* on the clock and the breaker, but the caller must fold
-    /// the flip into its live state.
-    #[allow(clippy::too_many_arguments)] // one flat fault surface, three call sites
+    /// could not see lands in `state`: the operation *succeeded* on the
+    /// clock and the breaker, and only a later scrub or validation can
+    /// see the corruption.
+    #[allow(clippy::too_many_arguments)] // one flat fault surface
     fn attempt_op(
         &mut self,
+        state: &mut TraversalState,
         rung: Rung,
         op: FaultOp,
         level: usize,
         nominal_s: f64,
         device: Device,
         bytes: u64,
-    ) -> Result<OpOutcome, RungError> {
+    ) -> Result<(), RungError> {
         let traced = self.sink.enabled();
         for attempt in 1..=self.retry.max_attempts {
             let start_s = self.clock.elapsed_s;
-            match self.session.check(op, level) {
-                None => {
+            let Some(kind) = self.session.check(op, level) else {
+                self.clock.charge(nominal_s).map_err(RungError::Fatal)?;
+                self.health.record_success(device, self.clock.elapsed_s);
+                if traced {
+                    self.emit_attempt(op, device, level, attempt, bytes, start_s, true);
+                }
+                return Ok(());
+            };
+            self.events.push(FaultEvent {
+                op,
+                level,
+                kind,
+                attempt,
+            });
+            if traced {
+                self.emit_fault(op, kind, level, attempt);
+            }
+            // A flipped transfer payload the receiver's checksum rejects is
+            // DETECTED, and retried like a transient.
+            let detected = matches!(kind, FaultKind::BitFlip { .. })
+                && self.checksum_transfers
+                && op == FaultOp::Transfer;
+            match kind {
+                FaultKind::BitFlip { payload, word, bit } if !detected => {
+                    // SILENT: the operation looks exactly like a success —
+                    // full nominal charge, a healthy breaker sample, an ok
+                    // span — but the live state is now wrong.
                     self.clock.charge(nominal_s).map_err(RungError::Fatal)?;
                     self.health.record_success(device, self.clock.elapsed_s);
                     if traced {
                         self.emit_attempt(op, device, level, attempt, bytes, start_s, true);
                     }
-                    return Ok(OpOutcome::Clean);
+                    apply_bit_flip(state, payload, word, bit);
+                    return Ok(());
                 }
-                Some(FaultKind::BitFlip { payload, word, bit }) => {
-                    let kind = FaultKind::BitFlip { payload, word, bit };
-                    self.events.push(FaultEvent {
-                        op,
-                        level,
-                        kind,
-                        attempt,
-                    });
-                    if traced {
-                        self.emit_fault(op, kind, level, attempt);
-                    }
-                    if self.checksum_transfers && op == FaultOp::Transfer {
-                        // DETECTED: the receiver's checksum rejects the
-                        // flipped payload. The attempt's time is wasted
-                        // and the transfer retries like a transient.
-                        self.corruption_detected += 1;
-                        self.lost_s += nominal_s;
-                        self.clock.charge(nominal_s).map_err(RungError::Fatal)?;
-                        self.health
-                            .record_failure(device, self.clock.elapsed_s, false);
-                        if traced {
-                            self.emit_attempt(op, device, level, attempt, bytes, start_s, false);
-                            self.sink.record(&TraceEvent::CorruptionDetected {
-                                rung: rung.label(),
-                                detector: "checksum",
-                                level: level as u32,
-                                at_s: self.clock.elapsed_s,
-                            });
-                        }
-                        if attempt == self.retry.max_attempts {
-                            return Err(RungError::Degrade(XbfsError::CorruptionDetected {
-                                what: format!(
-                                    "{} payload failed its integrity checksum ({} bit {} of the {} image)",
-                                    op.name(),
-                                    word,
-                                    bit,
-                                    payload.name(),
-                                ),
-                                level,
-                            }));
-                        }
-                        let u = splitmix_unit(&mut self.jitter_rng);
-                        let backoff = self.retry.backoff_s(attempt - 1, u);
-                        self.lost_s += backoff;
-                        self.retries += 1;
-                        let backoff_start = self.clock.elapsed_s;
-                        self.clock.charge(backoff).map_err(RungError::Fatal)?;
-                        if traced {
-                            self.sink.record(&TraceEvent::Backoff {
-                                op: op.name(),
-                                level: level as u32,
-                                retry: attempt - 1,
-                                start_s: backoff_start,
-                                end_s: self.clock.elapsed_s,
-                            });
-                        }
-                    } else {
-                        // SILENT: the operation looks exactly like a
-                        // success — full nominal charge, a healthy
-                        // breaker sample, an ok span — but the caller's
-                        // state is now wrong. Only a scrub or validation
-                        // can catch it from here.
-                        self.clock.charge(nominal_s).map_err(RungError::Fatal)?;
-                        self.health.record_success(device, self.clock.elapsed_s);
-                        if traced {
-                            self.emit_attempt(op, device, level, attempt, bytes, start_s, true);
-                        }
-                        return Ok(OpOutcome::Corrupted { payload, word, bit });
-                    }
-                }
-                Some(FaultKind::LinkStall) => {
-                    self.events.push(FaultEvent {
-                        op,
-                        level,
-                        kind: FaultKind::LinkStall,
-                        attempt,
-                    });
-                    if traced {
-                        self.emit_fault(op, FaultKind::LinkStall, level, attempt);
-                    }
+                FaultKind::LinkStall => {
                     let stalled = nominal_s * self.stall_factor;
                     self.lost_s += stalled - nominal_s;
                     self.clock.charge(stalled).map_err(RungError::Fatal)?;
@@ -703,66 +606,9 @@ impl<'a> Recovery<'a> {
                     if traced {
                         self.emit_attempt(op, device, level, attempt, bytes, start_s, true);
                     }
-                    return Ok(OpOutcome::Clean);
+                    return Ok(());
                 }
-                Some(kind @ (FaultKind::TransferFailure | FaultKind::KernelTimeout)) => {
-                    self.events.push(FaultEvent {
-                        op,
-                        level,
-                        kind,
-                        attempt,
-                    });
-                    if traced {
-                        self.emit_fault(op, kind, level, attempt);
-                    }
-                    // The failed attempt's full time is wasted.
-                    self.lost_s += nominal_s;
-                    self.clock.charge(nominal_s).map_err(RungError::Fatal)?;
-                    self.health
-                        .record_failure(device, self.clock.elapsed_s, false);
-                    if traced {
-                        self.emit_attempt(op, device, level, attempt, bytes, start_s, false);
-                    }
-                    if attempt == self.retry.max_attempts {
-                        let e = match kind {
-                            FaultKind::TransferFailure => XbfsError::TransferFailed {
-                                level,
-                                attempts: attempt,
-                            },
-                            _ => XbfsError::KernelTimeout {
-                                device: device.name(),
-                                level,
-                                attempts: attempt,
-                            },
-                        };
-                        return Err(RungError::Degrade(e));
-                    }
-                    let u = splitmix_unit(&mut self.jitter_rng);
-                    let backoff = self.retry.backoff_s(attempt - 1, u);
-                    self.lost_s += backoff;
-                    self.retries += 1;
-                    let backoff_start = self.clock.elapsed_s;
-                    self.clock.charge(backoff).map_err(RungError::Fatal)?;
-                    if traced {
-                        self.sink.record(&TraceEvent::Backoff {
-                            op: op.name(),
-                            level: level as u32,
-                            retry: attempt - 1,
-                            start_s: backoff_start,
-                            end_s: self.clock.elapsed_s,
-                        });
-                    }
-                }
-                Some(FaultKind::DeviceLost) => {
-                    self.events.push(FaultEvent {
-                        op,
-                        level,
-                        kind: FaultKind::DeviceLost,
-                        attempt,
-                    });
-                    if traced {
-                        self.emit_fault(op, FaultKind::DeviceLost, level, attempt);
-                    }
+                FaultKind::DeviceLost => {
                     self.health
                         .record_failure(device, self.clock.elapsed_s, true);
                     return Err(RungError::Degrade(XbfsError::DeviceLost {
@@ -770,9 +616,81 @@ impl<'a> Recovery<'a> {
                         level,
                     }));
                 }
+                FaultKind::BitFlip { .. }
+                | FaultKind::TransferFailure
+                | FaultKind::KernelTimeout => {}
+            }
+            // A transient: the failed attempt's full time is wasted.
+            if detected {
+                self.corruption_detected += 1;
+            }
+            self.lost_s += nominal_s;
+            self.clock.charge(nominal_s).map_err(RungError::Fatal)?;
+            self.health
+                .record_failure(device, self.clock.elapsed_s, false);
+            if traced {
+                self.emit_attempt(op, device, level, attempt, bytes, start_s, false);
+                if detected {
+                    self.sink.record(&TraceEvent::CorruptionDetected {
+                        rung: rung.label(),
+                        detector: "checksum",
+                        level: level as u32,
+                        at_s: self.clock.elapsed_s,
+                    });
+                }
+            }
+            if attempt == self.retry.max_attempts {
+                return Err(RungError::Degrade(match kind {
+                    FaultKind::BitFlip { payload, word, bit } => XbfsError::CorruptionDetected {
+                        what: format!(
+                            "{} payload failed its integrity checksum ({} bit {} of the {} image)",
+                            op.name(),
+                            word,
+                            bit,
+                            payload.name(),
+                        ),
+                        level,
+                    },
+                    FaultKind::TransferFailure => XbfsError::TransferFailed {
+                        level,
+                        attempts: attempt,
+                    },
+                    _ => XbfsError::KernelTimeout {
+                        device: device.name(),
+                        level,
+                        attempts: attempt,
+                    },
+                }));
+            }
+            let u = splitmix_unit(&mut self.jitter_rng);
+            let backoff = self.retry.backoff_s(attempt - 1, u);
+            self.lost_s += backoff;
+            self.retries += 1;
+            let backoff_start = self.clock.elapsed_s;
+            self.clock.charge(backoff).map_err(RungError::Fatal)?;
+            if traced {
+                self.sink.record(&TraceEvent::Backoff {
+                    op: op.name(),
+                    level: level as u32,
+                    retry: attempt - 1,
+                    start_s: backoff_start,
+                    end_s: self.clock.elapsed_s,
+                });
             }
         }
         unreachable!("loop returns on success, exhaustion, or device loss")
+    }
+
+    /// Convert every productive second since the newest checkpoint into
+    /// loss: a failed or repaired rung keeps only what that checkpoint
+    /// preserved.
+    fn forfeit_since_latest(&mut self) {
+        let retained = self
+            .latest
+            .as_ref()
+            .map_or(0.0, |ck| ck.clock_s - ck.lost_s);
+        let productive_now = self.clock.elapsed_s - self.lost_s;
+        self.lost_s += (productive_now - retained).max(0.0);
     }
 
     /// Book a completed level into the execution counters and emit its
@@ -829,8 +747,7 @@ impl<'a> Recovery<'a> {
         rung: Rung,
         st: &TraversalState,
         scrubbed: bool,
-        driver: Option<&CrossDriver>,
-        device_discovered: u64,
+        placer: &Placer,
         link: &Link,
     ) -> Result<(), RungError> {
         if !self.checkpoint.due(st.next_level) || st.is_complete() {
@@ -845,7 +762,8 @@ impl<'a> Recovery<'a> {
             return Ok(());
         }
         let capture_start_s = self.clock.elapsed_s;
-        let handed = driver.is_some_and(|d| d.handed_off());
+        let handed = placer.handed_off();
+        let device_discovered = placer.device_discovered();
         let residency = if handed {
             Residency::Device
         } else {
@@ -867,7 +785,7 @@ impl<'a> Recovery<'a> {
             rung,
             residency,
             state: st.clone(),
-            placements: driver.map(|d| d.placements().to_vec()).unwrap_or_default(),
+            placements: placer.placements().to_vec(),
             handed_off: handed,
             device_discovered,
             clock_s: self.clock.elapsed_s,
@@ -952,21 +870,20 @@ impl<'a> Recovery<'a> {
         cpu: &ArchSpec,
         gpu: &ArchSpec,
         link: &Link,
-    ) -> Result<RungStart, RungError> {
+    ) -> Result<(TraversalState, Placer), RungError> {
         let external = std::mem::take(&mut self.external);
         // A fresh or restored state: nothing the scrub passed carries over.
         self.scrubber = Scrubber::default();
         let Some(ck) = self.latest.clone() else {
-            return Ok(RungStart {
-                state: TraversalState::start(csr, source),
-                driver: CrossDriver::new(*params),
-                device_discovered: 0,
-            });
+            return Ok((
+                TraversalState::start(csr, source),
+                Placer::fresh(rung, params),
+            ));
         };
         let from = ck.level();
         let mut state = ck.state.clone();
         let mut translated = false;
-        let (driver, device_discovered) = match rung {
+        let placer = match rung {
             Rung::CrossCpuGpu => {
                 // Only reachable from a cross checkpoint: the in-process
                 // ladder never climbs back up, and an external resume
@@ -983,10 +900,10 @@ impl<'a> Recovery<'a> {
                     self.checkpoint_seconds += t;
                     self.clock.charge(t).map_err(RungError::Fatal)?;
                 }
-                (
-                    CrossDriver::resume(*params, ck.handed_off, ck.placements.clone()),
-                    ck.device_discovered,
-                )
+                Placer::Cross {
+                    driver: CrossDriver::resume(*params, ck.handed_off, ck.placements.clone()),
+                    device_discovered: ck.device_discovered,
+                }
             }
             Rung::CpuOnly | Rung::Reference => {
                 if ck.residency == Residency::Device {
@@ -995,44 +912,31 @@ impl<'a> Recovery<'a> {
                     state.frontier = ck.host_order_frontier();
                     translated = true;
                 }
-                (CrossDriver::new(*params), 0)
+                Placer::fresh(rung, params)
             }
         };
         // What re-running the restored prefix on this rung would have
-        // cost — the resume's saving vs a restart from scratch. For host
-        // rungs resuming a cross prefix this is an estimate (the prefix
-        // records carry the cross policy's direction choices).
-        let saved = match rung {
-            Rung::CrossCpuGpu => {
-                let mut handed = false;
-                let mut s = 0.0;
-                for (i, r) in state.levels.iter().enumerate() {
-                    let on_gpu = ck.placements.get(i).is_some_and(|p| p.on_gpu());
-                    if on_gpu && !handed {
-                        handed = true;
-                        s += link.transfer_time(Link::handoff_bytes(
-                            csr.num_vertices() as u64,
-                            r.frontier_vertices,
-                        ));
-                    }
-                    s += cost::level_time_for_record(if on_gpu { gpu } else { cpu }, r);
-                }
-                s
+        // cost — the resume's saving vs a restart from scratch. A host
+        // rung prices every prefix level on the CPU; for a cross prefix
+        // this is an estimate (the records carry the cross policy's
+        // direction choices).
+        let mut saved = 0.0;
+        let mut handed = false;
+        for (i, r) in state.levels.iter().enumerate() {
+            let placement = match rung {
+                Rung::CrossCpuGpu => ck.placements.get(i).copied(),
+                Rung::CpuOnly | Rung::Reference => None,
             }
-            Rung::CpuOnly => state
-                .levels
-                .iter()
-                .map(|r| cost::level_time_for_record(cpu, r))
-                .sum(),
-            Rung::Reference => {
-                let penalty = reference_sequential_penalty(cpu);
-                state
-                    .levels
-                    .iter()
-                    .map(|r| cost::level_time_for_record(cpu, r) * penalty)
-                    .sum()
+            .unwrap_or(Placement::CpuTd);
+            if placement.on_gpu() && !handed {
+                handed = true;
+                saved += link.transfer_time(Link::handoff_bytes(
+                    csr.num_vertices() as u64,
+                    r.frontier_vertices,
+                ));
             }
-        };
+            saved += price_level(rung, placement, r, cpu, gpu, 0.0, &NULL_SINK);
+        }
         self.saved_seconds += saved;
         self.levels_replayed += self.furthest_completed.saturating_sub(from);
         self.resumes.push(ResumeRecord {
@@ -1050,11 +954,7 @@ impl<'a> Recovery<'a> {
                 at_s: self.clock.elapsed_s,
             });
         }
-        Ok(RungStart {
-            state,
-            driver,
-            device_discovered,
-        })
+        Ok((state, placer))
     }
 }
 
@@ -1093,12 +993,7 @@ pub(crate) fn execute_fresh(
         });
     }
     let rec = Recovery::new(args.plan, args.config, args.lost, args.sink);
-    ladder(
-        args,
-        source,
-        rec,
-        &[Rung::CrossCpuGpu, Rung::CpuOnly, Rung::Reference],
-    )
+    ladder(args, source, rec, &LADDER)
 }
 
 /// Resume the ladder from `checkpoint`, starting at its rung.
@@ -1112,12 +1007,11 @@ pub(crate) fn execute_resume(
     checkpoint.validate_for(args.csr)?;
     let source = checkpoint.state.output.source;
     let rec = Recovery::resume(args.plan, args.config, checkpoint, args.sink)?;
-    let rungs: &[Rung] = match checkpoint.rung {
-        Rung::CrossCpuGpu => &[Rung::CrossCpuGpu, Rung::CpuOnly, Rung::Reference],
-        Rung::CpuOnly => &[Rung::CpuOnly, Rung::Reference],
-        Rung::Reference => &[Rung::Reference],
-    };
-    ladder(args, source, rec, rungs)
+    let entry = LADDER
+        .iter()
+        .position(|&rung| rung == checkpoint.rung)
+        .expect("every rung is on the ladder");
+    ladder(args, source, rec, &LADDER[entry..])
 }
 
 /// The degradation ladder shared by fresh and resumed entries.
@@ -1157,17 +1051,12 @@ fn ladder(
             });
         }
         let rung_start_latest = rec.latest.clone();
-        let retained_at_start = retained_productive(&rec.latest);
         // Detected-corruption repair loop: a scrub hit rewinds this rung
         // to its last *trusted* checkpoint and re-executes, a bounded
         // number of times, before the rung is allowed to give up.
         let mut repair_attempts: u32 = 0;
         let outcome = loop {
-            let result = match rung {
-                Rung::CrossCpuGpu => run_rung_cross(args, source, &mut rec),
-                Rung::CpuOnly => run_rung_cpu_only(args, source, &mut rec),
-                Rung::Reference => run_rung_reference(args, source, &mut rec),
-            };
+            let result = run_rung(args, source, &mut rec, rung);
             let Err(RungError::Corrupted { level, what }) = result else {
                 break result;
             };
@@ -1193,9 +1082,7 @@ fn ladder(
             };
             let to_level = rec.latest.as_ref().map_or(0, |ck| ck.level());
             // Everything after the trusted checkpoint is forfeit.
-            let retained = retained_productive(&rec.latest);
-            let productive_now = rec.clock.elapsed_s - rec.lost_s;
-            rec.lost_s += (productive_now - retained).max(0.0);
+            rec.forfeit_since_latest();
             rec.corruption_repairs += 1;
             if rec.sink.enabled() {
                 rec.sink.record(&TraceEvent::CorruptionRepair {
@@ -1254,9 +1141,8 @@ fn ladder(
                     // Checkpoints it cut are tainted too: roll back to the
                     // rung-start checkpoint and convert everything after
                     // it to loss.
-                    let productive_now = rec.clock.elapsed_s - rec.lost_s;
-                    rec.lost_s += (productive_now - retained_at_start).max(0.0);
                     rec.latest = rung_start_latest;
+                    rec.forfeit_since_latest();
                     last_error = Some(XbfsError::Validation(v));
                 }
             },
@@ -1269,9 +1155,7 @@ fn ladder(
                 emit_rung_end(&rec, RungOutcome::Degraded);
                 // Time since the newest checkpoint is gone; everything up
                 // to it survives for the next rung to resume from.
-                let retained = retained_productive(&rec.latest);
-                let productive_now = rec.clock.elapsed_s - rec.lost_s;
-                rec.lost_s += (productive_now - retained).max(0.0);
+                rec.forfeit_since_latest();
                 last_error = Some(e);
             }
             Err(RungError::Corrupted { .. }) => {
@@ -1281,12 +1165,6 @@ fn ladder(
     }
     rec.emit_breakers();
     Err(last_error.expect("ladder only exits the loop after a rung failure"))
-}
-
-/// The productive simulated seconds preserved by the newest checkpoint —
-/// what a rung failure does *not* forfeit.
-fn retained_productive(latest: &Option<LevelCheckpoint>) -> f64 {
-    latest.as_ref().map_or(0.0, |ck| ck.clock_s - ck.lost_s)
 }
 
 /// Fold one silently injected bit flip into the live traversal state —
@@ -1317,26 +1195,167 @@ fn apply_bit_flip(state: &mut TraversalState, payload: CorruptPayload, word: u32
     }
 }
 
-/// Rung 1: Algorithm 3 with fault checks on the handoff transfer and every
-/// kernel launch, stepping level-by-level so checkpoints can be cut at
-/// boundaries.
-fn run_rung_cross(
+/// The simulated seconds of one executed level on `rung` at `placement`:
+/// the cost model's price on the placement's device, times the
+/// single-core penalty on the reference rung (one core doing the work of
+/// all of them). When `sink` is enabled the charge's decomposition is
+/// recorded as a [`TraceEvent::KernelCost`] at `at_s`; the returned value
+/// is the undecomposed model's, bit for bit.
+pub(crate) fn price_level(
+    rung: Rung,
+    placement: Placement,
+    rec: &LevelRecord,
+    cpu: &ArchSpec,
+    gpu: &ArchSpec,
+    at_s: f64,
+    sink: &dyn TraceSink,
+) -> f64 {
+    let arch = if placement.on_gpu() { gpu } else { cpu };
+    let penalty = match rung {
+        Rung::Reference => cpu.cost.parallel_units.max(1.0),
+        Rung::CrossCpuGpu | Rung::CpuOnly => 1.0,
+    };
+    let total_s = cost::level_time_for_record(arch, rec) * penalty;
+    if sink.enabled() {
+        let parts = cost::level_cost_parts_for_record(arch, rec);
+        sink.record(&TraceEvent::KernelCost {
+            device: placement.device(),
+            level: rec.level,
+            direction: rec.direction,
+            total_s,
+            overhead_s: parts.overhead_s * penalty,
+            work_s: parts.work_s * penalty,
+            bound: match rung {
+                Rung::Reference => "reference-serial",
+                Rung::CrossCpuGpu | Rung::CpuOnly => parts.bound,
+            },
+            at_s,
+        });
+    }
+    total_s
+}
+
+/// The fault operation and device of a level kernel at `placement`.
+pub(crate) fn kernel_op(placement: Placement) -> (FaultOp, Device) {
+    if placement.on_gpu() {
+        (FaultOp::GpuKernel, Device::Gpu)
+    } else {
+        (FaultOp::CpuKernel, Device::Cpu)
+    }
+}
+
+/// Where a rung's levels are placed: Algorithm 3's driver (with the
+/// online policy when one is attached), the CPU-only hybrid at
+/// Beamer-default thresholds, or sequential top-down. The cross placer
+/// also counts the vertices discovered on the device, which size a
+/// checkpoint's pullback.
+pub(crate) enum Placer {
+    Cross {
+        driver: CrossDriver,
+        device_discovered: u64,
+    },
+    CpuOnly(FixedMN),
+    Reference,
+}
+
+impl Placer {
+    /// The placer of `rung`'s fresh start at level 0.
+    pub(crate) fn fresh(rung: Rung, params: &CrossParams) -> Self {
+        match rung {
+            Rung::CrossCpuGpu => Placer::Cross {
+                driver: CrossDriver::new(*params),
+                device_discovered: 0,
+            },
+            Rung::CpuOnly => Placer::CpuOnly(FixedMN::new(14.0, 24.0)),
+            Rung::Reference => Placer::Reference,
+        }
+    }
+
+    /// Execute one level of `state`; `None` once the traversal is
+    /// complete. Only the cross placer consults `policy`.
+    pub(crate) fn step(
+        &mut self,
+        csr: &Csr,
+        state: &mut TraversalState,
+        policy: Option<&PolicyCell>,
+        sink: &dyn TraceSink,
+        at_s: f64,
+    ) -> Option<LevelStep> {
+        let record = match self {
+            Placer::Cross {
+                driver,
+                device_discovered,
+            } => {
+                let step = step_level(csr, state, driver, policy, sink, at_s)?;
+                if step.placement.on_gpu() {
+                    *device_discovered += step.record.discovered;
+                }
+                return Some(step);
+            }
+            Placer::CpuOnly(mn) => *state.step(csr, mn)?,
+            Placer::Reference => *state.step(csr, &mut AlwaysTopDown)?,
+        };
+        Some(LevelStep {
+            placement: match record.direction {
+                Direction::TopDown => Placement::CpuTd,
+                Direction::BottomUp => Placement::CpuBu,
+            },
+            record,
+            decision: None,
+            handoff: false,
+        })
+    }
+
+    /// `true` once the traversal state lives on the GPU.
+    pub(crate) fn handed_off(&self) -> bool {
+        matches!(self, Placer::Cross { driver, .. } if driver.handed_off())
+    }
+
+    /// Vertices discovered while on the GPU (0 on a host rung).
+    pub(crate) fn device_discovered(&self) -> u64 {
+        match self {
+            Placer::Cross {
+                device_discovered, ..
+            } => *device_discovered,
+            Placer::CpuOnly(_) | Placer::Reference => 0,
+        }
+    }
+
+    /// Placement per executed level: the cross rung's log, empty on a
+    /// host rung.
+    pub(crate) fn placements(&self) -> &[Placement] {
+        match self {
+            Placer::Cross { driver, .. } => driver.placements(),
+            Placer::CpuOnly(_) | Placer::Reference => &[],
+        }
+    }
+}
+
+/// Run `rung` from its start point to completion, one level at a time:
+/// scrub and checkpoint at each boundary, place the level, charge it,
+/// book it. The rungs differ only in their [`Placer`] and in how a level
+/// is charged: through [`Recovery::attempt_op`] (the handoff transfer
+/// and the level kernel), or, on the reference rung, fault-free, since
+/// it runs no accelerator and no parallel kernel.
+fn run_rung(
     args: &ExecArgs<'_>,
     source: VertexId,
     rec: &mut Recovery<'_>,
+    rung: Rung,
 ) -> Result<BfsOutput, RungError> {
-    let (csr, cpu, gpu, link, params) = (args.csr, args.cpu, args.gpu, args.link, args.params);
-    if rec.session.gpu_lost() {
+    let (csr, cpu, gpu, link) = (args.csr, args.cpu, args.gpu, args.link);
+    let lost = match rung {
+        Rung::CrossCpuGpu => rec.session.gpu_lost().then_some(Device::Gpu),
+        Rung::CpuOnly => rec.session.cpu_lost().then_some(Device::Cpu),
+        Rung::Reference => None,
+    };
+    if let Some(device) = lost {
         return Err(RungError::Degrade(XbfsError::DeviceLost {
-            device: "gpu",
+            device: device.name(),
             level: 0,
         }));
     }
-    let RungStart {
-        mut state,
-        mut driver,
-        mut device_discovered,
-    } = rec.start_for(Rung::CrossCpuGpu, csr, source, params, cpu, gpu, link)?;
+    let (mut state, mut placer) = rec.start_for(rung, csr, source, args.params, cpu, gpu, link)?;
     let n = csr.num_vertices() as u64;
     // A passthrough cell (frozen, never updated) can only ever pick the
     // offline arm, so it takes the exact pre-policy code path: no feature
@@ -1345,195 +1364,49 @@ fn run_rung_cross(
     loop {
         // Scrub before the capture gate: a corrupt state must be caught
         // here, never frozen into a resume point.
-        let scrubbed = rec.maybe_scrub(csr, Rung::CrossCpuGpu, &state)?;
-        rec.maybe_capture(
-            csr,
-            Rung::CrossCpuGpu,
-            &state,
-            scrubbed,
-            Some(&driver),
-            device_discovered,
-            link,
-        )?;
+        let scrubbed = rec.maybe_scrub(csr, rung, &state)?;
+        rec.maybe_capture(csr, rung, &state, scrubbed, &placer, link)?;
         let level_start_s = rec.clock.elapsed_s;
-        let was_handed = driver.handed_off();
-        let decision = match policy {
-            Some(cell) if !state.frontier.is_empty() => {
-                let ctx = state.switch_context(csr);
-                let offline = driver.offline_placement(&ctx);
-                Some(cell.borrow().decide(&ctx, was_handed, offline))
-            }
-            _ => None,
-        };
-        let stepped = match decision {
-            Some(d) => driver.step_forced(csr, &mut state, d.placement),
-            None => driver.step(csr, &mut state),
-        };
-        let Some(pl) = stepped else {
+        let Some(step) = placer.step(csr, &mut state, policy, rec.sink, level_start_s) else {
             break;
         };
-        let lvl = *state.levels.last().expect("step pushed a record");
-        if let Some(d) = decision {
-            if rec.sink.enabled() {
-                rec.sink.record(&TraceEvent::PolicyDecision {
-                    level: lvl.level,
-                    bin: d.bin,
-                    device: pl.device(),
-                    direction: pl.direction(),
-                    explore: d.explore,
-                    at_s: level_start_s,
-                });
-            }
-        }
+        let (pl, lvl, level) = (step.placement, step.record, step.record.level as usize);
         // The policy's reward: the level's kernel time plus the handoff
         // transfer when this decision fired it.
         let mut observed_s = 0.0;
-        if pl.on_gpu() && !was_handed {
+        if step.handoff {
             let bytes = Link::handoff_bytes(n, lvl.frontier_vertices);
             let mut t = link.transfer_time(bytes);
             if rec.checksum_transfers {
                 t += link.checksum_time(bytes);
             }
             observed_s += t;
-            if let OpOutcome::Corrupted { payload, word, bit } = rec.attempt_op(
-                Rung::CrossCpuGpu,
+            rec.attempt_op(
+                &mut state,
+                rung,
                 FaultOp::Transfer,
-                lvl.level as usize,
+                level,
                 t,
                 Device::Link,
                 bytes,
-            )? {
-                apply_bit_flip(&mut state, payload, word, bit);
-            }
+            )?;
         }
-        let (op, device, arch, device_label) = if pl.on_gpu() {
-            (FaultOp::GpuKernel, Device::Gpu, gpu, "gpu")
+        let nominal = price_level(rung, pl, &lvl, cpu, gpu, rec.clock.elapsed_s, rec.sink);
+        let (op, device) = kernel_op(pl);
+        if rung == Rung::Reference {
+            // Fault-free by construction: charged, never injected.
+            rec.clock.charge(nominal).map_err(RungError::Fatal)?;
+            if rec.sink.enabled() {
+                rec.emit_attempt(op, device, level, 1, 0, level_start_s, true);
+            }
         } else {
-            (FaultOp::CpuKernel, Device::Cpu, cpu, "cpu")
-        };
-        let nominal = cost::level_time_for_record_traced(
-            arch,
-            &lvl,
-            device_label,
-            rec.clock.elapsed_s,
-            rec.sink,
-        );
-        if let OpOutcome::Corrupted { payload, word, bit } = rec.attempt_op(
-            Rung::CrossCpuGpu,
-            op,
-            lvl.level as usize,
-            nominal,
-            device,
-            0,
-        )? {
-            apply_bit_flip(&mut state, payload, word, bit);
+            rec.attempt_op(&mut state, rung, op, level, nominal, device, 0)?;
         }
         observed_s += nominal;
-        if let (Some(cell), Some(d)) = (policy, decision) {
+        if let (Some(cell), Some(d)) = (policy, step.decision) {
             cell.borrow_mut().observe(d.bin, pl, observed_s);
         }
-        rec.note_level(&lvl, Rung::CrossCpuGpu, device_label, level_start_s);
-        if pl.on_gpu() {
-            device_discovered += lvl.discovered;
-        }
-    }
-    Ok(state.into_traversal().output)
-}
-
-/// Rung 2: CPU-only direction-optimizing hybrid at Beamer-default
-/// thresholds, with fault checks on every level kernel.
-fn run_rung_cpu_only(
-    args: &ExecArgs<'_>,
-    source: VertexId,
-    rec: &mut Recovery<'_>,
-) -> Result<BfsOutput, RungError> {
-    let (csr, cpu, gpu, link, params) = (args.csr, args.cpu, args.gpu, args.link, args.params);
-    if rec.session.cpu_lost() {
-        return Err(RungError::Degrade(XbfsError::DeviceLost {
-            device: "cpu",
-            level: 0,
-        }));
-    }
-    let RungStart { mut state, .. } =
-        rec.start_for(Rung::CpuOnly, csr, source, params, cpu, gpu, link)?;
-    let mut mn = FixedMN::new(14.0, 24.0);
-    loop {
-        let scrubbed = rec.maybe_scrub(csr, Rung::CpuOnly, &state)?;
-        rec.maybe_capture(csr, Rung::CpuOnly, &state, scrubbed, None, 0, link)?;
-        let level_start_s = rec.clock.elapsed_s;
-        if state.step(csr, &mut mn).is_none() {
-            break;
-        }
-        let lvl = *state.levels.last().expect("step pushed a record");
-        let nominal =
-            cost::level_time_for_record_traced(cpu, &lvl, "cpu", rec.clock.elapsed_s, rec.sink);
-        if let OpOutcome::Corrupted { payload, word, bit } = rec.attempt_op(
-            Rung::CpuOnly,
-            FaultOp::CpuKernel,
-            lvl.level as usize,
-            nominal,
-            Device::Cpu,
-            0,
-        )? {
-            apply_bit_flip(&mut state, payload, word, bit);
-        }
-        rec.note_level(&lvl, Rung::CpuOnly, "cpu", level_start_s);
-    }
-    Ok(state.into_traversal().output)
-}
-
-/// Rung 3: sequential reference BFS — assumed fault-free (no accelerator,
-/// no parallel kernels) but still on the simulated clock: each level is
-/// charged the CPU's top-down cost scaled up by its core count, the cost
-/// model's view of single-threaded execution.
-fn run_rung_reference(
-    args: &ExecArgs<'_>,
-    source: VertexId,
-    rec: &mut Recovery<'_>,
-) -> Result<BfsOutput, RungError> {
-    let (csr, cpu, gpu, link, params) = (args.csr, args.cpu, args.gpu, args.link, args.params);
-    let RungStart { mut state, .. } =
-        rec.start_for(Rung::Reference, csr, source, params, cpu, gpu, link)?;
-    let mut td = AlwaysTopDown;
-    let penalty = reference_sequential_penalty(cpu);
-    loop {
-        let scrubbed = rec.maybe_scrub(csr, Rung::Reference, &state)?;
-        rec.maybe_capture(csr, Rung::Reference, &state, scrubbed, None, 0, link)?;
-        let level_start_s = rec.clock.elapsed_s;
-        if state.step(csr, &mut td).is_none() {
-            break;
-        }
-        let lvl = *state.levels.last().expect("step pushed a record");
-        let charge = cost::level_time_for_record(cpu, &lvl) * penalty;
-        if rec.sink.enabled() {
-            // The reference rung bypasses `attempt_op` (it is fault-free
-            // by construction), so its kernel span and cost decomposition
-            // are emitted here. The charged value stays `charge`, exactly.
-            let parts = cost::level_cost_parts_for_record(cpu, &lvl);
-            rec.sink.record(&TraceEvent::KernelCost {
-                device: "cpu",
-                level: lvl.level,
-                direction: lvl.direction,
-                total_s: charge,
-                overhead_s: parts.overhead_s * penalty,
-                work_s: parts.work_s * penalty,
-                bound: "reference-serial",
-                at_s: rec.clock.elapsed_s,
-            });
-        }
-        rec.clock.charge(charge).map_err(RungError::Fatal)?;
-        if rec.sink.enabled() {
-            rec.sink.record(&TraceEvent::Kernel {
-                device: "cpu",
-                op: "cpu-kernel",
-                level: lvl.level,
-                attempt: 0,
-                start_s: level_start_s,
-                end_s: rec.clock.elapsed_s,
-                ok: true,
-            });
-        }
-        rec.note_level(&lvl, Rung::Reference, "cpu", level_start_s);
+        rec.note_level(&lvl, rung, pl.device(), level_start_s);
     }
     Ok(state.into_traversal().output)
 }
@@ -1543,9 +1416,10 @@ mod tests {
     use super::*;
     use crate::session::RunSession;
     use xbfs_archsim::fault::ScheduledFault;
+    use xbfs_graph::{gen::road_like, rmat::rmat_csr};
 
     fn setup() -> (Csr, u32, ArchSpec, ArchSpec, Link, CrossParams) {
-        let g = xbfs_graph::rmat::rmat_csr(10, 16);
+        let g = rmat_csr(10, 16);
         let src = crate::training::pick_source(&g, 3).unwrap();
         (
             g,
@@ -2172,6 +2046,53 @@ mod tests {
         assert_eq!(on.output, off.output);
         assert_eq!(on.report.total_seconds, off.report.total_seconds);
         assert_eq!(on.report.corruption_detected, 0);
+    }
+
+    #[test]
+    fn price_level_is_the_cost_model_times_the_rung_penalty() {
+        let (cpu, gpu) = (ArchSpec::cpu_sandy_bridge(), ArchSpec::gpu_k20x());
+        let penalty = cpu.cost.parallel_units.max(1.0);
+        assert!(penalty > 1.0, "the reference rung runs on one core of many");
+        let placements = [
+            Placement::CpuTd,
+            Placement::CpuBu,
+            Placement::GpuTd,
+            Placement::GpuBu,
+        ];
+        for g in [rmat_csr(10, 16), road_like(24, 24, 24, 1)] {
+            let t = xbfs_engine::hybrid::run(&g, 0, &mut FixedMN::new(14.0, 24.0));
+            for (rec, rung) in t.levels.iter().flat_map(|r| LADDER.map(|rung| (r, rung))) {
+                for pl in placements {
+                    let arch = if pl.on_gpu() { &gpu } else { &cpu };
+                    let scale = if rung == Rung::Reference {
+                        penalty
+                    } else {
+                        1.0
+                    };
+                    let expect = cost::level_time_for_record(arch, rec) * scale;
+                    let silent = price_level(rung, pl, rec, &cpu, &gpu, 0.5, &NULL_SINK);
+                    let sink = xbfs_engine::trace::MemorySink::new();
+                    let traced = price_level(rung, pl, rec, &cpu, &gpu, 0.5, &sink);
+                    assert_eq!(silent.to_bits(), expect.to_bits(), "{rung} {pl}");
+                    assert_eq!(traced.to_bits(), expect.to_bits(), "{rung} {pl}");
+                    let parts = cost::level_cost_parts_for_record(arch, rec);
+                    let kernel_cost = TraceEvent::KernelCost {
+                        device: pl.device(),
+                        level: rec.level,
+                        direction: rec.direction,
+                        total_s: expect,
+                        overhead_s: parts.overhead_s * scale,
+                        work_s: parts.work_s * scale,
+                        bound: match rung {
+                            Rung::Reference => "reference-serial",
+                            Rung::CrossCpuGpu | Rung::CpuOnly => parts.bound,
+                        },
+                        at_s: 0.5,
+                    };
+                    assert_eq!(sink.events(), vec![kernel_cost], "{rung} {pl}");
+                }
+            }
+        }
     }
 
     #[test]

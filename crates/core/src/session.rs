@@ -32,12 +32,13 @@
 use crate::checkpoint::{CheckpointPolicy, LevelCheckpoint};
 use crate::cross::{CrossDriver, CrossParams, Placement};
 use crate::health::Device;
-use crate::policy_online::{Decision, PolicyCell};
+use crate::policy_online::{step_level, LevelStep, PolicyCell};
 use crate::recovery::{
-    execute_fresh, execute_resume, ExecArgs, RecoveredRun, ResilienceConfig, RunReport, Rung,
+    execute_fresh, execute_resume, price_level, ExecArgs, RecoveredRun, ResilienceConfig,
+    RunReport, Rung,
 };
 use crate::runtime::AdaptiveRuntime;
-use xbfs_archsim::{cost, ArchSpec, FaultPlan, Link};
+use xbfs_archsim::{ArchSpec, FaultPlan, Link};
 use xbfs_engine::trace::{TraceEvent, TraceSink, NULL_SINK};
 use xbfs_engine::{validate, TraversalState, XbfsError};
 use xbfs_graph::{Csr, GraphStats, VertexId};
@@ -528,7 +529,6 @@ impl<'a> BatchSession<'a> {
             .map(|&s| TraversalState::start(self.csr, s))
             .collect();
         let mut drivers: Vec<CrossDriver> = (0..lanes).map(|_| CrossDriver::new(*params)).collect();
-        let mut handed_off = vec![false; lanes];
         let mut clock = 0.0_f64;
         let mut rounds: u32 = 0;
         // Passthrough cells take the exact pre-policy path (no feature
@@ -536,58 +536,40 @@ impl<'a> BatchSession<'a> {
         let policy = self.policy.filter(|cell| !cell.borrow().is_passthrough());
 
         loop {
-            // Advance every unfinished lane one level; its own driver makes
-            // the same placement decision a solo run would (or the bandit's,
-            // when an online policy is attached).
-            let mut stepped: Vec<(usize, Placement, xbfs_engine::LevelRecord)> = Vec::new();
-            let mut decisions: Vec<Option<Decision>> = Vec::new();
-            let mut crossed_now = vec![false; lanes];
-            for lane in 0..lanes {
-                if states[lane].is_complete() {
-                    continue;
-                }
-                let decision = policy.map(|cell| {
-                    let ctx = states[lane].switch_context(self.csr);
-                    let offline = drivers[lane].offline_placement(&ctx);
-                    cell.borrow().decide(&ctx, handed_off[lane], offline)
-                });
-                let pl = match decision {
-                    Some(d) => drivers[lane].step_forced(self.csr, &mut states[lane], d.placement),
-                    None => drivers[lane].step(self.csr, &mut states[lane]),
-                }
-                .expect("incomplete lane always steps");
-                let rec = *states[lane].levels.last().expect("step pushed a record");
-                if let Some(d) = decision {
-                    if traced {
-                        self.sink.record(&TraceEvent::PolicyDecision {
-                            level: rec.level,
-                            bin: d.bin,
-                            device: pl.device(),
-                            direction: pl.direction(),
-                            explore: d.explore,
-                            at_s: clock,
-                        });
-                    }
-                }
-                stepped.push((lane, pl, rec));
-                decisions.push(decision);
-            }
+            // Advance every unfinished lane one level through the cross
+            // rung's level step: its own driver makes the same placement
+            // decision a solo run would (or the bandit's, when an online
+            // policy is attached). Each lane keeps its solo level price.
+            let stepped: Vec<(LevelStep, f64)> = states
+                .iter_mut()
+                .zip(&mut drivers)
+                .filter_map(|(state, driver)| {
+                    let step = step_level(self.csr, state, driver, policy, self.sink, clock)?;
+                    let price = price_level(
+                        Rung::CrossCpuGpu,
+                        step.placement,
+                        &step.record,
+                        cpu,
+                        gpu,
+                        clock,
+                        &NULL_SINK,
+                    );
+                    Some((step, price))
+                })
+                .collect();
             if stepped.is_empty() {
                 break;
             }
 
-            // Lanes crossing CPU→GPU this round share ONE transfer: the
-            // lane-packed frontier word ships together.
-            let crossing: Vec<&(usize, Placement, xbfs_engine::LevelRecord)> = stepped
+            // Lanes crossing CPU→GPU this round share ONE transfer sized
+            // by their summed frontiers.
+            let crossing: Vec<u64> = stepped
                 .iter()
-                .filter(|(lane, pl, _)| pl.on_gpu() && !handed_off[*lane])
+                .filter(|(step, _)| step.handoff)
+                .map(|(step, _)| step.record.frontier_vertices)
                 .collect();
             if !crossing.is_empty() {
-                let frontier_vertices: u64 = crossing
-                    .iter()
-                    .map(|(_, _, rec)| rec.frontier_vertices)
-                    .sum();
-                let bytes = Link::handoff_bytes(n as u64, frontier_vertices);
+                let bytes = Link::handoff_bytes(n as u64, crossing.iter().sum());
                 let seconds = link.transfer_time(bytes);
                 if traced {
                     self.sink.record(&TraceEvent::Transfer {
@@ -600,10 +582,6 @@ impl<'a> BatchSession<'a> {
                     });
                 }
                 clock += seconds;
-                for (lane, _, _) in &crossing {
-                    handed_off[*lane] = true;
-                    crossed_now[*lane] = true;
-                }
             }
 
             // Each lane's bandit reward is its *solo-equivalent* cost: its
@@ -612,50 +590,52 @@ impl<'a> BatchSession<'a> {
             // savings its placement did not cause.
             if let Some(cell) = policy {
                 let mut run = cell.borrow_mut();
-                for ((lane, pl, rec), d) in stepped.iter().zip(&decisions) {
-                    let Some(d) = d else { continue };
-                    let arch = if pl.on_gpu() { gpu } else { cpu };
-                    let mut cost_s = cost::level_time_for_record(arch, rec);
-                    if crossed_now[*lane] {
-                        cost_s += link
-                            .transfer_time(Link::handoff_bytes(n as u64, rec.frontier_vertices));
+                for (step, price) in &stepped {
+                    let Some(d) = step.decision else { continue };
+                    let mut cost_s = *price;
+                    if step.handoff {
+                        cost_s += link.transfer_time(Link::handoff_bytes(
+                            n as u64,
+                            step.record.frontier_vertices,
+                        ));
                     }
-                    run.observe(d.bin, *pl, cost_s);
+                    run.observe(d.bin, step.placement, cost_s);
                 }
             }
 
-            // Charge each placement group once: one sweep serves the whole
-            // word, bounded by the group's slowest lane.
+            // Charge each placement group once: the group's slowest lane
+            // bounds the round on that device.
             for placement in [
                 Placement::CpuTd,
                 Placement::CpuBu,
                 Placement::GpuTd,
                 Placement::GpuBu,
             ] {
-                let group: Vec<&(usize, Placement, xbfs_engine::LevelRecord)> = stepped
+                let group: Vec<&(LevelStep, f64)> = stepped
                     .iter()
-                    .filter(|(_, pl, _)| *pl == placement)
+                    .filter(|(step, _)| step.placement == placement)
                     .collect();
                 if group.is_empty() {
                     continue;
                 }
-                let arch = if placement.on_gpu() { gpu } else { cpu };
                 let seconds = group
                     .iter()
-                    .map(|(_, _, rec)| cost::level_time_for_record(arch, rec))
+                    .map(|(_, price)| *price)
                     .fold(0.0_f64, f64::max);
                 if traced {
-                    let device = if placement.on_gpu() { "gpu" } else { "cpu" };
                     self.sink.record(&TraceEvent::BatchLevel {
-                        device,
+                        device: placement.device(),
                         level: rounds,
                         direction: placement.direction(),
                         lanes: group.len() as u32,
                         frontier_vertices: group
                             .iter()
-                            .map(|(_, _, rec)| rec.frontier_vertices)
+                            .map(|(step, _)| step.record.frontier_vertices)
                             .sum(),
-                        edges_examined: group.iter().map(|(_, _, rec)| rec.edges_examined).sum(),
+                        edges_examined: group
+                            .iter()
+                            .map(|(step, _)| step.record.edges_examined)
+                            .sum(),
                         seconds,
                         at_s: clock,
                     });

@@ -190,7 +190,7 @@ pub fn critical_path(events: &[TraceEvent]) -> CriticalPath {
             | TraceEvent::BatchLane { at_s, .. }
             | TraceEvent::BatchEnd { at_s, .. }
             | TraceEvent::PolicyDecision { at_s, .. } => observe(*at_s, *at_s),
-            // Like `Level`: an aggregate over the whole lane word, not a
+            // Like `Level`: an aggregate over a group of lanes, not a
             // leaf span — stretch the observed window, add no segment.
             TraceEvent::BatchLevel { seconds, at_s, .. } => observe(*at_s, *at_s + *seconds),
             TraceEvent::Level { start_s, end_s, .. } => observe(*start_s, *end_s),

@@ -312,7 +312,8 @@ pub enum TraceEvent {
         /// Simulated clock at detection.
         at_s: f64,
     },
-    /// A lane-packed batch traversal began.
+    /// A `BatchSession` batch began: its lanes step in lockstep rounds
+    /// on one shared simulated clock.
     BatchBegin {
         /// Lanes (sources) packed into the batch.
         lanes: u32,
@@ -325,7 +326,7 @@ pub enum TraceEvent {
     /// Reconciliation record tying one batch lane back to the query it
     /// carries — the per-lane counterpart of [`TraceEvent::QueryEnd`].
     BatchLane {
-        /// Zero-based lane index within the batch word.
+        /// Zero-based lane index within the batch.
         lane: u32,
         /// Caller-assigned query id riding the lane.
         query: u64,
@@ -334,29 +335,30 @@ pub enum TraceEvent {
         /// Simulated clock when the lane was bound.
         at_s: f64,
     },
-    /// One lockstep round of a batch executed on a device: every active
-    /// lane advanced one level under a single union sweep / grouped
-    /// frontier expansion.
+    /// One placement group of a batch's lockstep round: the lanes whose
+    /// level ran on this device in this direction, charged once for the
+    /// group.
     BatchLevel {
         /// Device the round was charged to ("cpu" or "gpu").
         device: &'static str,
         /// Round index (each lane's level index for this round).
         level: u32,
-        /// Direction the per-batch switch decision chose.
+        /// Direction the group's lanes ran, each by its own placement
+        /// decision.
         direction: Direction,
-        /// Lanes still active in the round.
+        /// Lanes in the group.
         lanes: u32,
-        /// Σ`|V|cq` over active lanes.
+        /// Σ`|V|cq` over the group's lanes.
         frontier_vertices: u64,
-        /// Σ edges examined over active lanes.
+        /// Σ edges examined over the group's lanes.
         edges_examined: u64,
-        /// Simulated seconds charged for the round (the slowest lane's
-        /// level price — one sweep serves the word).
+        /// Simulated seconds charged for the group: the slowest lane's
+        /// level price.
         seconds: f64,
         /// Simulated clock when the round began.
         at_s: f64,
     },
-    /// A lane-packed batch traversal finished.
+    /// A `BatchSession` batch finished.
     BatchEnd {
         /// Lanes the batch carried.
         lanes: u32,
