@@ -17,13 +17,14 @@
 //! Graphs are the compact binary format by default (`io::encode_csr`);
 //! `--text` reads/writes whitespace edge lists instead.
 //!
-//! `--trace-out` and `--metrics-out` record the run through a trace sink
-//! ([`MemorySink`] for single-threaded runs, [`ShardedSink`] when worker
-//! threads record concurrently) and export it as chrome://tracing JSON
-//! (load in Perfetto) and Prometheus text respectively. Either accepts
-//! `-` for stdout; when any machine output claims stdout, the human
-//! narration moves to stderr so the data stream stays clean. `--quiet`
-//! silences the narration entirely.
+//! `--trace-out` and `--metrics-out` record the run into a [`MemorySink`]
+//! (a parallel run's workers share it) and export it as chrome://tracing
+//! JSON (load in Perfetto) and Prometheus text respectively; `serve`
+//! renders its metrics from the service's registry, which counts every
+//! query whichever traces were kept. Either accepts `-` for stdout; when
+//! any machine output claims stdout, the human narration moves to stderr
+//! so the data stream stays clean. `--quiet` silences the narration
+//! entirely.
 
 use std::io::{BufReader, Write};
 use std::process::ExitCode;
@@ -38,8 +39,8 @@ use xbfs_core::{
 };
 use xbfs_engine::{
     hybrid, par, stcon, tree, validate, AlwaysBottomUp, AlwaysTopDown, Direction, FixedMN,
-    MemorySink, ScrubPolicy, Scrubber, ShardedSink, SwitchPolicy, TraceEvent, TraceSink,
-    TraversalState, XbfsError,
+    MemorySink, ScrubPolicy, Scrubber, SwitchPolicy, TraceEvent, TraceSink, TraversalState,
+    XbfsError,
 };
 use xbfs_graph::{components, io, stats, Csr, GraphStats, RmatConfig, RmatGenerator};
 
@@ -447,9 +448,8 @@ fn cmd_bfs(args: &Args) -> Result<(), String> {
         other => return Err(format!("unknown policy '{other}'")),
     };
 
-    // Multi-threaded workers record concurrently, so traced parallel runs
-    // go through the sharded (seq-ordered) sink.
-    let sink = ShardedSink::new();
+    // Parallel workers record into the same buffer: one span per kernel.
+    let sink = MemorySink::new();
     let start = std::time::Instant::now();
     let t = if args.on("scrub") {
         // Scrubbed runs drive the stepping engine so the invariant audit
@@ -815,9 +815,10 @@ fn serve_schedule(args: &Args, g: &Csr) -> Result<Vec<ScheduleItem>, String> {
 /// Parse the live-telemetry flags for `serve`: `--snapshot-every SECS`
 /// turns on the windowed time-series registry; the `--slo-*` targets
 /// (evaluated over those windows) require it, as does `--timeseries-out`.
-/// `--flight-recorder N` bounds each query's event ring and
-/// `--trace-sample RATE` head-samples the kept per-query trace buffers,
-/// keyed on `--seed` so the kept set replays bit-for-bit.
+/// `--flight-recorder N` sizes each failed query's post-mortem and
+/// `--trace-sample RATE` head-samples the per-query traces `--trace-out`
+/// keeps, keyed on `--seed` so the kept set replays bit-for-bit; it needs
+/// `--trace-out`, the only output it thins.
 fn telemetry_from_args(
     args: &Args,
 ) -> Result<(SnapshotPolicy, Option<SloPolicy>, usize, TraceSamplePolicy), String> {
@@ -855,6 +856,9 @@ fn telemetry_from_args(
     if args.get("postmortem-dir").is_some() && flight_recorder == 0 {
         return Err("--postmortem-dir needs --flight-recorder N".into());
     }
+    if args.get("trace-sample").is_some() && args.get("trace-out").is_none() {
+        return Err("--trace-sample thins only the kept traces; add --trace-out T.json".into());
+    }
     let trace_sample = TraceSamplePolicy {
         rate: args.parse_num("trace-sample")?.unwrap_or(1.0),
         seed: args.parse_num("seed")?.unwrap_or(0xC0FFEE),
@@ -875,6 +879,9 @@ fn policy_mode_from_args(args: &Args) -> Result<PolicyMode, String> {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let ui = Ui::new(args);
+    // Flag contracts first, so a bad combination fails before the graph
+    // is read.
+    let (snapshot, slo, flight_recorder, trace_sample) = telemetry_from_args(args)?;
     let g = std::sync::Arc::new(load_graph(args)?);
     let stats = GraphStats::unknown(&g);
     let schedule = serve_schedule(args, &g)?;
@@ -884,13 +891,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "cancel" => DrainMode::Cancel,
         other => return Err(format!("unknown --drain-mode '{other}'")),
     };
-    let keep_query_traces = args.get("trace-out").is_some() || args.get("metrics-out").is_some();
+    let keep_query_traces = args.get("trace-out").is_some();
     let batching = BatchPolicy {
         window: args.parse_num("batch-window")?.unwrap_or(0),
         max_lanes: args.parse_num("batch-lanes")?.unwrap_or(64),
         compat: BatchCompat::default(),
     };
-    let (snapshot, slo, flight_recorder, trace_sample) = telemetry_from_args(args)?;
     let snapshot_every = snapshot.every_seconds;
     let policy = policy_mode_from_args(args)?;
     let config = ServiceConfig {
@@ -1030,7 +1036,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
     }
     if let Some(path) = args.get("metrics-out") {
-        let mut text = prometheus_text(&report.merged_events());
+        let mut text = report.metrics.render();
         if let Some(slo) = &report.slo {
             text.push_str(&prometheus_slo_text(slo));
         }
@@ -1057,7 +1063,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             let path = format!("{dir}/postmortem-query-{}.json", pm.query);
             std::fs::write(&path, pm.to_json()).map_err(|e| format!("{path}: {e}"))?;
             ui.say(format!(
-                "wrote post-mortem for query {} ({} event(s), {} overwritten) to {path}",
+                "wrote post-mortem for query {} ({} event(s), {} earlier dropped) to {path}",
                 pm.query,
                 pm.events.len(),
                 pm.dropped,
@@ -1481,17 +1487,18 @@ log-bucketed latency + queue-wait histograms with p50/p95/p99);
 stdout). The --slo-* flags set service-level objectives evaluated over
 those windows (deadline hit ratio, latency objective + hit ratio); the
 verdict lands in the narration, the JSON-lines stream, and --metrics-out
-as the xbfs_slo_* families. --flight-recorder N keeps each query's last
-N trace events in a bounded ring and dumps the ring as a
+as the xbfs_slo_* families. Every query records one trace buffer.
+--flight-recorder N dumps the last N events of a query's buffer as a
 post-mortem JSON artifact (--postmortem-dir, postmortem-query-<id>.json)
-when the query ends in a typed error. --trace-sample RATE head-samples
-the kept per-query trace buffers (seeded by --seed; a query is kept or
-dropped whole, never truncated). report renders a --timeseries-out
+when the query ends in a typed error. report renders a --timeseries-out
 stream as a text dashboard: queue-depth sparkline, per-window rate and
 quantile tables, and the SLO verdict with peak burn-rate windows.
 --trace-out writes one chrome trace with the service track plus every
-query as its own process on the service clock; --metrics-out includes the
-xbfs_service_* admission counters.
+query as its own process on the service clock; --trace-sample RATE
+(needs --trace-out) head-samples which queries it keeps (seeded by
+--seed; a query is kept or dropped whole, never truncated). --metrics-out
+counts every query's buffer, so its bytes never depend on --trace-out or
+--trace-sample; it includes the xbfs_service_* admission counters.
 
 bench runs the pinned deterministic perf suite (three Graph 500 sizes,
 fault-free and under the committed chaos plan), writes a versioned

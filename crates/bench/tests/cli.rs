@@ -599,16 +599,18 @@ fn serve_telemetry_stream_is_byte_identical_across_runs() {
 
 #[test]
 fn serve_trace_sample_zero_matches_unsampled_report_bytes() {
-    // `--trace-sample 0` gates only which per-query trace buffers are
-    // retained — scheduling, results, and the service report are
-    // untouched. The report from a fully sampled-out run must byte-match
-    // the default (keep-everything) run.
+    // `--trace-sample 0` gates only which per-query traces are kept for
+    // the chrome trace — scheduling, results, the service report and the
+    // metrics are untouched. The report and the metrics from a fully
+    // sampled-out run must byte-match the default (keep-everything) run.
     let graph = tmpfile("serve-sample-zero.xbfs");
     let trace0 = tmpfile("serve-sample-zero.trace.json");
     let trace1 = tmpfile("serve-sample-one.trace.json");
+    let prom0 = tmpfile("serve-sample-zero.prom");
+    let prom1 = tmpfile("serve-sample-one.prom");
     stdout_of(cli().args(["gen", "--scale", "10", "--out", graph.to_str().unwrap()]));
 
-    let serve = |trace: &PathBuf, sample: Option<&str>| {
+    let serve = |trace: &PathBuf, prom: &PathBuf, sample: Option<&str>| {
         let mut args = vec![
             "serve",
             "--graph",
@@ -625,6 +627,8 @@ fn serve_trace_sample_zero_matches_unsampled_report_bytes() {
             "4",
             "--trace-out",
             trace.to_str().unwrap(),
+            "--metrics-out",
+            prom.to_str().unwrap(),
             "--report-json",
             "-",
             "--quiet",
@@ -634,13 +638,17 @@ fn serve_trace_sample_zero_matches_unsampled_report_bytes() {
         }
         stdout_of(cli().args(args))
     };
-    let sampled_out = serve(&trace0, Some("0"));
-    let unsampled = serve(&trace1, None);
+    let sampled_out = serve(&trace0, &prom0, Some("0"));
+    let unsampled = serve(&trace1, &prom1, None);
     assert!(!unsampled.is_empty(), "report must reach stdout");
     assert_eq!(
         sampled_out, unsampled,
         "sampling must not perturb the service report"
     );
+    let m0 = std::fs::read_to_string(&prom0).expect("sampled-out metrics written");
+    let m1 = std::fs::read_to_string(&prom1).expect("unsampled metrics written");
+    assert!(m1.contains("xbfs_levels_total"), "{m1}");
+    assert_eq!(m0, m1, "sampling must not thin the metrics");
 
     // The knob itself did something: the sampled-out chrome trace dropped
     // every per-query event stream the unsampled run kept.
@@ -653,9 +661,34 @@ fn serve_trace_sample_zero_matches_unsampled_report_bytes() {
         t1.len()
     );
 
-    std::fs::remove_file(graph).ok();
-    std::fs::remove_file(trace0).ok();
-    std::fs::remove_file(trace1).ok();
+    // --trace-sample thins only the kept traces, so without --trace-out
+    // it is a flag error naming both flags, before any work: the graph
+    // path is never read.
+    let bad = cli()
+        .args([
+            "serve",
+            "--graph",
+            tmpfile("serve-sample-missing.xbfs").to_str().unwrap(),
+            "--arrivals",
+            "1",
+            "--trace-sample",
+            "0.5",
+            "--metrics-out",
+            prom0.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(!bad.status.success());
+    let stderr = String::from_utf8_lossy(&bad.stderr);
+    assert!(
+        stderr.contains("--trace-sample") && stderr.contains("--trace-out"),
+        "{stderr}"
+    );
+    assert!(bad.stdout.is_empty(), "rejected before any work");
+
+    for f in [graph, trace0, trace1, prom0, prom1] {
+        std::fs::remove_file(f).ok();
+    }
 }
 
 #[test]

@@ -11,9 +11,8 @@
 //! trace to a `(level, device, phase)` cell using the [`TraceEvent`] stream
 //! a [`MemorySink`](xbfs_engine::MemorySink) buffered.
 //!
-//! The audit is pure data: serializable to JSON for `BENCH_<n>.json`
-//! artifacts and renderable as Prometheus gauges via
-//! [`crate::observe::prometheus_audit_text`].
+//! The audit is pure data, serializable to JSON for `BENCH_<n>.json`
+//! artifacts.
 
 use crate::{
     cross::{cost_cross, CrossParams},

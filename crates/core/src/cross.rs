@@ -335,6 +335,26 @@ pub struct CrossRun {
     pub total_seconds: f64,
 }
 
+/// Fallible [`run_cross`]: validates `params` (the same gate as
+/// [`try_cost_cross`]) and the source vertex before executing.
+pub fn try_run_cross(
+    csr: &Csr,
+    source: VertexId,
+    cpu: &ArchSpec,
+    gpu: &ArchSpec,
+    link: &Link,
+    params: &CrossParams,
+) -> Result<CrossRun, XbfsError> {
+    params.validate()?;
+    if source >= csr.num_vertices() {
+        return Err(XbfsError::BadSource {
+            source,
+            num_vertices: csr.num_vertices(),
+        });
+    }
+    Ok(run_cross(csr, source, cpu, gpu, link, params))
+}
+
 /// Execute Algorithm 3 for real: engine kernels traverse `csr`, placements
 /// follow `params`, and the simulated clock charges each level on its
 /// device plus the handoff transfer.
@@ -360,26 +380,6 @@ pub struct CrossRun {
 /// assert!(xbfs_engine::validate(&g, &run.traversal.output).is_ok());
 /// assert_eq!(run.placements.len(), run.level_seconds.len());
 /// ```
-/// Fallible [`run_cross`]: validates `params` (the same gate as
-/// [`try_cost_cross`]) and the source vertex before executing.
-pub fn try_run_cross(
-    csr: &Csr,
-    source: VertexId,
-    cpu: &ArchSpec,
-    gpu: &ArchSpec,
-    link: &Link,
-    params: &CrossParams,
-) -> Result<CrossRun, XbfsError> {
-    params.validate()?;
-    if source >= csr.num_vertices() {
-        return Err(XbfsError::BadSource {
-            source,
-            num_vertices: csr.num_vertices(),
-        });
-    }
-    Ok(run_cross(csr, source, cpu, gpu, link, params))
-}
-
 pub fn run_cross(
     csr: &Csr,
     source: VertexId,

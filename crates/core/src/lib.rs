@@ -63,8 +63,7 @@ pub use observe::timeseries::{
     LATENCY_BUCKETS_S,
 };
 pub use observe::{
-    chrome_trace_json, prometheus_audit_text, prometheus_text, service_chrome_trace_json,
-    trace_event_json,
+    chrome_trace_json, prometheus_text, service_chrome_trace_json, trace_event_json, Metrics,
 };
 pub use oracle::MnGrid;
 pub use policy_online::{

@@ -1,9 +1,9 @@
 //! Offline exporters that turn a recorded trace into standard formats.
 //!
 //! The sinks in [`xbfs_engine::trace`] deliberately do no interpretation —
-//! they buffer or count. This module consumes a buffered event list (from a
-//! [`MemorySink`](xbfs_engine::trace::MemorySink)) after the run and
-//! renders it two ways:
+//! they drop or buffer. This module consumes a buffered event list (from a
+//! [`MemorySink`](xbfs_engine::trace::MemorySink)) and renders it two
+//! ways:
 //!
 //! * [`chrome_trace_json`] — the Chrome Trace Event format, loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>: one track per device
@@ -11,9 +11,11 @@
 //!   engine; levels, kernel attempts, transfers, backoffs, and checkpoints
 //!   as duration spans; faults, breaker flips, and resumes as instants;
 //!   decomposed kernel costs as counter series.
-//! * [`prometheus_text`] — the Prometheus text exposition format: counters
-//!   keyed by device, rung, and direction, plus a per-device histogram of
-//!   simulated level durations.
+//! * [`Metrics`] and [`prometheus_text`] — the Prometheus text exposition
+//!   format: counters keyed by device, rung, and direction, plus a
+//!   per-device histogram of simulated level durations. The registry
+//!   accepts event lists one at a time, which is how the query service
+//!   counts every dispatch whether or not its trace is kept.
 //!
 //! Both outputs are deterministic for a given event list (stable sorts,
 //! `BTreeMap`-ordered label sets), which is what lets the golden-file test
@@ -23,7 +25,6 @@
 //! simulated-clock windowed registry the service feeds while it runs,
 //! with log-bucketed quantiles and SLO evaluation.
 
-use crate::audit::DecisionAudit;
 use crate::service::QueryTrace;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
@@ -767,7 +768,7 @@ pub fn service_chrome_trace_json(service_events: &[TraceEvent], queries: &[Query
 }
 
 /// A family of counters with a shared name, keyed by a rendered label set.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Counter {
     series: BTreeMap<String, f64>,
 }
@@ -828,7 +829,7 @@ fn write_counter(out: &mut String, name: &str, help: &str, c: &Counter) {
 /// Histogram bucket upper bounds for simulated level durations, seconds.
 const LEVEL_BUCKETS_S: [f64; 6] = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0];
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Histogram {
     // label set → (per-bucket cumulative-style raw counts, sum, count)
     series: BTreeMap<String, ([u64; LEVEL_BUCKETS_S.len()], f64, u64)>,
@@ -878,382 +879,416 @@ fn write_histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
     }
 }
 
-/// Render `events` in the Prometheus text exposition format.
+/// The metric registry behind the Prometheus exposition: every counter
+/// and histogram family, accumulated by folding event lists into it.
 ///
-/// Counters are keyed by device, rung, direction, outcome, or fault kind as
-/// appropriate; simulated level durations additionally feed a per-device
-/// histogram. Output order is deterministic (`BTreeMap` label ordering), so
-/// the text is diff-stable across runs of the same trace.
-pub fn prometheus_text(events: &[TraceEvent]) -> String {
-    let mut levels = Counter::default();
-    let mut level_edges = Counter::default();
-    let mut level_seconds = Histogram::default();
-    let mut kernel_attempts = Counter::default();
-    let mut transfer_attempts = Counter::default();
-    let mut transfer_bytes = Counter::default();
-    let mut faults = Counter::default();
-    let mut backoff_seconds = Counter::default();
-    let mut breaker_transitions = Counter::default();
-    let mut checkpoints = Counter::default();
-    let mut checkpoint_bytes = Counter::default();
-    let mut resumes = Counter::default();
-    let mut rungs = Counter::default();
-    let mut rungs_skipped = Counter::default();
-    let mut engine_levels = Counter::default();
-    let mut engine_seconds = Counter::default();
-    let mut service_admitted = Counter::default();
-    let mut service_shed = Counter::default();
-    let mut service_queries = Counter::default();
-    let mut service_wait_seconds = Counter::default();
-    let mut service_latency = Histogram::default();
-    let mut admitted_at: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut queue_depth_peak: Option<u32> = None;
-    let mut corruption_detected = Counter::default();
-    let mut corruption_repairs = Counter::default();
-    let mut batch_dispatches = Counter::default();
-    let mut batch_lanes = Counter::default();
-    let mut batch_lane_queries = Counter::default();
-    let mut batch_levels = Counter::default();
-    let mut batch_level_seconds = Counter::default();
-    let mut policy_decisions = Counter::default();
-    let mut policy_explorations = Counter::default();
+/// The query service folds each dispatch's trace buffer into one registry
+/// at the dispatch's completion event and its own admission events once
+/// when the run ends, so the families count every query whichever traces
+/// were kept. [`prometheus_text`] is the same registry folded over one
+/// slice.
+#[derive(Debug, Default)]
+pub struct Metrics {
+    levels: Counter,
+    level_edges: Counter,
+    level_seconds: Histogram,
+    kernel_attempts: Counter,
+    transfer_attempts: Counter,
+    transfer_bytes: Counter,
+    faults: Counter,
+    backoff_seconds: Counter,
+    breaker_transitions: Counter,
+    checkpoints: Counter,
+    checkpoint_bytes: Counter,
+    resumes: Counter,
+    rungs: Counter,
+    rungs_skipped: Counter,
+    engine_levels: Counter,
+    engine_seconds: Counter,
+    service_admitted: Counter,
+    service_shed: Counter,
+    service_queries: Counter,
+    service_wait_seconds: Counter,
+    service_latency: Histogram,
+    queue_depth_peak: Option<u32>,
+    corruption_detected: Counter,
+    corruption_repairs: Counter,
+    batch_dispatches: Counter,
+    batch_lanes: Counter,
+    batch_lane_queries: Counter,
+    batch_levels: Counter,
+    batch_level_seconds: Counter,
+    policy_decisions: Counter,
+    policy_explorations: Counter,
+}
 
-    for ev in events {
-        match ev {
-            TraceEvent::RungBegin { .. } => {}
-            TraceEvent::RungEnd { rung, outcome, .. } => {
-                rungs.add(&[("rung", rung), ("outcome", outcome.name())], 1.0);
-            }
-            TraceEvent::RungSkipped { rung, device, .. } => {
-                rungs_skipped.add(&[("rung", rung), ("device", device)], 1.0);
-            }
-            TraceEvent::Level {
-                rung,
-                device,
-                direction,
-                edges_examined,
-                start_s,
-                end_s,
-                ..
-            } => {
-                let key = [
-                    ("device", *device),
-                    ("rung", *rung),
-                    ("direction", dir_label(*direction)),
-                ];
-                levels.add(&key, 1.0);
-                level_edges.add(&key, *edges_examined as f64);
-                level_seconds.observe(&[("device", *device)], end_s - start_s);
-            }
-            TraceEvent::Kernel { device, ok, .. } => {
-                kernel_attempts.add(
-                    &[
-                        ("device", device),
-                        ("ok", if *ok { "true" } else { "false" }),
-                    ],
-                    1.0,
-                );
-            }
-            TraceEvent::Transfer { bytes, ok, .. } => {
-                let ok_label = if *ok { "true" } else { "false" };
-                transfer_attempts.add(&[("ok", ok_label)], 1.0);
-                transfer_bytes.add(&[("ok", ok_label)], *bytes as f64);
-            }
-            TraceEvent::Backoff {
-                op, start_s, end_s, ..
-            } => {
-                backoff_seconds.add(&[("op", op)], end_s - start_s);
-            }
-            TraceEvent::Fault { op, kind, .. } => {
-                faults.add(&[("op", op), ("kind", kind)], 1.0);
-            }
-            TraceEvent::Breaker { device, to, .. } => {
-                breaker_transitions.add(&[("device", device), ("to", to)], 1.0);
-            }
-            TraceEvent::Checkpoint {
-                rung,
-                bytes,
-                spilled,
-                ..
-            } => {
-                let key = [
-                    ("rung", *rung),
-                    ("spilled", if *spilled { "true" } else { "false" }),
-                ];
-                checkpoints.add(&key, 1.0);
-                checkpoint_bytes.add(&key, *bytes as f64);
-            }
-            TraceEvent::Resume { rung, .. } => {
-                resumes.add(&[("rung", rung)], 1.0);
-            }
-            TraceEvent::KernelCost { .. } => {}
-            TraceEvent::EngineLevel {
-                direction, wall_s, ..
-            } => {
-                let key = [("direction", dir_label(*direction))];
-                engine_levels.add(&key, 1.0);
-                engine_seconds.add(&key, *wall_s);
-            }
-            TraceEvent::QueryAdmitted { query, at_s, .. } => {
-                service_admitted.add(&[], 1.0);
-                admitted_at.insert(*query, *at_s);
-            }
-            TraceEvent::QueryStart { wait_s, .. } => {
-                service_wait_seconds.add(&[], *wait_s);
-            }
-            TraceEvent::QueryEnd {
-                query,
-                outcome,
-                at_s,
-                ..
-            } => {
-                service_queries.add(&[("outcome", outcome)], 1.0);
-                if let Some(admit_s) = admitted_at.get(query) {
-                    service_latency.observe(&[("outcome", outcome)], at_s - admit_s);
+impl Metrics {
+    /// Fold `events` into the registry. Counters add up in event order. A
+    /// `QueryEnd` feeds the latency histogram only when its query's
+    /// `QueryAdmitted` is in the same slice.
+    pub fn fold(&mut self, events: &[TraceEvent]) {
+        let mut admitted_at: BTreeMap<u64, f64> = BTreeMap::new();
+        for ev in events {
+            match ev {
+                TraceEvent::RungBegin { .. } => {}
+                TraceEvent::RungEnd { rung, outcome, .. } => {
+                    self.rungs
+                        .add(&[("rung", rung), ("outcome", outcome.name())], 1.0);
                 }
-            }
-            TraceEvent::QueryShed { reason, .. } => {
-                service_shed.add(&[("reason", reason)], 1.0);
-            }
-            TraceEvent::QueueDepth { depth, .. } => {
-                queue_depth_peak = Some(queue_depth_peak.unwrap_or(0).max(*depth));
-            }
-            TraceEvent::CorruptionDetected { rung, detector, .. } => {
-                corruption_detected.add(&[("detector", detector), ("rung", rung)], 1.0);
-            }
-            TraceEvent::CorruptionRepair { rung, action, .. } => {
-                corruption_repairs.add(&[("action", action), ("rung", rung)], 1.0);
-            }
-            TraceEvent::BatchBegin { lanes, .. } => {
-                batch_dispatches.add(&[], 1.0);
-                batch_lanes.add(&[], f64::from(*lanes));
-            }
-            TraceEvent::BatchLane { .. } => {
-                batch_lane_queries.add(&[], 1.0);
-            }
-            TraceEvent::BatchLevel {
-                device,
-                direction,
-                seconds,
-                ..
-            } => {
-                let key = [("device", *device), ("direction", dir_label(*direction))];
-                batch_levels.add(&key, 1.0);
-                batch_level_seconds.add(&key, *seconds);
-            }
-            TraceEvent::BatchEnd { .. } => {}
-            TraceEvent::PolicyDecision {
-                device,
-                direction,
-                explore,
-                ..
-            } => {
-                let key = [("device", *device), ("direction", dir_label(*direction))];
-                policy_decisions.add(&key, 1.0);
-                if *explore {
-                    policy_explorations.add(&key, 1.0);
+                TraceEvent::RungSkipped { rung, device, .. } => {
+                    self.rungs_skipped
+                        .add(&[("rung", rung), ("device", device)], 1.0);
+                }
+                TraceEvent::Level {
+                    rung,
+                    device,
+                    direction,
+                    edges_examined,
+                    start_s,
+                    end_s,
+                    ..
+                } => {
+                    let key = [
+                        ("device", *device),
+                        ("rung", *rung),
+                        ("direction", dir_label(*direction)),
+                    ];
+                    self.levels.add(&key, 1.0);
+                    self.level_edges.add(&key, *edges_examined as f64);
+                    self.level_seconds
+                        .observe(&[("device", *device)], end_s - start_s);
+                }
+                TraceEvent::Kernel { device, ok, .. } => {
+                    self.kernel_attempts.add(
+                        &[
+                            ("device", device),
+                            ("ok", if *ok { "true" } else { "false" }),
+                        ],
+                        1.0,
+                    );
+                }
+                TraceEvent::Transfer { bytes, ok, .. } => {
+                    let ok_label = if *ok { "true" } else { "false" };
+                    self.transfer_attempts.add(&[("ok", ok_label)], 1.0);
+                    self.transfer_bytes.add(&[("ok", ok_label)], *bytes as f64);
+                }
+                TraceEvent::Backoff {
+                    op, start_s, end_s, ..
+                } => {
+                    self.backoff_seconds.add(&[("op", op)], end_s - start_s);
+                }
+                TraceEvent::Fault { op, kind, .. } => {
+                    self.faults.add(&[("op", op), ("kind", kind)], 1.0);
+                }
+                TraceEvent::Breaker { device, to, .. } => {
+                    self.breaker_transitions
+                        .add(&[("device", device), ("to", to)], 1.0);
+                }
+                TraceEvent::Checkpoint {
+                    rung,
+                    bytes,
+                    spilled,
+                    ..
+                } => {
+                    let key = [
+                        ("rung", *rung),
+                        ("spilled", if *spilled { "true" } else { "false" }),
+                    ];
+                    self.checkpoints.add(&key, 1.0);
+                    self.checkpoint_bytes.add(&key, *bytes as f64);
+                }
+                TraceEvent::Resume { rung, .. } => {
+                    self.resumes.add(&[("rung", rung)], 1.0);
+                }
+                TraceEvent::KernelCost { .. } => {}
+                TraceEvent::EngineLevel {
+                    direction, wall_s, ..
+                } => {
+                    let key = [("direction", dir_label(*direction))];
+                    self.engine_levels.add(&key, 1.0);
+                    self.engine_seconds.add(&key, *wall_s);
+                }
+                TraceEvent::QueryAdmitted { query, at_s, .. } => {
+                    self.service_admitted.add(&[], 1.0);
+                    admitted_at.insert(*query, *at_s);
+                }
+                TraceEvent::QueryStart { wait_s, .. } => {
+                    self.service_wait_seconds.add(&[], *wait_s);
+                }
+                TraceEvent::QueryEnd {
+                    query,
+                    outcome,
+                    at_s,
+                    ..
+                } => {
+                    self.service_queries.add(&[("outcome", outcome)], 1.0);
+                    if let Some(admit_s) = admitted_at.get(query) {
+                        self.service_latency
+                            .observe(&[("outcome", outcome)], at_s - admit_s);
+                    }
+                }
+                TraceEvent::QueryShed { reason, .. } => {
+                    self.service_shed.add(&[("reason", reason)], 1.0);
+                }
+                TraceEvent::QueueDepth { depth, .. } => {
+                    self.queue_depth_peak = Some(self.queue_depth_peak.unwrap_or(0).max(*depth));
+                }
+                TraceEvent::CorruptionDetected { rung, detector, .. } => {
+                    self.corruption_detected
+                        .add(&[("detector", detector), ("rung", rung)], 1.0);
+                }
+                TraceEvent::CorruptionRepair { rung, action, .. } => {
+                    self.corruption_repairs
+                        .add(&[("action", action), ("rung", rung)], 1.0);
+                }
+                TraceEvent::BatchBegin { lanes, .. } => {
+                    self.batch_dispatches.add(&[], 1.0);
+                    self.batch_lanes.add(&[], f64::from(*lanes));
+                }
+                TraceEvent::BatchLane { .. } => {
+                    self.batch_lane_queries.add(&[], 1.0);
+                }
+                TraceEvent::BatchLevel {
+                    device,
+                    direction,
+                    seconds,
+                    ..
+                } => {
+                    let key = [("device", *device), ("direction", dir_label(*direction))];
+                    self.batch_levels.add(&key, 1.0);
+                    self.batch_level_seconds.add(&key, *seconds);
+                }
+                TraceEvent::BatchEnd { .. } => {}
+                TraceEvent::PolicyDecision {
+                    device,
+                    direction,
+                    explore,
+                    ..
+                } => {
+                    let key = [("device", *device), ("direction", dir_label(*direction))];
+                    self.policy_decisions.add(&key, 1.0);
+                    if *explore {
+                        self.policy_explorations.add(&key, 1.0);
+                    }
                 }
             }
         }
     }
 
-    let mut out = String::new();
-    write_counter(
-        &mut out,
-        "xbfs_levels_total",
-        "BFS levels executed under the simulated cost model.",
-        &levels,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_level_edges_examined_total",
-        "Edges examined by simulated levels.",
-        &level_edges,
-    );
-    write_histogram(
-        &mut out,
-        "xbfs_level_seconds",
-        "Simulated duration of BFS levels, per device.",
-        &level_seconds,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_kernel_attempts_total",
-        "Kernel attempts on the fault/retry path.",
-        &kernel_attempts,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_transfer_attempts_total",
-        "Host-device transfer attempts across the link.",
-        &transfer_attempts,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_transfer_bytes_total",
-        "Bytes moved (nominal payload) by transfer attempts.",
-        &transfer_bytes,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_faults_total",
-        "Injected faults observed.",
-        &faults,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_backoff_seconds_total",
-        "Simulated seconds spent in retry backoff.",
-        &backoff_seconds,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_breaker_transitions_total",
-        "Circuit-breaker state transitions.",
-        &breaker_transitions,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_checkpoints_total",
-        "Level-boundary checkpoints captured.",
-        &checkpoints,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_checkpoint_bytes_total",
-        "Serialized bytes across captured checkpoints.",
-        &checkpoint_bytes,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_resumes_total",
-        "Rungs that started from a checkpoint.",
-        &resumes,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_rungs_total",
-        "Recovery-ladder rungs finished, by outcome.",
-        &rungs,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_rungs_skipped_total",
-        "Rungs skipped by an open circuit breaker.",
-        &rungs_skipped,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_engine_levels_total",
-        "Levels executed by the pure engine (wall-clock timed).",
-        &engine_levels,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_engine_level_seconds_total",
-        "Wall-clock seconds across pure-engine levels.",
-        &engine_seconds,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_service_admitted_total",
-        "Queries admitted by the service (started or queued).",
-        &service_admitted,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_service_shed_total",
-        "Queries shed by admission control, by reason.",
-        &service_shed,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_service_queries_total",
-        "Queries reaching a terminal state, by outcome.",
-        &service_queries,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_service_wait_seconds_total",
-        "Simulated seconds queries spent queued before starting.",
-        &service_wait_seconds,
-    );
-    write_histogram(
-        &mut out,
-        "xbfs_service_latency_seconds",
-        "Admission-to-completion latency of terminal queries, by outcome.",
-        &service_latency,
-    );
-    if let Some(peak) = queue_depth_peak {
-        write_gauge(
+    /// Render the registry in the Prometheus text exposition format.
+    ///
+    /// Counters are keyed by device, rung, direction, outcome, or fault
+    /// kind as appropriate; simulated level durations additionally feed a
+    /// per-device histogram. Output order is deterministic (`BTreeMap`
+    /// label ordering), so the text is diff-stable across runs of the same
+    /// events. Families with no samples are left out.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        write_counter(
             &mut out,
-            "xbfs_service_queue_depth_peak",
-            "Deepest the admission queue got over the trace.",
-            &[(String::new(), peak as f64)],
+            "xbfs_levels_total",
+            "BFS levels executed under the simulated cost model.",
+            &self.levels,
         );
+        write_counter(
+            &mut out,
+            "xbfs_level_edges_examined_total",
+            "Edges examined by simulated levels.",
+            &self.level_edges,
+        );
+        write_histogram(
+            &mut out,
+            "xbfs_level_seconds",
+            "Simulated duration of BFS levels, per device.",
+            &self.level_seconds,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_kernel_attempts_total",
+            "Kernel attempts on the fault/retry path.",
+            &self.kernel_attempts,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_transfer_attempts_total",
+            "Host-device transfer attempts across the link.",
+            &self.transfer_attempts,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_transfer_bytes_total",
+            "Bytes moved (nominal payload) by transfer attempts.",
+            &self.transfer_bytes,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_faults_total",
+            "Injected faults observed.",
+            &self.faults,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_backoff_seconds_total",
+            "Simulated seconds spent in retry backoff.",
+            &self.backoff_seconds,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_breaker_transitions_total",
+            "Circuit-breaker state transitions.",
+            &self.breaker_transitions,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_checkpoints_total",
+            "Level-boundary checkpoints captured.",
+            &self.checkpoints,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_checkpoint_bytes_total",
+            "Serialized bytes across captured checkpoints.",
+            &self.checkpoint_bytes,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_resumes_total",
+            "Rungs that started from a checkpoint.",
+            &self.resumes,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_rungs_total",
+            "Recovery-ladder rungs finished, by outcome.",
+            &self.rungs,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_rungs_skipped_total",
+            "Rungs skipped by an open circuit breaker.",
+            &self.rungs_skipped,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_engine_levels_total",
+            "Levels executed by the pure engine (wall-clock timed).",
+            &self.engine_levels,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_engine_level_seconds_total",
+            "Wall-clock seconds across pure-engine levels.",
+            &self.engine_seconds,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_service_admitted_total",
+            "Queries admitted by the service (started or queued).",
+            &self.service_admitted,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_service_shed_total",
+            "Queries shed by admission control, by reason.",
+            &self.service_shed,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_service_queries_total",
+            "Queries reaching a terminal state, by outcome.",
+            &self.service_queries,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_service_wait_seconds_total",
+            "Simulated seconds queries spent queued before starting.",
+            &self.service_wait_seconds,
+        );
+        write_histogram(
+            &mut out,
+            "xbfs_service_latency_seconds",
+            "Admission-to-completion latency of terminal queries, by outcome.",
+            &self.service_latency,
+        );
+        if let Some(peak) = self.queue_depth_peak {
+            write_gauge(
+                &mut out,
+                "xbfs_service_queue_depth_peak",
+                "Deepest the admission queue got over the trace.",
+                &[(String::new(), peak as f64)],
+            );
+        }
+        write_counter(
+            &mut out,
+            "xbfs_corruption_detected_total",
+            "Silent-data-corruption detections, by detector.",
+            &self.corruption_detected,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_corruption_repairs_total",
+            "Corruption repairs the recovery ladder performed, by action.",
+            &self.corruption_repairs,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_batch_dispatches_total",
+            "Lane-packed batch traversals dispatched.",
+            &self.batch_dispatches,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_batch_lanes_total",
+            "Lanes (sources) carried across all batch dispatches.",
+            &self.batch_lanes,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_batch_lane_queries_total",
+            "Service queries that rode a batch lane.",
+            &self.batch_lane_queries,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_batch_levels_total",
+            "Lockstep batch rounds executed, by device and direction.",
+            &self.batch_levels,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_batch_level_seconds_total",
+            "Simulated seconds charged to lockstep batch rounds.",
+            &self.batch_level_seconds,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_policy_decisions_total",
+            "Online-policy per-level placement decisions, by device and direction.",
+            &self.policy_decisions,
+        );
+        write_counter(
+            &mut out,
+            "xbfs_policy_explorations_total",
+            "Online-policy decisions still exploring unplayed arms.",
+            &self.policy_explorations,
+        );
+        out
     }
-    write_counter(
-        &mut out,
-        "xbfs_corruption_detected_total",
-        "Silent-data-corruption detections, by detector.",
-        &corruption_detected,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_corruption_repairs_total",
-        "Corruption repairs the recovery ladder performed, by action.",
-        &corruption_repairs,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_batch_dispatches_total",
-        "Lane-packed batch traversals dispatched.",
-        &batch_dispatches,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_batch_lanes_total",
-        "Lanes (sources) carried across all batch dispatches.",
-        &batch_lanes,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_batch_lane_queries_total",
-        "Service queries that rode a batch lane.",
-        &batch_lane_queries,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_batch_levels_total",
-        "Lockstep batch rounds executed, by device and direction.",
-        &batch_levels,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_batch_level_seconds_total",
-        "Simulated seconds charged to lockstep batch rounds.",
-        &batch_level_seconds,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_policy_decisions_total",
-        "Online-policy per-level placement decisions, by device and direction.",
-        &policy_decisions,
-    );
-    write_counter(
-        &mut out,
-        "xbfs_policy_explorations_total",
-        "Online-policy decisions still exploring unplayed arms.",
-        &policy_explorations,
-    );
-    out
+}
+
+/// Render `events` in the Prometheus text exposition format: a fresh
+/// [`Metrics`] registry folded over the slice.
+pub fn prometheus_text(events: &[TraceEvent]) -> String {
+    let mut metrics = Metrics::default();
+    metrics.fold(events);
+    metrics.render()
 }
 
 /// Render one [`TraceEvent`] as a self-describing JSON object (an
 /// `"event"` discriminant plus the variant's fields, verbatim).
 ///
 /// This is the flight-recorder post-mortem format: when a query fails,
-/// the service dumps the last N ring-buffered events through this
+/// the service dumps the last N events of its trace buffer through this
 /// function so the artifact is greppable without the chrome-trace
 /// machinery. Field names match the [`TraceEvent`] declaration, so the
 /// dump doubles as documentation of what the recorder saw.
@@ -1505,97 +1540,6 @@ pub(crate) fn write_gauge(out: &mut String, name: &str, help: &str, series: &[(S
     for (labels, v) in series {
         out.push_str(&format!("{name}{labels} {}\n", render_value(*v)));
     }
-}
-
-/// Render a [`DecisionAudit`] in the Prometheus text exposition format.
-///
-/// Complements [`prometheus_text`]: where that renders the raw trace, this
-/// renders the *judgment* — predicted vs oracle seconds, regret, switch
-/// levels, and per-phase simulated-time attribution — as gauge families,
-/// so a scrape of both paints the full picture of one run.
-pub fn prometheus_audit_text(audit: &DecisionAudit) -> String {
-    let mut out = String::new();
-    let scalar = |v: f64| vec![(String::new(), v)];
-    write_gauge(
-        &mut out,
-        "xbfs_audit_predicted_seconds",
-        "Fault-free simulated seconds of the predicted (M, N) pair.",
-        &scalar(audit.predicted_seconds),
-    );
-    write_gauge(
-        &mut out,
-        "xbfs_audit_oracle_seconds",
-        "Fault-free simulated seconds of the exhaustive-sweep optimum.",
-        &scalar(audit.oracle_seconds),
-    );
-    write_gauge(
-        &mut out,
-        "xbfs_audit_regret_seconds",
-        "Simulated seconds lost to the prediction vs the oracle.",
-        &scalar(audit.regret_seconds),
-    );
-    write_gauge(
-        &mut out,
-        "xbfs_audit_efficiency_ratio",
-        "Predicted TEPS as a fraction of oracle TEPS (1 = optimal).",
-        &scalar(audit.efficiency),
-    );
-    write_gauge(
-        &mut out,
-        "xbfs_audit_prediction_overhead_fraction",
-        "Prediction wall time over prediction plus traversal time.",
-        &scalar(audit.prediction_overhead_fraction),
-    );
-    let mut switches: Vec<(String, f64)> = Vec::new();
-    for (kind, level) in [
-        ("predicted", audit.predicted_switch_level),
-        ("oracle", audit.oracle_switch_level),
-        ("realized", audit.realized_switch_level),
-    ] {
-        if let Some(level) = level {
-            switches.push((render_labels(&[("kind", kind)]), level as f64));
-        }
-    }
-    write_gauge(
-        &mut out,
-        "xbfs_audit_switch_level",
-        "First GPU level per decision source (absent when no handoff).",
-        &switches,
-    );
-    let mut params: Vec<(String, f64)> = Vec::new();
-    for (kind, p) in [("predicted", &audit.predicted), ("oracle", &audit.oracle)] {
-        for (param, v) in [
-            ("handoff_m", p.handoff.m),
-            ("handoff_n", p.handoff.n),
-            ("gpu_m", p.gpu.m),
-            ("gpu_n", p.gpu.n),
-        ] {
-            params.push((render_labels(&[("kind", kind), ("param", param)]), v));
-        }
-    }
-    write_gauge(
-        &mut out,
-        "xbfs_audit_params",
-        "Switch-point parameters of the predicted and oracle pairs.",
-        &params,
-    );
-    let phases: Vec<(String, f64)> = audit
-        .phases
-        .iter()
-        .map(|p| {
-            (
-                render_labels(&[("phase", &p.phase), ("device", &p.device)]),
-                p.seconds,
-            )
-        })
-        .collect();
-    write_gauge(
-        &mut out,
-        "xbfs_audit_phase_seconds",
-        "Simulated seconds attributed to each phase/device bucket.",
-        &phases,
-    );
-    out
 }
 
 #[cfg(test)]
@@ -2155,61 +2099,6 @@ mod tests {
             let line = format!("{name}{} {}", render_labels(&pairs), render_value(*value));
             assert!(text.lines().any(|l| l == line), "missing line: {line}");
         }
-    }
-
-    #[test]
-    fn audit_exposition_round_trips_through_strict_parser() {
-        use crate::audit::{DecisionAudit, PhaseSeconds};
-        use crate::cross::CrossParams;
-        use xbfs_engine::FixedMN;
-
-        let params = CrossParams {
-            handoff: FixedMN { m: 30.0, n: 10.0 },
-            gpu: FixedMN { m: 100.0, n: 3.0 },
-        };
-        let audit = DecisionAudit {
-            predicted: params,
-            oracle: params,
-            predicted_seconds: 0.012,
-            oracle_seconds: 0.011,
-            efficiency: 0.011 / 0.012,
-            regret_seconds: 0.001,
-            predicted_switch_level: Some(3),
-            oracle_switch_level: Some(2),
-            realized_switch_level: None,
-            served_rung: "cross".to_string(),
-            total_seconds: 0.012,
-            prediction_overhead_s: 1e-6,
-            prediction_overhead_fraction: 1e-6 / (1e-6 + 0.012),
-            levels: vec![],
-            phases: vec![PhaseSeconds {
-                phase: "kernel".to_string(),
-                device: "gpu \"0\"\\primary".to_string(),
-                seconds: 0.01,
-            }],
-        };
-        let text = prometheus_audit_text(&audit);
-        let samples = parse_exposition(&text);
-        assert!(samples
-            .iter()
-            .any(|(n, _, v)| { n == "xbfs_audit_regret_seconds" && (*v - 0.001).abs() < 1e-12 }));
-        // The hostile device label survives the round trip intact.
-        let phase = samples
-            .iter()
-            .find(|(n, _, _)| n == "xbfs_audit_phase_seconds")
-            .expect("phase sample present");
-        assert!(phase
-            .1
-            .iter()
-            .any(|(k, v)| k == "device" && v == "gpu \"0\"\\primary"));
-        // The realized switch level is absent, the other two render.
-        let kinds: Vec<&String> = samples
-            .iter()
-            .filter(|(n, _, _)| n == "xbfs_audit_switch_level")
-            .map(|(_, l, _)| &l[0].1)
-            .collect();
-        assert_eq!(kinds.len(), 2);
-        assert!(!kinds.iter().any(|k| *k == "realized"));
     }
 
     #[test]

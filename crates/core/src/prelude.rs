@@ -14,8 +14,7 @@ pub use crate::observe::timeseries::{
     SloReport, SnapshotPolicy, TimeSeriesRegistry, TimeWeighted, WindowSnapshot,
 };
 pub use crate::observe::{
-    chrome_trace_json, prometheus_audit_text, prometheus_text, service_chrome_trace_json,
-    trace_event_json,
+    chrome_trace_json, prometheus_text, service_chrome_trace_json, trace_event_json, Metrics,
 };
 pub use crate::recovery::{
     RecoveredRun, ResilienceConfig, ResumeRecord, RetryPolicy, RunReport, Rung,
@@ -29,8 +28,5 @@ pub use crate::service::{
 pub use crate::session::{BatchRun, BatchSession, LaneRun, RunSession};
 pub use crate::training::TrainingConfig;
 pub use xbfs_archsim::{ArchSpec, FaultPlan, Link};
-pub use xbfs_engine::trace::{
-    CountingSink, MemorySink, NullSink, RingSink, SamplingSink, TeeSink, TraceCounts, TraceEvent,
-    TraceSink, NULL_SINK,
-};
+pub use xbfs_engine::trace::{MemorySink, NullSink, TraceEvent, TraceSink, NULL_SINK};
 pub use xbfs_engine::XbfsError;

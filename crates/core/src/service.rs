@@ -47,7 +47,7 @@ use crate::health::{BreakerState, Device, TransitionCause};
 use crate::observe::timeseries::{
     SloPolicy, SloReport, SnapshotPolicy, TimeSeriesRegistry, TimeWeighted, WindowSnapshot,
 };
-use crate::observe::trace_event_json;
+use crate::observe::{trace_event_json, Metrics};
 use crate::policy_online::{Observation, PolicyMode, PolicyRun, SharedPolicy};
 use crate::recovery::{RecoveredRun, ResilienceConfig, Rung};
 use crate::runtime::AdaptiveRuntime;
@@ -55,7 +55,7 @@ use crate::session::{BatchSession, RunSession, MAX_LANES};
 use serde::{Deserialize, Serialize};
 use xbfs_archsim::{ArchSpec, FaultPlan, Link};
 use xbfs_engine::par::payload_to_string;
-use xbfs_engine::trace::{MemorySink, RingSink, SamplingSink, TeeSink, TraceEvent, TraceSink};
+use xbfs_engine::trace::{MemorySink, TraceEvent};
 use xbfs_engine::XbfsError;
 use xbfs_graph::{Csr, GraphStats, VertexId};
 
@@ -285,10 +285,12 @@ impl BatchPolicy {
     }
 }
 
-/// Head-sampling of per-query traces: the keep/drop decision is made
-/// once per query from a seeded hash of `(seed, query id)`, so a sampled
-/// service run is as deterministic as an unsampled one — the same seed
-/// keeps the same queries on every replay.
+/// Head-sampling of the kept per-query traces: the keep/drop decision is
+/// made once per dispatch from a seeded hash of `(seed, lead query id)`,
+/// so a sampled service run is as deterministic as an unsampled one — the
+/// same seed keeps the same queries on every replay. Sampling thins only
+/// [`ServiceReport::query_traces`]; the metrics and the post-mortems read
+/// every dispatch's trace buffer.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceSamplePolicy {
     /// Probability a query's trace is kept, in `[0, 1]` (1 = keep all,
@@ -314,6 +316,32 @@ impl TraceSamplePolicy {
         }
         Ok(())
     }
+
+    /// Whether the trace of a dispatch led by `query` is kept: a pure
+    /// function of `(seed, query, rate)`. A rate of 1 or more keeps every
+    /// query and a rate of 0 or less keeps none, without hashing.
+    pub fn keeps(&self, query: u64) -> bool {
+        if self.rate >= 1.0 {
+            return true;
+        }
+        if self.rate <= 0.0 {
+            return false;
+        }
+        // Top 53 bits → uniform in [0, 1); keep the low-hash head.
+        let u = (sample_hash(self.seed, query) >> 11) as f64 / (1u64 << 53) as f64;
+        u < self.rate
+    }
+}
+
+/// Mix a sampling seed and a query id into one 64-bit hash
+/// (splitmix64-style finalizer — the same generator family the CLI uses
+/// for arrival streams, so sampled subsets are reproducible anywhere).
+fn sample_hash(seed: u64, query: u64) -> u64 {
+    let mut z = seed ^ query.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Service-level knobs: slots, queue bound, per-query resilience.
@@ -330,8 +358,11 @@ pub struct ServiceConfig {
     pub resilience: ResilienceConfig,
     /// What happens to queued queries at drain time.
     pub drain: DrainMode,
-    /// Buffer each query's trace events into the report (needed for the
-    /// per-query chrome export; costs memory on big runs).
+    /// Keep each dispatch's trace events in
+    /// [`ServiceReport::query_traces`] (the input of the per-query chrome
+    /// export; costs memory on big runs). The trace is recorded either
+    /// way: [`ServiceReport::metrics`] and the post-mortems read it
+    /// whether or not it is kept.
     pub keep_query_traces: bool,
     /// Directory for per-query checkpoint spills (`query-<id>.ck.json`),
     /// active when the resilience config has a checkpoint cadence. This
@@ -344,13 +375,13 @@ pub struct ServiceConfig {
     pub snapshot: SnapshotPolicy,
     /// Optional service-level objectives evaluated over the run.
     pub slo: Option<SloPolicy>,
-    /// Per-query flight-recorder capacity: each dispatch keeps this many
-    /// of its most recent trace events in a bounded ring, dumped as a
-    /// post-mortem when the query ends in a typed error. `0` disables the
-    /// recorder (the default — no ring, no dumps, byte-identical output).
+    /// Per-query flight-recorder capacity: when a query ends in a typed
+    /// error, the last this-many events of its dispatch's trace buffer
+    /// are dumped as a post-mortem. `0` disables the dumps (the default).
     pub flight_recorder: usize,
-    /// Head-sampling of the per-query trace buffers (effective only when
-    /// [`ServiceConfig::keep_query_traces`] is on).
+    /// Head-sampling of the kept per-query traces (effective only when
+    /// [`ServiceConfig::keep_query_traces`] is on). It never thins the
+    /// metrics or the post-mortems.
     pub trace_sample: TraceSamplePolicy,
     /// Per-level placement policy applied to every query (default:
     /// [`PolicyMode::Offline`], the fixed Algorithm 3 switch points —
@@ -457,8 +488,8 @@ pub struct QueryOutcome {
 }
 
 /// The flight-recorder dump for one query that ended in a typed error:
-/// the last events the query's bounded ring saw before it died, plus
-/// enough identity to reconcile the dump with the query's outcome.
+/// the last events of its dispatch's trace buffer, plus enough identity to
+/// reconcile the dump with the query's outcome.
 #[derive(Clone, Debug)]
 pub struct PostMortem {
     /// Caller-assigned query id.
@@ -473,9 +504,9 @@ pub struct PostMortem {
     pub start_s: f64,
     /// Service clock at the terminal event.
     pub completion_s: f64,
-    /// Ring capacity the recorder ran with.
+    /// Flight-recorder capacity: the most events a dump keeps.
     pub capacity: usize,
-    /// Events the ring overwrote before the dump (0 = the dump is the
+    /// Earlier events of the trace the dump left out (0 = the dump is the
     /// query's complete trace).
     pub dropped: u64,
     /// The retained events, oldest first, on the query's private clock.
@@ -549,8 +580,14 @@ pub struct ServiceReport {
     /// Service-level admission events (query/queue vocabulary), in
     /// simulated event order.
     pub events: Vec<TraceEvent>,
-    /// Per-query traces, when [`ServiceConfig::keep_query_traces`] is on.
+    /// Per-query traces, when [`ServiceConfig::keep_query_traces`] is on:
+    /// one per started query, in completion order. A batch's shared trace
+    /// rides its lead lane, and a trace the sample dropped is empty.
     pub query_traces: Vec<QueryTrace>,
+    /// Every metric family of the run: each dispatch's trace buffer is
+    /// folded in at its completion event and [`ServiceReport::events`]
+    /// once when the run ends. Independent of which traces were kept.
+    pub metrics: Metrics,
     /// Closed telemetry windows, when [`ServiceConfig::snapshot`] is on.
     pub timeseries: Vec<WindowSnapshot>,
     /// The SLO verdict, when [`ServiceConfig::slo`] and
@@ -568,9 +605,10 @@ impl ServiceReport {
         self.outcomes.iter().find(|o| o.id == id)
     }
 
-    /// Service events followed by every buffered per-query event — the
-    /// input for [`crate::observe::prometheus_text`], which aggregates
-    /// both the service families and the per-traversal families.
+    /// Service events followed by every kept per-query event. With every
+    /// trace kept, [`crate::observe::prometheus_text`] over this list
+    /// renders the same bytes as [`ServiceReport::metrics`]; with traces
+    /// off or sampled it sees only what was kept.
     pub fn merged_events(&self) -> Vec<TraceEvent> {
         let mut all = self.events.clone();
         for qt in &self.query_traces {
@@ -624,10 +662,6 @@ impl ServiceReport {
     }
 }
 
-/// The flight-recorder tail of a dispatch: `(retained events,
-/// overwritten-event count)`.
-type RingDump = (Vec<TraceEvent>, u64);
-
 /// One dispatch occupying a slot — a solo query or a lane-packed batch —
 /// already executed at its start event and held until the simulated clock
 /// reaches its completion.
@@ -638,10 +672,8 @@ struct Dispatch {
     completion_s: f64,
     /// Per-lane results, in lane order.
     results: Vec<Result<RecoveredRun, XbfsError>>,
-    /// The dispatch's buffered trace.
+    /// The dispatch's trace buffer.
     events: Vec<TraceEvent>,
-    /// The ring contents, when the flight recorder was on.
-    ring: Option<RingDump>,
     /// Online-policy observations the dispatch accumulated (empty when
     /// the service runs offline), applied to the master bandit at its
     /// completion event.
@@ -872,7 +904,6 @@ impl QueryService {
                     completion_s,
                     results,
                     events,
-                    ring,
                     observations,
                 } = running.swap_remove(idx);
                 clock = clock.max(completion_s);
@@ -882,8 +913,9 @@ impl QueryService {
                 if let Some(p) = &self.policy {
                     p.apply(&observations);
                 }
+                report.metrics.fold(&events);
                 let batch = slots.len() > 1;
-                let mut events = Some(events);
+                let lead_trace = report.query_traces.len();
                 for (slot, result) in slots.into_iter().zip(results) {
                     // A lane that finished past its own deadline missed it
                     // — the batch clock is shared, the deadline check is
@@ -902,9 +934,6 @@ impl QueryService {
                         }
                         (result, _) => result,
                     };
-                    // The shared trace rides the lead lane; the per-lane
-                    // `BatchLane` events in the service stream reconcile
-                    // the rest.
                     self.complete(
                         &mut report,
                         &mut tele,
@@ -912,10 +941,17 @@ impl QueryService {
                         start_s,
                         completion_s,
                         result,
-                        events.take().unwrap_or_default(),
-                        ring.as_ref(),
+                        &events,
                         &mut lost,
                     );
+                }
+                // The shared trace rides the lead lane when the sample
+                // keeps it; the per-lane `BatchLane` events in the service
+                // stream reconcile the rest.
+                if let Some(lead) = report.query_traces.get_mut(lead_trace) {
+                    if self.config.trace_sample.keeps(lead.query) {
+                        lead.events = events;
+                    }
                 }
                 // The freed slot admits the longest-waiting queued
                 // queries (several, if deadline sheds cascade), batched
@@ -1056,6 +1092,7 @@ impl QueryService {
 
         report.makespan_s = clock;
         report.lost_devices = lost;
+        report.metrics.fold(&report.events);
         tele.finish(&mut report, clock);
         Ok(report)
     }
@@ -1159,24 +1196,9 @@ impl QueryService {
             o.wait_s = wait_s;
         }
 
+        // The dispatch's one trace buffer: folded into the metrics, cut
+        // for post-mortems and, when sampled, kept at completion.
         let sink = MemorySink::new();
-        // Head sampling: the keep/drop decision is sealed here, once, from
-        // the seeded hash of the lead lane's query id, so a replay keeps
-        // the same traces — a disabled buffer (not kept, or traces off
-        // entirely) costs nothing on the hot path.
-        let sample = self.config.trace_sample;
-        let buffered = SamplingSink::for_query(
-            &sink,
-            sample.seed,
-            lead.id,
-            if self.config.keep_query_traces {
-                sample.rate
-            } else {
-                0.0
-            },
-        );
-        let ring = RingSink::new(self.config.flight_recorder);
-        let tee = TeeSink::new(&buffered, &ring);
         // The bandit state a dispatch sees is a pure function of
         // admission order.
         let cell = self
@@ -1195,10 +1217,8 @@ impl QueryService {
                 )
                 .sources(&sources)
                 .window(self.config.batching.window)
-                .resilience(self.config.resilience.clone());
-                if tee.enabled() {
-                    session = session.sink(&tee);
-                }
+                .resilience(self.config.resilience.clone())
+                .sink(&sink);
                 if let Some(cell) = &cell {
                     session = session.policy(cell);
                 }
@@ -1221,10 +1241,8 @@ impl QueryService {
                 .source(lead.source)
                 .fault_plan(&plan)
                 .resilience(self.solo_resilience(lead, now_s))
-                .presume_lost(&lost);
-                if tee.enabled() {
-                    session = session.sink(&tee);
-                }
+                .presume_lost(&lost)
+                .sink(&sink);
                 if let Some(cell) = &cell {
                     session = session.policy(cell);
                 }
@@ -1257,7 +1275,6 @@ impl QueryService {
             completion_s: now_s + duration_s,
             results,
             events: sink.take(),
-            ring: (self.config.flight_recorder > 0).then(|| (ring.events(), ring.dropped())),
             // Partial logs from failed or degraded runs still apply — the
             // levels they priced ran deterministically before the error,
             // and discarding them would make learning depend on failure
@@ -1290,8 +1307,9 @@ impl QueryService {
     }
 
     /// Process one completion: counters, the `QueryEnd` event, telemetry,
-    /// the post-mortem dump for typed errors, and the promotion of
-    /// permanent device losses to the shared ledger.
+    /// the post-mortem cut from the dispatch's trace `events` for typed
+    /// errors, an empty kept-trace slot, and the promotion of permanent
+    /// device losses to the shared ledger.
     #[allow(clippy::too_many_arguments)] // the full completion context
     fn complete(
         &self,
@@ -1301,8 +1319,7 @@ impl QueryService {
         start_s: f64,
         completion_s: f64,
         result: Result<RecoveredRun, XbfsError>,
-        events: Vec<TraceEvent>,
-        ring: Option<&RingDump>,
+        events: &[TraceEvent],
         lost: &mut Vec<(Device, f64)>,
     ) {
         if let Ok(run) = &result {
@@ -1374,7 +1391,9 @@ impl QueryService {
             (completion_s - o.arrival_s).max(0.0),
             o.disposition == Disposition::DeadlineMissed,
         );
-        if let (Some(error), Some((ring_events, dropped))) = (&o.error, ring) {
+        let capacity = self.config.flight_recorder;
+        if let (Some(error), true) = (&o.error, capacity > 0) {
+            let tail = &events[events.len().saturating_sub(capacity)..];
             report.postmortems.push(PostMortem {
                 query: o.id,
                 source: o.source,
@@ -1382,16 +1401,16 @@ impl QueryService {
                 error: error.to_string(),
                 start_s,
                 completion_s,
-                capacity: self.config.flight_recorder,
-                dropped: *dropped,
-                events: ring_events.clone(),
+                capacity,
+                dropped: (events.len() - tail.len()) as u64,
+                events: tail.to_vec(),
             });
         }
         if self.config.keep_query_traces {
             report.query_traces.push(QueryTrace {
                 query: o.id,
                 start_s,
-                events,
+                events: Vec::new(),
             });
         }
     }
@@ -1955,7 +1974,7 @@ mod tests {
         assert_eq!(v["query"], 0);
         assert_eq!(v["events"].as_array().unwrap().len(), pm.events.len());
 
-        // A small ring keeps exactly the trace's tail.
+        // A small recorder keeps exactly the trace's tail.
         let (svc, src) = service(ServiceConfig {
             capacity: 1,
             keep_query_traces: true,
@@ -2012,9 +2031,134 @@ mod tests {
         };
         assert_eq!(kept(&a), kept(&b), "keep/drop decisions replay");
         assert!(kept(&a).len() < 8, "rate 0.5 drops someone in 8 queries");
-        let expected: Vec<u64> = (0..8)
-            .filter(|&id| xbfs_engine::trace::SamplingSink::would_keep(7, id, 0.5))
-            .collect();
+        let expected: Vec<u64> = (0..8).filter(|&id| config.trace_sample.keeps(id)).collect();
         assert_eq!(kept(&a), expected, "decision matches the seeded hash");
+    }
+
+    fn keeps(seed: u64, query: u64, rate: f64) -> bool {
+        TraceSamplePolicy { rate, seed }.keeps(query)
+    }
+
+    #[test]
+    fn sampling_decision_is_seeded_and_stable() {
+        // Extremes are unconditional.
+        assert!(keeps(7, 3, 1.0));
+        assert!(!keeps(7, 3, 0.0));
+        // The per-query decision is a pure function of (seed, query,
+        // rate): recomputing never flips it.
+        for query in 0..64u64 {
+            assert_eq!(keeps(42, query, 0.25), keeps(42, query, 0.25));
+        }
+        // A 25% rate over many queries keeps a minority but not none —
+        // the hash spreads queries across the unit interval.
+        let kept = (0..1000u64).filter(|&q| keeps(42, q, 0.25)).count();
+        assert!((100..500).contains(&kept), "kept {kept} of 1000 at 25%");
+        // Different seeds sample different subsets.
+        let other = (0..1000u64).filter(|&q| keeps(43, q, 0.25)).count();
+        let overlap = (0..1000u64)
+            .filter(|&q| keeps(42, q, 0.25) && keeps(43, q, 0.25))
+            .count();
+        assert!(overlap < kept.min(other), "seeds 42/43 sampled identically");
+    }
+
+    /// The rate extremes are decided before any hashing: 0.0 keeps no
+    /// query and 1.0 keeps every query for *any* `(seed, query)` pair —
+    /// including ones whose hash would land arbitrarily close to the
+    /// boundary — and out-of-range rates clamp to the same answers.
+    #[test]
+    fn sampling_extremes_are_hash_independent() {
+        for seed in [0u64, 1, 7, 42, u64::MAX] {
+            for query in [0u64, 1, 12345, u64::MAX - 1, u64::MAX] {
+                assert!(
+                    keeps(seed, query, 1.0),
+                    "rate 1.0 must keep ({seed}, {query})"
+                );
+                assert!(
+                    !keeps(seed, query, 0.0),
+                    "rate 0.0 must drop ({seed}, {query})"
+                );
+                // Beyond the valid range, the clamp still decides without
+                // consulting the hash.
+                assert!(keeps(seed, query, 2.0));
+                assert!(!keeps(seed, query, -1.0));
+            }
+        }
+    }
+
+    /// A seeded mixed schedule: solo queries with chaos plans and tight
+    /// deadlines among fault-free ones that batch behind them.
+    fn mixed_schedule(src: u32, other: u32, seed: u64, n: u64) -> Vec<ScheduleItem> {
+        (0..n)
+            .map(|i| {
+                let mut req = QueryRequest::builder(i, if i % 2 == 0 { src } else { other })
+                    .arrival(2e-4 * (i / 3) as f64)
+                    .build();
+                match (seed.wrapping_add(i)) % 5 {
+                    0 => {
+                        req.fault_plan = Some(FaultPlan {
+                            seed: seed ^ i,
+                            p_transfer_failure: 0.3,
+                            p_link_stall: 0.2,
+                            stall_factor: 4.0,
+                            p_kernel_timeout: 0.15,
+                            p_device_lost: 0.2,
+                            scheduled: Vec::new(),
+                        })
+                    }
+                    1 => req.deadline_s = Some(2e-4),
+                    2 => req.deadline_s = Some(2e-5),
+                    _ => {}
+                }
+                ScheduleItem::Query(req)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// The metrics count every dispatch: whether traces are kept, how
+        /// they are sampled and whether the flight recorder cuts dumps
+        /// never moves a byte of the exposition, and with every trace kept
+        /// it equals the exposition folded from the merged events.
+        #[test]
+        fn metrics_never_depend_on_kept_traces(
+            seed in 0u64..1024,
+            n in 4u64..10,
+            window in 0u32..2,
+        ) {
+            let g = Arc::new(xbfs_graph::rmat::rmat_csr(9, 16));
+            let (src, other) = (pick_source(&g, 3).unwrap(), pick_source(&g, 7).unwrap());
+            let schedule = mixed_schedule(src, other, seed, n);
+            let mut rendered: Option<String> = None;
+            for keep in [false, true] {
+                for rate in [0.0, 0.1, 1.0] {
+                    for recorder in [0usize, 16] {
+                        let (svc, _) = service(ServiceConfig {
+                            capacity: 2,
+                            queue_limit: 16,
+                            keep_query_traces: keep,
+                            batching: BatchPolicy::windowed(4 * window),
+                            flight_recorder: recorder,
+                            trace_sample: TraceSamplePolicy { rate, seed },
+                            ..ServiceConfig::default()
+                        });
+                        let report = svc.run_schedule(&schedule).expect("schedule");
+                        let text = report.metrics.render();
+                        proptest::prop_assert!(text.contains("xbfs_service_queries_total"));
+                        if keep && rate == 1.0 {
+                            proptest::prop_assert_eq!(
+                                &text,
+                                &crate::observe::prometheus_text(&report.merged_events())
+                            );
+                        }
+                        match &rendered {
+                            None => rendered = Some(text),
+                            Some(first) => proptest::prop_assert_eq!(first, &text),
+                        }
+                    }
+                }
+            }
+        }
     }
 }

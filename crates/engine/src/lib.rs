@@ -56,10 +56,7 @@ pub use stats::{LevelRecord, Traversal};
 pub use trace::analysis::{
     critical_path, trace_diff, CriticalPath, PathSegment, PhaseDelta, TraceDiff,
 };
-pub use trace::{
-    CountingSink, MemorySink, NullSink, RingSink, RungOutcome, SamplingSink, ShardedSink, TeeSink,
-    TraceCounts, TraceEvent, TraceSink, NULL_SINK,
-};
+pub use trace::{MemorySink, NullSink, RungOutcome, TraceEvent, TraceSink, NULL_SINK};
 pub use validate::{validate, ValidationError};
 
 use serde::{Deserialize, Serialize};

@@ -207,7 +207,7 @@ fn main() {
     }
     for pm in &report.postmortems {
         println!(
-            "post-mortem: query {} ({}) — {} event(s) retained, {} overwritten — {}",
+            "post-mortem: query {} ({}) — {} event(s) retained, {} earlier dropped — {}",
             pm.query,
             pm.disposition,
             pm.events.len(),

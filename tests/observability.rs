@@ -1,8 +1,8 @@
 //! Observability contract, end to end: traces recorded by a [`MemorySink`]
 //! are well-formed span trees that reconcile exactly with the `RunReport`;
-//! attaching any sink never perturbs the simulated run; the counting sink
-//! agrees with the buffering sink; and the chrome-trace exporter produces
-//! valid, timestamp-monotone JSON pinned by a golden file.
+//! attaching a sink never perturbs the simulated run; and the chrome-trace
+//! exporter produces valid, timestamp-monotone JSON pinned by a golden
+//! file.
 
 use proptest::prelude::*;
 use xbfs::archsim::{ArchSpec, FaultPlan, Link};
@@ -11,7 +11,7 @@ use xbfs::core::{
     chrome_trace_json, prometheus_text, service_chrome_trace_json, CrossParams, LogHistogram,
     QueryTrace, RunSession,
 };
-use xbfs::engine::trace::{CountingSink, MemorySink, TraceEvent};
+use xbfs::engine::trace::{MemorySink, TraceEvent};
 use xbfs::engine::{Direction, FixedMN};
 use xbfs::graph::Csr;
 
@@ -140,9 +140,7 @@ proptest! {
     }
 
     /// Tracing is observation only: for any seeded plan the traced run and
-    /// the default (NullSink) run are numerically identical, and the
-    /// lock-free counting sink tallies exactly what the buffering sink
-    /// records.
+    /// the default (NullSink) run are numerically identical.
     #[test]
     fn sinks_never_perturb_the_run_and_agree_with_each_other(seed in 0u64..256) {
         let (g, src, cpu, gpu, link, params) = fixture();
@@ -160,48 +158,10 @@ proptest! {
         let silent = session(None);
         let memory = MemorySink::new();
         let buffered = session(Some(&memory));
-        let counting = CountingSink::new();
-        let counted = session(Some(&counting));
 
         prop_assert_eq!(&silent.output, &buffered.output);
         prop_assert_eq!(&silent.report, &buffered.report);
-        prop_assert_eq!(&silent.output, &counted.output);
-        prop_assert_eq!(&silent.report, &counted.report);
-
-        // Re-derive the counting sink's tallies from the buffered list.
-        let events = memory.take();
-        let c = counting.counts();
-        let count_of = |f: &dyn Fn(&TraceEvent) -> bool| {
-            events.iter().filter(|e| f(e)).count() as u64
-        };
-        prop_assert_eq!(c.levels, count_of(&|e| matches!(e, TraceEvent::Level { .. })));
-        prop_assert_eq!(c.kernels, count_of(&|e| matches!(e, TraceEvent::Kernel { .. })));
-        prop_assert_eq!(c.transfers, count_of(&|e| matches!(e, TraceEvent::Transfer { .. })));
-        prop_assert_eq!(c.backoffs, count_of(&|e| matches!(e, TraceEvent::Backoff { .. })));
-        prop_assert_eq!(c.faults, count_of(&|e| matches!(e, TraceEvent::Fault { .. })));
-        prop_assert_eq!(
-            c.breaker_transitions,
-            count_of(&|e| matches!(e, TraceEvent::Breaker { .. }))
-        );
-        prop_assert_eq!(c.checkpoints, count_of(&|e| matches!(e, TraceEvent::Checkpoint { .. })));
-        prop_assert_eq!(c.resumes, count_of(&|e| matches!(e, TraceEvent::Resume { .. })));
-        prop_assert_eq!(c.rungs, count_of(&|e| matches!(e, TraceEvent::RungBegin { .. })));
-        prop_assert_eq!(
-            c.corruption_detections,
-            count_of(&|e| matches!(e, TraceEvent::CorruptionDetected { .. }))
-        );
-        prop_assert_eq!(
-            c.corruption_repairs,
-            count_of(&|e| matches!(e, TraceEvent::CorruptionRepair { .. }))
-        );
-        let edges: u64 = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Level { edges_examined, .. } => Some(*edges_examined),
-                _ => None,
-            })
-            .sum();
-        prop_assert_eq!(c.edges_examined, edges);
+        prop_assert!(!memory.is_empty());
     }
 
     /// The chrome-trace exporter emits valid JSON with monotone timestamps

@@ -211,9 +211,14 @@ fn chaos_corpus_replays_concurrently_through_the_service() {
         "same schedule, same service — the replay must be byte-identical"
     );
 
-    // The merged events drive both exporters without panicking, and the
-    // service families show up in the scrape.
-    let prom = prometheus_text(&report.merged_events());
+    // The report's registry and the kept traces drive both exporters
+    // without panicking, and the service families show up in the scrape.
+    let prom = report.metrics.render();
+    assert_eq!(
+        prom,
+        prometheus_text(&report.merged_events()),
+        "with every trace kept, the registry equals the merged-event fold"
+    );
     for family in [
         "xbfs_service_admitted_total",
         "xbfs_service_queries_total",

@@ -13,9 +13,9 @@
 //! asserts that its schedule really reached those branches, so a golden
 //! file can never silently stop covering one.
 //!
-//! The compared exports are the report JSON, the Prometheus text (merged
-//! events plus the SLO families), the time-series JSON lines, the service
-//! chrome trace and the post-mortem dumps. Regenerate them with
+//! The compared exports are the report JSON, the Prometheus text (the
+//! report's metric registry plus the SLO families), the time-series JSON
+//! lines, the service chrome trace and the post-mortem dumps. Regenerate them with
 //! `UPDATE_GOLDEN=1 cargo test -q --test service_golden` only when a
 //! behaviour change is intended.
 
@@ -28,10 +28,9 @@ use xbfs::core::checkpoint::CheckpointPolicy;
 use xbfs::core::health::Device;
 use xbfs::core::recovery::{ResilienceConfig, Rung};
 use xbfs::core::{
-    prometheus_slo_text, prometheus_text, service_chrome_trace_json, timeseries_json_lines,
-    BatchPolicy, CrossParams, Disposition, DrainMode, PolicyMode, PostMortem, QueryRequest,
-    QueryService, ScheduleItem, ServiceConfig, ServiceReport, SloPolicy, SnapshotPolicy,
-    TraceSamplePolicy,
+    prometheus_slo_text, service_chrome_trace_json, timeseries_json_lines, BatchPolicy,
+    CrossParams, Disposition, DrainMode, PolicyMode, PostMortem, QueryRequest, QueryService,
+    ScheduleItem, ServiceConfig, ServiceReport, SloPolicy, SnapshotPolicy, TraceSamplePolicy,
 };
 use xbfs::engine::{validate, FixedMN, TraceEvent, XbfsError};
 use xbfs::graph::Csr;
@@ -76,7 +75,7 @@ fn query(id: u64, source: u32, arrival_s: f64) -> QueryRequest {
 
 /// Every export a replay produces, keyed by golden-file suffix.
 fn exports(report: &ServiceReport) -> Vec<(&'static str, String)> {
-    let mut metrics = prometheus_text(&report.merged_events());
+    let mut metrics = report.metrics.render();
     if let Some(slo) = &report.slo {
         metrics.push_str(&prometheus_slo_text(slo));
     }
