@@ -879,40 +879,37 @@ fn policy_mode_from_args(args: &Args) -> Result<PolicyMode, String> {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let ui = Ui::new(args);
-    // Flag contracts first, so a bad combination fails before the graph
-    // is read.
+    // Every flag parses into the service config and validates before the
+    // graph is read, so a typo fails before any work.
     let (snapshot, slo, flight_recorder, trace_sample) = telemetry_from_args(args)?;
-    let g = std::sync::Arc::new(load_graph(args)?);
-    let stats = GraphStats::unknown(&g);
-    let schedule = serve_schedule(args, &g)?;
-
     let drain = match args.get("drain-mode").unwrap_or("complete") {
         "complete" => DrainMode::Complete,
         "cancel" => DrainMode::Cancel,
         other => return Err(format!("unknown --drain-mode '{other}'")),
     };
-    let keep_query_traces = args.get("trace-out").is_some();
     let batching = BatchPolicy {
         window: args.parse_num("batch-window")?.unwrap_or(0),
         max_lanes: args.parse_num("batch-lanes")?.unwrap_or(64),
         compat: BatchCompat::default(),
     };
-    let snapshot_every = snapshot.every_seconds;
-    let policy = policy_mode_from_args(args)?;
     let config = ServiceConfig {
         capacity: args.parse_num("capacity")?.unwrap_or(2),
         queue_limit: args.parse_num("queue-depth")?.unwrap_or(8),
         resilience: resilience_from_args(args, None)?,
         drain,
-        keep_query_traces,
+        keep_query_traces: args.get("trace-out").is_some(),
         spill_dir: args.get("spill-dir").map(str::to_string),
         batching,
         snapshot,
         slo,
         flight_recorder,
         trace_sample,
-        policy,
+        policy: policy_mode_from_args(args)?,
     };
+    config.validate().map_err(|e| format!("serve flags: {e}"))?;
+    let g = std::sync::Arc::new(load_graph(args)?);
+    let stats = GraphStats::unknown(&g);
+    let schedule = serve_schedule(args, &g)?;
     if let Some(dir) = &config.spill_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
     }
@@ -933,13 +930,13 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     } else {
         String::new()
     };
-    let service = QueryService::from_runtime(&rt, g, &stats, config);
     ui.say(format!(
         "serving {} schedule item(s) (capacity {}, queue depth {}{batch_note}{policy_note})…",
         schedule.len(),
-        args.parse_num::<u32>("capacity")?.unwrap_or(2),
-        args.parse_num::<u32>("queue-depth")?.unwrap_or(8),
+        config.capacity,
+        config.queue_limit,
     ));
+    let service = QueryService::from_runtime(&rt, g, &stats, config);
     let report = service
         .run_schedule(&schedule)
         .map_err(|e| format!("service failed: {e}"))?;
@@ -967,7 +964,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         ui.say(format!(
             "telemetry: {} window(s) at {} s cadence",
             report.timeseries.len(),
-            snapshot_every,
+            snapshot.every_seconds,
         ));
     }
     if let Some(slo) = &report.slo {
@@ -982,17 +979,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             slo.policy.latency_objective_s,
         ));
     }
-    let (detected, repaired) =
-        report
-            .outcomes
-            .iter()
-            .filter_map(|o| o.run.as_ref())
-            .fold((0u32, 0u32), |(d, r), run| {
-                (
-                    d + run.report.corruption_detected,
-                    r + run.report.corruption_repairs,
-                )
-            });
+    let (detected, repaired) = report.metrics.corruption();
     if detected > 0 || repaired > 0 {
         ui.say(format!(
             "corruption across queries: {detected} detection(s), {repaired} repair(s)"

@@ -760,6 +760,109 @@ fn serve_flight_recorder_writes_postmortems() {
 }
 
 #[test]
+fn serve_flag_errors_fail_before_the_graph_is_read() {
+    // Every flag parses into the service config, which validates before
+    // the graph is read: a bad value is reported even with a missing
+    // graph, names its flag and runs nothing.
+    for (flag, value, named) in [
+        ("--drain-mode", "bogus", "--drain-mode"),
+        ("--policy", "bogus", "--policy"),
+        ("--batch-window", "x", "--batch-window"),
+        ("--retries", "x", "--retries"),
+        ("--capacity", "0", "capacity must be at least 1"),
+    ] {
+        let out = cli()
+            .args([
+                "serve",
+                "--graph",
+                "/nonexistent/nope.xbfs",
+                "--arrivals",
+                "4",
+                flag,
+                value,
+            ])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(named), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("nope.xbfs"), "{flag} {value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} {value} ran anyway");
+    }
+}
+
+#[test]
+fn serve_windows_count_corruption_of_every_completed_query() {
+    // Both queries that detect corruption on this schedule then miss their
+    // deadline. The windows, the exposition and the narration count them
+    // all the same.
+    let graph = tmpfile("serve-corruption.xbfs");
+    let prom = tmpfile("serve-corruption.prom");
+    let series = tmpfile("serve-corruption.jsonl");
+    stdout_of(cli().args(["gen", "--scale", "12", "--out", graph.to_str().unwrap()]));
+    let out = stdout_of(cli().args([
+        "serve",
+        "--graph",
+        graph.to_str().unwrap(),
+        "--arrivals",
+        "60",
+        "--rate",
+        "2000",
+        "--seed",
+        "1",
+        "--capacity",
+        "2",
+        "--queue-depth",
+        "8",
+        "--chaos-dir",
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/chaos"),
+        "--chaos-every",
+        "1",
+        "--scrub",
+        "--checksum",
+        "--checkpoint-interval",
+        "2",
+        "--request-deadline",
+        "0.004",
+        "--snapshot-every",
+        "0.002",
+        "--metrics-out",
+        prom.to_str().unwrap(),
+        "--timeseries-out",
+        series.to_str().unwrap(),
+    ]));
+    assert!(
+        out.contains("corruption across queries: 2 detection(s), 2 repair(s)"),
+        "{out}"
+    );
+
+    let text = std::fs::read_to_string(&series).unwrap();
+    let window_sum = |field: &str| -> u64 {
+        text.lines()
+            .map(|l| serde_json::from_str::<serde_json::Value>(l).unwrap())
+            .filter(|w| w["kind"] == "window")
+            .map(|w| w[field].as_u64().unwrap())
+            .sum()
+    };
+    let metrics = std::fs::read_to_string(&prom).unwrap();
+    let family_sum = |name: &str| -> u64 {
+        metrics
+            .lines()
+            .filter(|l| l.starts_with(&format!("{name}{{")))
+            .map(|l| l.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap())
+            .sum()
+    };
+    assert_eq!(window_sum("corruption_detected"), 2);
+    assert_eq!(window_sum("corruption_repaired"), 2);
+    assert_eq!(family_sum("xbfs_corruption_detected_total"), 2);
+    assert_eq!(family_sum("xbfs_corruption_repairs_total"), 2);
+
+    for f in [graph, prom, series] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+#[test]
 fn report_dashboard_renders_pinned_quantiles() {
     // A hand-written two-window stream with known quantiles pins the
     // dashboard's parsing and formatting end to end.

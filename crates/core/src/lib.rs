@@ -58,12 +58,12 @@ pub use health::{
     BreakerPolicy, BreakerState, BreakerTransition, Device, DeviceHealth, HealthSnapshot,
 };
 pub use observe::timeseries::{
-    prometheus_slo_text, timeseries_json_lines, LogHistogram, QuantileSummary, SloPolicy,
-    SloReport, SnapshotPolicy, TimeSeriesRegistry, TimeWeighted, WindowBurn, WindowSnapshot,
-    LATENCY_BUCKETS_S,
+    prometheus_slo_text, timeseries_json_lines, QuantileSummary, SloPolicy, SloReport,
+    SnapshotPolicy, TimeWeighted, WindowBurn, WindowSnapshot, LATENCY_BUCKETS_S,
 };
 pub use observe::{
-    chrome_trace_json, prometheus_text, service_chrome_trace_json, trace_event_json, Metrics,
+    chrome_trace_json, prometheus_text, service_chrome_trace_json, trace_event_json, Histogram,
+    Metrics,
 };
 pub use oracle::MnGrid;
 pub use policy_online::{

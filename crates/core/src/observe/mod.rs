@@ -14,20 +14,23 @@
 //! * [`Metrics`] and [`prometheus_text`] — the Prometheus text exposition
 //!   format: counters keyed by device, rung, and direction, plus a
 //!   per-device histogram of simulated level durations. The registry
-//!   accepts event lists one at a time, which is how the query service
-//!   counts every dispatch whether or not its trace is kept.
+//!   accepts events as they happen, which is how the query service keeps
+//!   one account of every query whether or not its trace is kept.
 //!
 //! Both outputs are deterministic for a given event list (stable sorts,
 //! `BTreeMap`-ordered label sets), which is what lets the golden-file test
 //! pin the chrome trace byte-for-byte.
 //!
-//! The [`timeseries`] submodule is the *online* counterpart: a
-//! simulated-clock windowed registry the service feeds while it runs,
-//! with log-bucketed quantiles and SLO evaluation.
+//! The [`timeseries`] submodule holds the registry's windowed section:
+//! snapshots closed on the simulated clock, their JSON-lines stream, and
+//! SLO evaluation over them.
 
 use crate::service::QueryTrace;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
+use timeseries::{
+    QuantileSummary, SloPolicy, SloReport, SnapshotPolicy, TimeWeighted, WindowSnapshot, Windows,
+};
 use xbfs_engine::trace::TraceEvent;
 use xbfs_engine::Direction;
 
@@ -777,6 +780,18 @@ impl Counter {
     fn add(&mut self, labels: &[(&str, &str)], v: f64) {
         *self.series.entry(render_labels(labels)).or_insert(0.0) += v;
     }
+
+    /// The series at `labels` (0 when it never counted), as a count.
+    fn get(&self, labels: &[(&str, &str)]) -> u32 {
+        self.series
+            .get(&render_labels(labels))
+            .map_or(0, |v| *v as u32)
+    }
+
+    /// The sum over every series, as a count.
+    fn total(&self) -> u32 {
+        self.series.values().sum::<f64>() as u32
+    }
 }
 
 /// Escape a label value per the Prometheus text exposition format:
@@ -826,38 +841,108 @@ fn write_counter(out: &mut String, name: &str, help: &str, c: &Counter) {
     }
 }
 
-/// Histogram bucket upper bounds for simulated level durations, seconds.
+/// Histogram bucket upper bounds of the exposition's histogram families
+/// (simulated level durations, service latency), seconds.
 const LEVEL_BUCKETS_S: [f64; 6] = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0];
 
-#[derive(Debug, Default)]
-struct Histogram {
-    // label set → (per-bucket cumulative-style raw counts, sum, count)
-    series: BTreeMap<String, ([u64; LEVEL_BUCKETS_S.len()], f64, u64)>,
+/// Observations over fixed, ascending bucket upper bounds: a count per
+/// bucket (values past the last bound land in none), their sum, count and
+/// maximum, and a deterministic quantile readout.
+///
+/// Each family picks its bounds: the exposition's histograms use six
+/// decade buckets, the telemetry windows the 25 log-spaced
+/// [`LATENCY_BUCKETS_S`](timeseries::LATENCY_BUCKETS_S).
+#[derive(Clone, Debug)]
+pub struct Histogram {
+    bounds: &'static [f64],
+    counts: Vec<u64>,
+    count: u64,
+    sum: f64,
+    max: f64,
 }
 
 impl Histogram {
-    fn observe(&mut self, labels: &[(&str, &str)], v: f64) {
-        let entry = self.series.entry(render_labels(labels)).or_insert((
-            [0; LEVEL_BUCKETS_S.len()],
-            0.0,
-            0,
-        ));
-        for (i, le) in LEVEL_BUCKETS_S.iter().enumerate() {
-            if v <= *le {
-                entry.0[i] += 1;
+    /// An empty histogram over `bounds`.
+    pub fn new(bounds: &'static [f64]) -> Self {
+        Self {
+            bounds,
+            counts: vec![0; bounds.len()],
+            count: 0,
+            sum: 0.0,
+            max: 0.0,
+        }
+    }
+
+    /// Record one observation in the first bucket whose bound holds it.
+    pub fn observe(&mut self, v: f64) {
+        if let Some(i) = self.bounds.iter().position(|le| v <= *le) {
+            self.counts[i] += 1;
+        }
+        self.count += 1;
+        self.sum += v;
+        self.max = self.max.max(v);
+    }
+
+    /// Observations recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// The q-quantile (q in `[0, 1]`), defined deterministically as the
+    /// upper bound of the bucket holding the `ceil(q·count)`-th smallest
+    /// observation — or the maximum observed value when that rank lands
+    /// past the last bucket. An empty histogram has no quantiles and
+    /// returns `None`: reporting a bucket bound (or 0) for a window that
+    /// observed nothing would fabricate a latency where none was measured.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        if self.count == 0 {
+            return None;
+        }
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut cum = 0u64;
+        for (le, c) in self.bounds.iter().zip(&self.counts) {
+            cum += c;
+            if cum >= rank {
+                return Some(*le);
             }
         }
-        entry.1 += v;
-        entry.2 += 1;
+        Some(self.max)
+    }
+
+    /// The standard p50/p95/p99 readout.
+    pub fn summary(&self) -> QuantileSummary {
+        QuantileSummary {
+            count: self.count,
+            sum_s: self.sum,
+            p50_s: self.quantile(0.50),
+            p95_s: self.quantile(0.95),
+            p99_s: self.quantile(0.99),
+        }
     }
 }
 
-fn write_histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
+/// A family of histograms with a shared name, keyed by a rendered label
+/// set; every series has the [`LEVEL_BUCKETS_S`] bounds.
+#[derive(Debug, Default)]
+struct Histograms {
+    series: BTreeMap<String, Histogram>,
+}
+
+impl Histograms {
+    fn observe(&mut self, labels: &[(&str, &str)], v: f64) {
+        self.series
+            .entry(render_labels(labels))
+            .or_insert_with(|| Histogram::new(&LEVEL_BUCKETS_S))
+            .observe(v);
+    }
+}
+
+fn write_histogram(out: &mut String, name: &str, help: &str, h: &Histograms) {
     if h.series.is_empty() {
         return;
     }
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-    for (labels, (buckets, sum, count)) in &h.series {
+    for (labels, series) in &h.series {
         // Splice the `le` label into the rendered set.
         let open = |le: &str| {
             if labels.is_empty() {
@@ -866,32 +951,43 @@ fn write_histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
                 format!("{},le=\"{le}\"}}", &labels[..labels.len() - 1])
             }
         };
-        for (i, le) in LEVEL_BUCKETS_S.iter().enumerate() {
-            out.push_str(&format!(
-                "{name}_bucket{} {}\n",
-                open(&format!("{le}")),
-                buckets[i]
-            ));
+        let mut cum = 0u64;
+        for (le, c) in series.bounds.iter().zip(&series.counts) {
+            cum += c;
+            out.push_str(&format!("{name}_bucket{} {cum}\n", open(&format!("{le}"))));
         }
+        let count = series.count;
         out.push_str(&format!("{name}_bucket{} {count}\n", open("+Inf")));
-        out.push_str(&format!("{name}_sum{labels} {}\n", render_value(*sum)));
+        out.push_str(&format!(
+            "{name}_sum{labels} {}\n",
+            render_value(series.sum)
+        ));
         out.push_str(&format!("{name}_count{labels} {count}\n"));
     }
 }
 
-/// The metric registry behind the Prometheus exposition: every counter
-/// and histogram family, accumulated by folding event lists into it.
+/// The metric registry: every counter, gauge and histogram family,
+/// accumulated by folding events into it, plus the service's telemetry
+/// windows when a [`SnapshotPolicy`] is on.
 ///
-/// The query service folds each dispatch's trace buffer into one registry
-/// at the dispatch's completion event and its own admission events once
-/// when the run ends, so the families count every query whichever traces
-/// were kept. [`prometheus_text`] is the same registry folded over one
-/// slice.
+/// It is the query service's one account. Each service event is folded
+/// in as it is pushed, each dispatch's trace buffer at the dispatch's
+/// completion, and a direct call records the occupied slots. The
+/// service's report reads its counters, peaks, means, windows and SLO
+/// verdict from here when the run ends, and the exposition counts every
+/// query whichever traces were kept. [`prometheus_text`] is a registry
+/// without windows folded over one slice.
+///
+/// The six service events (`QueryAdmitted`, `QueryShed`, `QueueDepth`,
+/// `QueryStart`, `BatchLane`, `QueryEnd`) advance the window clock to
+/// their `at_s` before they count. Trace events never move it: their
+/// `at_s` is on a query's private clock, so their corruption counts land
+/// in the window the clock is in when the trace is folded.
 #[derive(Debug, Default)]
 pub struct Metrics {
     levels: Counter,
     level_edges: Counter,
-    level_seconds: Histogram,
+    level_seconds: Histograms,
     kernel_attempts: Counter,
     transfer_attempts: Counter,
     transfer_bytes: Counter,
@@ -909,8 +1005,15 @@ pub struct Metrics {
     service_shed: Counter,
     service_queries: Counter,
     service_wait_seconds: Counter,
-    service_latency: Histogram,
-    queue_depth_peak: Option<u32>,
+    service_latency: Histograms,
+    /// The admission queue's depth over time (`None` until a
+    /// `QueueDepth` event is folded).
+    queue: Option<TimeWeighted>,
+    /// Occupied slots over time, as `Metrics::in_flight` records them.
+    in_flight: TimeWeighted,
+    /// Admission instants of queries not yet ended or shed.
+    admitted_at: BTreeMap<u64, f64>,
+    windows: Option<Windows>,
     corruption_detected: Counter,
     corruption_repairs: Counter,
     batch_dispatches: Counter,
@@ -923,11 +1026,81 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Fold `events` into the registry. Counters add up in event order. A
-    /// `QueryEnd` feeds the latency histogram only when its query's
-    /// `QueryAdmitted` is in the same slice.
+    /// A registry that also closes a telemetry window every
+    /// `snapshot.every_seconds` of simulated time and evaluates `slo` over
+    /// them. A disabled policy keeps no windows, and an SLO needs them.
+    pub(crate) fn windowed(snapshot: SnapshotPolicy, slo: Option<SloPolicy>) -> Self {
+        Self {
+            windows: snapshot
+                .enabled()
+                .then(|| Windows::new(snapshot.every_seconds, slo)),
+            ..Self::default()
+        }
+    }
+
+    /// The open window, its clock first advanced to `t`.
+    fn window_at(&mut self, t: f64) -> Option<&mut Windows> {
+        let w = self.windows.as_mut()?;
+        w.advance(t);
+        Some(w)
+    }
+
+    /// Record that `n` slots are occupied from `t` on.
+    pub(crate) fn in_flight(&mut self, t: f64, n: u32) {
+        let v = f64::from(n);
+        self.in_flight.set(t, v);
+        if let Some(w) = self.window_at(t) {
+            w.in_flight.set(t, v);
+        }
+    }
+
+    /// Close the final partial window at `end_s` and hand over the closed
+    /// windows with the SLO verdict over them. A second call finds none.
+    pub(crate) fn finish(&mut self, end_s: f64) -> (Vec<WindowSnapshot>, Option<SloReport>) {
+        self.windows
+            .take()
+            .map_or((Vec::new(), None), |w| w.finish(end_s))
+    }
+
+    /// Queries admitted.
+    pub(crate) fn admitted(&self) -> u32 {
+        self.service_admitted.total()
+    }
+
+    /// Started queries that ended with `outcome` ("served", "degraded",
+    /// "deadline-missed" or "failed").
+    pub(crate) fn queries(&self, outcome: &str) -> u32 {
+        self.service_queries.get(&[("outcome", outcome)])
+    }
+
+    /// Queries shed for `reason` ("overloaded", "deadline" or "shutdown").
+    pub(crate) fn shed(&self, reason: &str) -> u32 {
+        self.service_shed.get(&[("reason", reason)])
+    }
+
+    /// Corruption detections and repairs across every folded trace.
+    pub fn corruption(&self) -> (u32, u32) {
+        (
+            self.corruption_detected.total(),
+            self.corruption_repairs.total(),
+        )
+    }
+
+    /// The admission queue's depth gauge.
+    pub(crate) fn queue_gauge(&self) -> TimeWeighted {
+        self.queue.unwrap_or_default()
+    }
+
+    /// The occupied-slot gauge.
+    pub(crate) fn in_flight_gauge(&self) -> TimeWeighted {
+        self.in_flight
+    }
+
+    /// Fold `events` into the registry, in order. A `QueryEnd` feeds the
+    /// latency histograms only when its query's `QueryAdmitted` was folded
+    /// before it, by this call or an earlier one; the admission instant is
+    /// dropped at the query's `QueryEnd` or `QueryShed`.
     pub fn fold(&mut self, events: &[TraceEvent]) {
-        let mut admitted_at: BTreeMap<u64, f64> = BTreeMap::new();
         for ev in events {
             match ev {
                 TraceEvent::RungBegin { .. } => {}
@@ -1010,10 +1183,16 @@ impl Metrics {
                 }
                 TraceEvent::QueryAdmitted { query, at_s, .. } => {
                     self.service_admitted.add(&[], 1.0);
-                    admitted_at.insert(*query, *at_s);
+                    self.admitted_at.insert(*query, *at_s);
+                    if let Some(w) = self.window_at(*at_s) {
+                        w.open.admitted += 1;
+                    }
                 }
-                TraceEvent::QueryStart { wait_s, .. } => {
+                TraceEvent::QueryStart { wait_s, at_s, .. } => {
                     self.service_wait_seconds.add(&[], *wait_s);
+                    if let Some(w) = self.window_at(*at_s) {
+                        w.queue_wait.observe(*wait_s);
+                    }
                 }
                 TraceEvent::QueryEnd {
                     query,
@@ -1022,31 +1201,68 @@ impl Metrics {
                     ..
                 } => {
                     self.service_queries.add(&[("outcome", outcome)], 1.0);
-                    if let Some(admit_s) = admitted_at.get(query) {
+                    let latency_s = self.admitted_at.remove(query).map(|admit_s| at_s - admit_s);
+                    if let Some(latency_s) = latency_s {
                         self.service_latency
-                            .observe(&[("outcome", outcome)], at_s - admit_s);
+                            .observe(&[("outcome", outcome)], latency_s);
+                    }
+                    if let Some(w) = self.window_at(*at_s) {
+                        w.open.completed += 1;
+                        w.open.deadline_missed += u64::from(*outcome == "deadline-missed");
+                        if let Some(latency_s) = latency_s {
+                            w.latency.observe(latency_s);
+                            w.open.latency_slo_missed +=
+                                u64::from(w.slo.is_some_and(|p| latency_s > p.latency_objective_s));
+                        }
                     }
                 }
-                TraceEvent::QueryShed { reason, .. } => {
+                TraceEvent::QueryShed {
+                    query,
+                    reason,
+                    at_s,
+                    ..
+                } => {
                     self.service_shed.add(&[("reason", reason)], 1.0);
+                    self.admitted_at.remove(query);
+                    if let Some(w) = self.window_at(*at_s) {
+                        w.open.shed += 1;
+                        if *reason == "deadline" {
+                            w.open.deadline_missed += 1;
+                            w.open.deadline_shed += 1;
+                        }
+                    }
                 }
-                TraceEvent::QueueDepth { depth, .. } => {
-                    self.queue_depth_peak = Some(self.queue_depth_peak.unwrap_or(0).max(*depth));
+                TraceEvent::QueueDepth { depth, at_s } => {
+                    let v = f64::from(*depth);
+                    self.queue.get_or_insert_default().set(*at_s, v);
+                    if let Some(w) = self.window_at(*at_s) {
+                        w.queue.set(*at_s, v);
+                    }
                 }
                 TraceEvent::CorruptionDetected { rung, detector, .. } => {
                     self.corruption_detected
                         .add(&[("detector", detector), ("rung", rung)], 1.0);
+                    if let Some(w) = &mut self.windows {
+                        w.open.corruption_detected += 1;
+                    }
                 }
                 TraceEvent::CorruptionRepair { rung, action, .. } => {
                     self.corruption_repairs
                         .add(&[("action", action), ("rung", rung)], 1.0);
+                    if let Some(w) = &mut self.windows {
+                        w.open.corruption_repaired += 1;
+                    }
                 }
                 TraceEvent::BatchBegin { lanes, .. } => {
                     self.batch_dispatches.add(&[], 1.0);
                     self.batch_lanes.add(&[], f64::from(*lanes));
                 }
-                TraceEvent::BatchLane { .. } => {
+                TraceEvent::BatchLane { lane, at_s, .. } => {
                     self.batch_lane_queries.add(&[], 1.0);
+                    if let Some(w) = self.window_at(*at_s) {
+                        w.open.batch_lanes += 1;
+                        w.open.batch_dispatches += u64::from(*lane == 0);
+                    }
                 }
                 TraceEvent::BatchLevel {
                     device,
@@ -1210,12 +1426,12 @@ impl Metrics {
             "Admission-to-completion latency of terminal queries, by outcome.",
             &self.service_latency,
         );
-        if let Some(peak) = self.queue_depth_peak {
+        if let Some(queue) = &self.queue {
             write_gauge(
                 &mut out,
                 "xbfs_service_queue_depth_peak",
                 "Deepest the admission queue got over the trace.",
-                &[(String::new(), peak as f64)],
+                &[(String::new(), queue.peak())],
             );
         }
         write_counter(

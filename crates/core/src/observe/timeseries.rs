@@ -1,28 +1,32 @@
 //! Simulated-clock live telemetry: windowed time-series snapshots,
-//! log-bucketed latency quantiles, and SLO evaluation.
+//! latency quantiles, and SLO evaluation.
 //!
 //! Everything in this module advances on the *simulated* service clock,
-//! never wall time — a [`TimeSeriesRegistry`] fed by a deterministic
-//! schedule produces byte-identical snapshots on every replay, which is
-//! what lets CI byte-compare two seeded `serve --snapshot-every` runs.
+//! never wall time — a deterministic schedule produces byte-identical
+//! snapshots on every replay, which is what lets CI byte-compare two
+//! seeded `serve --snapshot-every` runs.
 //!
-//! The registry is the service's online counterpart to the offline
-//! exporters in [`crate::observe`]: instead of rendering one aggregate
-//! view after the run, it closes a [`WindowSnapshot`] every
-//! [`SnapshotPolicy::every_seconds`] of simulated time, carrying
-//! time-weighted queue-depth and in-flight gauges, admit/shed/complete
-//! rates, batch occupancy, corruption counters, and p50/p95/p99 readouts
-//! of the window's latency and queue-wait histograms. An optional
-//! [`SloPolicy`] layers objective targets on top; [`SloReport`] carries
-//! the verdict plus a per-window burn rate (observed miss fraction over
-//! the allowed miss fraction — burn > 1 means the window spends error
-//! budget faster than the objective allows).
+//! The windows are a section of the service's one registry,
+//! [`Metrics`](super::Metrics), kept when the service's
+//! [`SnapshotPolicy`] is on. The fold that feeds the exposition also
+//! counts into the open window, and every
+//! [`SnapshotPolicy::every_seconds`] of simulated time a
+//! [`WindowSnapshot`] closes. It carries time-weighted queue-depth and
+//! in-flight gauges, admit/shed/complete rates, batch occupancy,
+//! corruption counters, and p50/p95/p99 readouts of the window's latency
+//! and queue-wait [`Histogram`]s. The run's last window closes at the
+//! makespan, covering whatever span is left. An optional [`SloPolicy`]
+//! layers objective targets on top; [`SloReport`] carries the verdict
+//! plus a per-window burn rate (observed miss fraction over the allowed
+//! miss fraction — burn > 1 means the window spends error budget faster
+//! than the objective allows).
 
+use super::Histogram;
 use serde_json::{json, Value};
 use xbfs_engine::XbfsError;
 
 /// Cadence of time-series snapshots on the simulated clock. The default
-/// is off (`every_seconds` 0): no registry state is kept and every
+/// is off (`every_seconds` 0): no window state is kept and every
 /// existing output stays byte-identical.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SnapshotPolicy {
@@ -74,7 +78,8 @@ impl SnapshotPolicy {
 /// the observed span. This is the textbook definition of a time-weighted
 /// mean: a queue that sits at depth 2 for one second and depth 0 for
 /// three seconds averages 0.5, no matter how many transitions occurred.
-#[derive(Clone, Copy, Debug)]
+/// The default is a gauge at 0 from time 0.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TimeWeighted {
     start_t: f64,
     last_t: f64,
@@ -135,89 +140,6 @@ pub const LATENCY_BUCKETS_S: [f64; 25] = [
     2e-1, 5e-1, 1.0, 2.0, 5.0, 1e1, 2e1, 5e1, 1e2,
 ];
 
-/// A fixed-bucket log histogram with deterministic quantile readout.
-#[derive(Clone, Debug)]
-pub struct LogHistogram {
-    counts: [u64; LATENCY_BUCKETS_S.len()],
-    overflow: u64,
-    count: u64,
-    sum: f64,
-    max: f64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self {
-            counts: [0; LATENCY_BUCKETS_S.len()],
-            overflow: 0,
-            count: 0,
-            sum: 0.0,
-            max: 0.0,
-        }
-    }
-}
-
-impl LogHistogram {
-    /// Fresh empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation (negative values clamp to 0).
-    pub fn observe(&mut self, v: f64) {
-        let v = v.max(0.0);
-        match LATENCY_BUCKETS_S.iter().position(|le| v <= *le) {
-            Some(i) => self.counts[i] += 1,
-            None => self.overflow += 1,
-        }
-        self.count += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// The q-quantile (q in `[0, 1]`), defined deterministically as the
-    /// upper bound of the bucket holding the `ceil(q·count)`-th smallest
-    /// observation — or the maximum observed value when that rank lands
-    /// past the last bucket. An empty histogram has no quantiles and
-    /// returns `None`: reporting a bucket bound (or 0) for a window that
-    /// observed nothing would fabricate a latency where none was measured.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return Some(LATENCY_BUCKETS_S[i]);
-            }
-        }
-        Some(self.max)
-    }
-
-    /// The standard p50/p95/p99 readout.
-    pub fn summary(&self) -> QuantileSummary {
-        QuantileSummary {
-            count: self.count,
-            sum_s: self.sum,
-            p50_s: self.quantile(0.50),
-            p95_s: self.quantile(0.95),
-            p99_s: self.quantile(0.99),
-        }
-    }
-}
-
 /// The quantile readout of one window's histogram. Quantile fields are
 /// `None` when the window observed nothing — an empty window has no
 /// latencies, and its JSON omits the keys rather than printing a made-up
@@ -228,7 +150,7 @@ pub struct QuantileSummary {
     pub count: u64,
     /// Sum of observations, seconds.
     pub sum_s: f64,
-    /// Median, per [`LogHistogram::quantile`].
+    /// Median, per [`Histogram::quantile`].
     pub p50_s: Option<f64>,
     /// 95th percentile.
     pub p95_s: Option<f64>,
@@ -256,14 +178,14 @@ impl QuantileSummary {
 }
 
 /// One closed telemetry window.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct WindowSnapshot {
     /// Zero-based window index.
     pub index: u64,
     /// Window start on the simulated clock.
     pub start_s: f64,
     /// Window end (start of the next window, or the run end for the
-    /// final partial window).
+    /// run's last window).
     pub end_s: f64,
     /// Time-weighted mean admission-queue depth over the window.
     pub queue_depth_mean: f64,
@@ -533,216 +455,90 @@ impl SloReport {
     }
 }
 
-/// Per-window state the registry resets at each boundary.
+/// The windowed section of [`Metrics`](super::Metrics): the open window
+/// and the windows closed so far. The registry's fold arms count into the
+/// open window after [`Windows::advance`] has moved its clock.
 #[derive(Debug)]
-struct WindowState {
-    start_s: f64,
-    queue: TimeWeighted,
-    in_flight: TimeWeighted,
-    admitted: u64,
-    shed: u64,
-    completed: u64,
-    deadline_missed: u64,
-    deadline_shed: u64,
-    latency_slo_missed: u64,
-    batch_dispatches: u64,
-    batch_lanes: u64,
-    corruption_detected: u64,
-    corruption_repaired: u64,
-    latency: LogHistogram,
-    queue_wait: LogHistogram,
+pub(super) struct Windows {
+    every_s: f64,
+    pub(super) slo: Option<SloPolicy>,
+    /// The open window's counts; [`Windows::close`] fills in the rest.
+    pub(super) open: WindowSnapshot,
+    pub(super) queue: TimeWeighted,
+    pub(super) in_flight: TimeWeighted,
+    pub(super) latency: Histogram,
+    pub(super) queue_wait: Histogram,
+    closed: Vec<WindowSnapshot>,
 }
 
-impl WindowState {
-    fn new(start_s: f64, queue_v: f64, in_flight_v: f64) -> Self {
-        let mut queue = TimeWeighted::new(start_s);
-        queue.set(start_s, queue_v);
-        let mut in_flight = TimeWeighted::new(start_s);
-        in_flight.set(start_s, in_flight_v);
+/// A gauge that starts at `v` at time `t`.
+fn gauge(t: f64, v: f64) -> TimeWeighted {
+    let mut g = TimeWeighted::new(t);
+    g.set(t, v);
+    g
+}
+
+impl Windows {
+    /// Windows of `every_s` simulated seconds from time 0.
+    pub(super) fn new(every_s: f64, slo: Option<SloPolicy>) -> Self {
         Self {
-            start_s,
-            queue,
-            in_flight,
-            admitted: 0,
-            shed: 0,
-            completed: 0,
-            deadline_missed: 0,
-            deadline_shed: 0,
-            latency_slo_missed: 0,
-            batch_dispatches: 0,
-            batch_lanes: 0,
-            corruption_detected: 0,
-            corruption_repaired: 0,
-            latency: LogHistogram::new(),
-            queue_wait: LogHistogram::new(),
-        }
-    }
-}
-
-/// The live time-series registry: feed it service events on a monotone
-/// simulated clock, and it closes one [`WindowSnapshot`] per
-/// [`SnapshotPolicy`] interval.
-#[derive(Debug)]
-pub struct TimeSeriesRegistry {
-    policy: SnapshotPolicy,
-    slo: Option<SloPolicy>,
-    window: WindowState,
-    snapshots: Vec<WindowSnapshot>,
-    finished: bool,
-}
-
-impl TimeSeriesRegistry {
-    /// A registry on `policy`, optionally evaluating `slo` at the end.
-    pub fn new(policy: SnapshotPolicy, slo: Option<SloPolicy>) -> Self {
-        Self {
-            policy,
+            every_s,
             slo,
-            window: WindowState::new(0.0, 0.0, 0.0),
-            snapshots: Vec::new(),
-            finished: false,
+            open: WindowSnapshot::default(),
+            queue: TimeWeighted::default(),
+            in_flight: TimeWeighted::default(),
+            latency: Histogram::new(&LATENCY_BUCKETS_S),
+            queue_wait: Histogram::new(&LATENCY_BUCKETS_S),
+            closed: Vec::new(),
         }
     }
 
     /// Close every window boundary at or before `t`.
-    pub fn advance(&mut self, t: f64) {
-        if !self.policy.enabled() {
-            return;
-        }
-        let every = self.policy.every_seconds;
-        while t >= self.window.start_s + every {
-            let end = self.window.start_s + every;
-            self.close_window(end, every);
+    pub(super) fn advance(&mut self, t: f64) {
+        while t >= self.open.start_s + self.every_s {
+            self.close(self.open.start_s + self.every_s, self.every_s);
         }
     }
 
-    /// Close the window ending at `end` spanning `span` seconds and open
-    /// the next one, carrying the gauges across the boundary.
-    fn close_window(&mut self, end: f64, span: f64) {
+    /// Close the open window at `end`, `span` seconds after it opened, and
+    /// open the next one, carrying the gauges across the boundary.
+    fn close(&mut self, end: f64, span: f64) {
         let rate = |n: u64| if span > 0.0 { n as f64 / span } else { 0.0 };
-        let w = &mut self.window;
-        w.queue.set(end, w.queue.value());
-        w.in_flight.set(end, w.in_flight.value());
-        self.snapshots.push(WindowSnapshot {
-            index: self.snapshots.len() as u64,
-            start_s: w.start_s,
+        let (queue, in_flight) = (self.queue.value(), self.in_flight.value());
+        self.queue.set(end, queue);
+        self.in_flight.set(end, in_flight);
+        let w = WindowSnapshot {
+            index: self.closed.len() as u64,
             end_s: end,
-            queue_depth_mean: w.queue.mean(end),
-            queue_depth_peak: w.queue.peak() as u32,
-            in_flight_mean: w.in_flight.mean(end),
-            in_flight_peak: w.in_flight.peak() as u32,
-            admitted: w.admitted,
-            shed: w.shed,
-            completed: w.completed,
-            deadline_missed: w.deadline_missed,
-            deadline_shed: w.deadline_shed,
-            latency_slo_missed: w.latency_slo_missed,
-            admit_rate_hz: rate(w.admitted),
-            shed_rate_hz: rate(w.shed),
-            complete_rate_hz: rate(w.completed),
-            batch_dispatches: w.batch_dispatches,
-            batch_lanes: w.batch_lanes,
-            corruption_detected: w.corruption_detected,
-            corruption_repaired: w.corruption_repaired,
-            latency: w.latency.summary(),
-            queue_wait: w.queue_wait.summary(),
-        });
-        let (qv, fv) = (w.queue.value(), w.in_flight.value());
-        self.window = WindowState::new(end, qv, fv);
+            queue_depth_mean: self.queue.mean(end),
+            queue_depth_peak: self.queue.peak() as u32,
+            in_flight_mean: self.in_flight.mean(end),
+            in_flight_peak: self.in_flight.peak() as u32,
+            admit_rate_hz: rate(self.open.admitted),
+            shed_rate_hz: rate(self.open.shed),
+            complete_rate_hz: rate(self.open.completed),
+            latency: self.latency.summary(),
+            queue_wait: self.queue_wait.summary(),
+            ..std::mem::take(&mut self.open)
+        };
+        self.closed.push(w);
+        self.open.start_s = end;
+        self.queue = gauge(end, queue);
+        self.in_flight = gauge(end, in_flight);
+        self.latency = Histogram::new(&LATENCY_BUCKETS_S);
+        self.queue_wait = Histogram::new(&LATENCY_BUCKETS_S);
     }
 
-    /// A query was admitted at `t`.
-    pub fn record_admit(&mut self, t: f64) {
-        self.advance(t);
-        self.window.admitted += 1;
-    }
-
-    /// A query was shed at `t`; `deadline` marks a queued deadline lapse.
-    pub fn record_shed(&mut self, t: f64, deadline: bool) {
-        self.advance(t);
-        self.window.shed += 1;
-        if deadline {
-            self.window.deadline_missed += 1;
-            self.window.deadline_shed += 1;
-        }
-    }
-
-    /// The admission queue transitioned to `depth` at `t`.
-    pub fn record_queue_depth(&mut self, t: f64, depth: u32) {
-        self.advance(t);
-        self.window.queue.set(t, f64::from(depth));
-    }
-
-    /// The occupied-slot count transitioned to `n` at `t`.
-    pub fn record_in_flight(&mut self, t: f64, n: u32) {
-        self.advance(t);
-        self.window.in_flight.set(t, f64::from(n));
-    }
-
-    /// A query started at `t` after waiting `wait_s` in the queue.
-    pub fn record_start(&mut self, t: f64, wait_s: f64) {
-        self.advance(t);
-        self.window.queue_wait.observe(wait_s);
-    }
-
-    /// A started query reached a terminal outcome at `t` with
-    /// arrival-to-completion `latency_s`; `deadline_missed` marks mid-run
-    /// deadline expiry.
-    pub fn record_complete(&mut self, t: f64, latency_s: f64, deadline_missed: bool) {
-        self.advance(t);
-        self.window.completed += 1;
-        if deadline_missed {
-            self.window.deadline_missed += 1;
-        }
-        self.window.latency.observe(latency_s);
-        if let Some(slo) = &self.slo {
-            if latency_s > slo.latency_objective_s {
-                self.window.latency_slo_missed += 1;
-            }
-        }
-    }
-
-    /// A lane-packed batch with `lanes` lanes dispatched at `t`.
-    pub fn record_batch(&mut self, t: f64, lanes: u32) {
-        self.advance(t);
-        self.window.batch_dispatches += 1;
-        self.window.batch_lanes += u64::from(lanes);
-    }
-
-    /// A completed query reported corruption counters at `t`.
-    pub fn record_corruption(&mut self, t: f64, detected: u32, repaired: u32) {
-        self.advance(t);
-        self.window.corruption_detected += u64::from(detected);
-        self.window.corruption_repaired += u64::from(repaired);
-    }
-
-    /// Close the final (partial) window at `t_end`. Idempotent.
-    pub fn finish(&mut self, t_end: f64) {
-        if self.finished || !self.policy.enabled() {
-            self.finished = true;
-            return;
-        }
+    /// Close the final partial window at `t_end`, then evaluate the SLO
+    /// over every closed window.
+    pub(super) fn finish(mut self, t_end: f64) -> (Vec<WindowSnapshot>, Option<SloReport>) {
         self.advance(t_end);
-        let span = t_end - self.window.start_s;
+        let span = t_end - self.open.start_s;
         if span > 0.0 {
-            self.close_window(t_end, span);
+            self.close(t_end, span);
         }
-        self.finished = true;
-    }
-
-    /// The closed windows so far.
-    pub fn snapshots(&self) -> &[WindowSnapshot] {
-        &self.snapshots
-    }
-
-    /// Take the closed windows out of the registry.
-    pub fn into_snapshots(self) -> Vec<WindowSnapshot> {
-        self.snapshots
-    }
-
-    /// Evaluate the configured SLO over the closed windows (None when no
-    /// policy was configured).
-    pub fn slo_report(&self) -> Option<SloReport> {
-        self.slo.map(|p| SloReport::evaluate(p, &self.snapshots))
+        let slo = self.slo.map(|p| SloReport::evaluate(p, &self.closed));
+        (self.closed, slo)
     }
 }
 
@@ -829,7 +625,9 @@ pub fn prometheus_slo_text(report: &SloReport) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::super::Metrics;
     use super::*;
+    use xbfs_engine::trace::TraceEvent;
 
     #[test]
     fn time_weighted_mean_matches_hand_computed_schedule() {
@@ -864,7 +662,7 @@ mod tests {
 
     #[test]
     fn log_histogram_quantiles_match_hand_computed_ranks() {
-        let mut h = LogHistogram::new();
+        let mut h = Histogram::new(&LATENCY_BUCKETS_S);
         // Ten observations: eight at 3 ms (bucket le=0.005), one at
         // 40 ms (le=0.05), one at 300 ms (le=0.5).
         for _ in 0..8 {
@@ -891,7 +689,7 @@ mod tests {
 
     #[test]
     fn log_histogram_edges() {
-        let h = LogHistogram::new();
+        let h = Histogram::new(&LATENCY_BUCKETS_S);
         assert_eq!(h.quantile(0.5), None, "an empty histogram has no quantiles");
         assert_eq!(h.quantile(0.99), None);
         let s = h.summary();
@@ -902,31 +700,60 @@ mod tests {
             obj.iter().all(|(k, _)| k == "count" || k == "sum_s"),
             "empty summary must omit quantile keys, got {obj:?}"
         );
-        let mut h = LogHistogram::new();
+        let mut h = Histogram::new(&LATENCY_BUCKETS_S);
         h.observe(1e9); // beyond the last bucket
         h.observe(2e9);
         assert_eq!(h.quantile(0.99), Some(2e9), "overflow ranks read the max");
-        let mut h = LogHistogram::new();
-        h.observe(-1.0); // clamps to 0 → first bucket
+        let mut h = Histogram::new(&LATENCY_BUCKETS_S);
+        h.observe(-1.0); // below every bound → first bucket
         assert_eq!(h.quantile(0.5), Some(LATENCY_BUCKETS_S[0]));
+    }
+
+    fn admitted(query: u64, at_s: f64) -> TraceEvent {
+        TraceEvent::QueryAdmitted {
+            query,
+            queue_depth: 0,
+            at_s,
+        }
+    }
+
+    fn ended(query: u64, outcome: &'static str, at_s: f64) -> TraceEvent {
+        TraceEvent::QueryEnd {
+            query,
+            outcome,
+            rung: "cross",
+            at_s,
+        }
     }
 
     #[test]
     fn registry_closes_windows_on_the_simulated_clock() {
-        let mut r = TimeSeriesRegistry::new(SnapshotPolicy::every(1.0), None);
+        let mut m = Metrics::windowed(SnapshotPolicy::every(1.0), None);
         // Window 0: two admits, queue to depth 2 at t=0.5.
-        r.record_admit(0.1);
-        r.record_admit(0.2);
-        r.record_queue_depth(0.5, 2);
-        r.record_start(0.6, 0.4);
-        // Window 1: one completion at t=1.5, queue drains at 1.5.
-        r.record_complete(1.5, 0.25, false);
-        r.record_queue_depth(1.5, 0);
-        // Partial window 2 ends at finish(2.5).
-        r.record_admit(2.25);
-        r.finish(2.5);
+        m.fold(&[
+            admitted(0, 0.1),
+            admitted(1, 0.2),
+            TraceEvent::QueueDepth {
+                depth: 2,
+                at_s: 0.5,
+            },
+            TraceEvent::QueryStart {
+                query: 0,
+                wait_s: 0.4,
+                at_s: 0.6,
+            },
+            // Window 1: one completion at t=1.5, queue drains at 1.5.
+            ended(0, "served", 1.5),
+            TraceEvent::QueueDepth {
+                depth: 0,
+                at_s: 1.5,
+            },
+            // Partial window 2 ends at finish(2.5).
+            admitted(2, 2.25),
+        ]);
+        let (w, slo) = m.finish(2.5);
+        assert!(slo.is_none());
 
-        let w = r.snapshots();
         assert_eq!(w.len(), 3);
         assert_eq!((w[0].start_s, w[0].end_s), (0.0, 1.0));
         assert_eq!(w[0].admitted, 2);
@@ -947,20 +774,18 @@ mod tests {
         assert_eq!(w[2].admitted, 1);
         assert_eq!(w[2].admit_rate_hz, 2.0);
 
-        // finish() is idempotent.
-        let n = r.snapshots().len();
-        r.finish(9.0);
-        assert_eq!(r.snapshots().len(), n);
+        // A second finish closes nothing more.
+        let n = m.finish(9.0).0.len();
+        assert_eq!(n, 0);
     }
 
     #[test]
     fn disabled_policy_produces_no_windows() {
-        let mut r = TimeSeriesRegistry::new(SnapshotPolicy::off(), None);
-        r.record_admit(0.5);
-        r.record_complete(1.5, 0.1, false);
-        r.finish(2.0);
-        assert!(r.snapshots().is_empty());
-        assert!(r.slo_report().is_none());
+        let mut m = Metrics::windowed(SnapshotPolicy::off(), None);
+        m.fold(&[admitted(0, 0.5), ended(0, "served", 1.5)]);
+        let (windows, slo) = m.finish(2.0);
+        assert!(windows.is_empty());
+        assert!(slo.is_none());
     }
 
     #[test]
@@ -970,19 +795,32 @@ mod tests {
             latency_objective_s: 0.01,
             latency_hit_ratio: 0.8,
         };
-        let mut r = TimeSeriesRegistry::new(SnapshotPolicy::every(1.0), Some(policy));
+        let mut m = Metrics::windowed(SnapshotPolicy::every(1.0), Some(policy));
         // Window 0: four completions, one misses its deadline, one (the
         // same event) is also over the 10 ms latency objective.
-        r.record_complete(0.1, 0.001, false);
-        r.record_complete(0.2, 0.002, false);
-        r.record_complete(0.3, 0.005, false);
-        r.record_complete(0.4, 0.5, true);
-        // Window 1: one queued deadline shed, one clean completion.
-        r.record_shed(1.2, true);
-        r.record_complete(1.5, 0.004, false);
-        r.finish(2.0);
+        m.fold(&[
+            admitted(0, 0.0),
+            admitted(1, 0.0),
+            admitted(2, 0.0),
+            admitted(3, 0.0),
+            ended(0, "served", 0.001),
+            ended(1, "served", 0.002),
+            ended(2, "served", 0.005),
+            ended(3, "deadline-missed", 0.5),
+            // Window 1: one queued deadline shed, one clean completion.
+            admitted(4, 1.1),
+            TraceEvent::QueryShed {
+                query: 4,
+                reason: "deadline",
+                queue_depth: 0,
+                at_s: 1.2,
+            },
+            admitted(5, 1.25),
+            ended(5, "served", 1.254),
+        ]);
+        let (_, slo) = m.finish(2.0);
 
-        let slo = r.slo_report().expect("slo configured");
+        let slo = slo.expect("slo configured");
         // Deadline: eligible = 4 completions + (1 completion + 1 shed) = 6,
         // missed = 2 → hit ratio 4/6.
         assert_eq!(slo.deadline_eligible, 6);
@@ -1025,11 +863,10 @@ mod tests {
     #[test]
     fn json_lines_are_one_object_per_line_windows_then_slo() {
         let policy = SloPolicy::default();
-        let mut r = TimeSeriesRegistry::new(SnapshotPolicy::every(1.0), Some(policy));
-        r.record_complete(0.5, 0.001, false);
-        r.finish(1.5);
-        let slo = r.slo_report();
-        let text = timeseries_json_lines(r.snapshots(), slo.as_ref());
+        let mut m = Metrics::windowed(SnapshotPolicy::every(1.0), Some(policy));
+        m.fold(&[admitted(0, 0.499), ended(0, "served", 0.5)]);
+        let (windows, slo) = m.finish(1.5);
+        let text = timeseries_json_lines(&windows, slo.as_ref());
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         for (i, line) in lines.iter().enumerate() {
@@ -1038,12 +875,12 @@ mod tests {
             assert_eq!(v["kind"], expected, "line {i}");
         }
         // Rendering twice is byte-identical.
-        assert_eq!(text, timeseries_json_lines(r.snapshots(), slo.as_ref()));
+        assert_eq!(text, timeseries_json_lines(&windows, slo.as_ref()));
     }
 
     #[test]
     fn prometheus_slo_text_renders_all_families() {
-        let mut r = TimeSeriesRegistry::new(
+        let mut m = Metrics::windowed(
             SnapshotPolicy::every(1.0),
             Some(SloPolicy {
                 deadline_hit_ratio: 0.9,
@@ -1051,10 +888,13 @@ mod tests {
                 latency_hit_ratio: 0.8,
             }),
         );
-        r.record_complete(0.5, 0.5, true);
-        r.record_complete(1.5, 0.001, false);
-        r.finish(2.0);
-        let slo = r.slo_report().unwrap();
+        m.fold(&[
+            admitted(0, 0.0),
+            ended(0, "deadline-missed", 0.5),
+            admitted(1, 1.499),
+            ended(1, "served", 1.5),
+        ]);
+        let slo = m.finish(2.0).1.unwrap();
         let text = prometheus_slo_text(&slo);
         assert!(text.contains("xbfs_slo_deadline_target 0.9"));
         assert!(text.contains("xbfs_slo_deadline_hit_ratio 0.5"));

@@ -10,11 +10,12 @@ pub use crate::checkpoint::{CheckpointPolicy, LevelCheckpoint, Residency};
 pub use crate::cross::CrossParams;
 pub use crate::health::{BreakerPolicy, BreakerState, BreakerTransition, Device};
 pub use crate::observe::timeseries::{
-    prometheus_slo_text, timeseries_json_lines, LogHistogram, QuantileSummary, SloPolicy,
-    SloReport, SnapshotPolicy, TimeSeriesRegistry, TimeWeighted, WindowSnapshot,
+    prometheus_slo_text, timeseries_json_lines, QuantileSummary, SloPolicy, SloReport,
+    SnapshotPolicy, TimeWeighted, WindowSnapshot,
 };
 pub use crate::observe::{
-    chrome_trace_json, prometheus_text, service_chrome_trace_json, trace_event_json, Metrics,
+    chrome_trace_json, prometheus_text, service_chrome_trace_json, trace_event_json, Histogram,
+    Metrics,
 };
 pub use crate::recovery::{
     RecoveredRun, ResilienceConfig, ResumeRecord, RetryPolicy, RunReport, Rung,

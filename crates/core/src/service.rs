@@ -38,15 +38,13 @@
 //! in flight, and anything that completed earlier, are bit-for-bit
 //! identical to their solo runs.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::cross::CrossParams;
 use crate::health::{BreakerState, Device, TransitionCause};
-use crate::observe::timeseries::{
-    SloPolicy, SloReport, SnapshotPolicy, TimeSeriesRegistry, TimeWeighted, WindowSnapshot,
-};
+use crate::observe::timeseries::{SloPolicy, SloReport, SnapshotPolicy, WindowSnapshot};
 use crate::observe::{trace_event_json, Metrics};
 use crate::policy_online::{Observation, PolicyMode, PolicyRun, SharedPolicy};
 use crate::recovery::{RecoveredRun, ResilienceConfig, Rung};
@@ -546,6 +544,10 @@ pub struct QueryTrace {
 }
 
 /// The result of replaying one schedule through the service.
+///
+/// The counters, peaks, means, windows and SLO verdict are read from
+/// [`ServiceReport::metrics`] when the run ends; the registry is the one
+/// account they all come from.
 #[derive(Debug, Default)]
 pub struct ServiceReport {
     /// Per-query terminal states, in schedule order.
@@ -564,9 +566,9 @@ pub struct ServiceReport {
     pub deadline_missed: u32,
     /// Ran and failed with a non-deadline error.
     pub failed: u32,
-    /// Deepest the admission queue ever got.
+    /// Deepest the admission queue ever got: the queue gauge's peak.
     pub peak_queue_depth: u32,
-    /// Most queries ever running at once.
+    /// Most dispatches ever running at once: the in-flight gauge's peak.
     pub peak_in_flight: u32,
     /// Time-weighted mean admission-queue depth over the run's makespan.
     pub mean_queue_depth: f64,
@@ -584,11 +586,13 @@ pub struct ServiceReport {
     /// one per started query, in completion order. A batch's shared trace
     /// rides its lead lane, and a trace the sample dropped is empty.
     pub query_traces: Vec<QueryTrace>,
-    /// Every metric family of the run: each dispatch's trace buffer is
-    /// folded in at its completion event and [`ServiceReport::events`]
-    /// once when the run ends. Independent of which traces were kept.
+    /// The run's registry: every metric family and gauge, folded from
+    /// each service event as it is pushed onto [`ServiceReport::events`]
+    /// and from each dispatch's trace buffer at its completion.
+    /// Independent of which traces were kept.
     pub metrics: Metrics,
-    /// Closed telemetry windows, when [`ServiceConfig::snapshot`] is on.
+    /// Closed telemetry windows, when [`ServiceConfig::snapshot`] is on;
+    /// the last one ends at the makespan.
     pub timeseries: Vec<WindowSnapshot>,
     /// The SLO verdict, when [`ServiceConfig::slo`] and
     /// [`ServiceConfig::snapshot`] are both configured.
@@ -603,6 +607,54 @@ impl ServiceReport {
     /// The outcome for query `id`, if it was scheduled.
     pub fn outcome(&self, id: u64) -> Option<&QueryOutcome> {
         self.outcomes.iter().find(|o| o.id == id)
+    }
+
+    /// Push one service event and fold it into the registry.
+    fn emit(&mut self, event: TraceEvent) {
+        self.metrics.fold(std::slice::from_ref(&event));
+        self.events.push(event);
+    }
+
+    /// Record the shed of the query in outcome `slot` with `error`
+    /// (overload, drain or a lapsed deadline): its outcome and the
+    /// `QueryShed` event.
+    fn shed(&mut self, slot: usize, error: XbfsError, queue_depth: u32, at_s: f64) {
+        let (disposition, reason) = match error {
+            XbfsError::Overloaded { .. } => (Disposition::ShedOverloaded, "overloaded"),
+            XbfsError::ShuttingDown => (Disposition::ShedShutdown, "shutdown"),
+            _ => (Disposition::DeadlineMissed, "deadline"),
+        };
+        let o = &mut self.outcomes[slot];
+        o.disposition = disposition;
+        o.completion_s = Some(at_s);
+        o.wait_s = (at_s - o.arrival_s).max(0.0);
+        o.error = Some(error);
+        let query = o.id;
+        self.emit(TraceEvent::QueryShed {
+            query,
+            reason,
+            queue_depth,
+            at_s,
+        });
+    }
+
+    /// Close the registry at the makespan and read the counters, peaks,
+    /// means, windows and SLO verdict from it.
+    fn settle(&mut self) {
+        let m = &mut self.metrics;
+        (self.timeseries, self.slo) = m.finish(self.makespan_s);
+        self.admitted = m.admitted();
+        self.served = m.queries("served");
+        self.degraded = m.queries("degraded");
+        self.shed_overloaded = m.shed("overloaded");
+        self.shed_shutdown = m.shed("shutdown");
+        self.deadline_missed = m.queries("deadline-missed") + m.shed("deadline");
+        self.failed = m.queries("failed");
+        let (queue, in_flight) = (m.queue_gauge(), m.in_flight_gauge());
+        self.peak_queue_depth = queue.peak() as u32;
+        self.peak_in_flight = in_flight.peak() as u32;
+        self.mean_queue_depth = queue.mean(self.makespan_s);
+        self.mean_in_flight = in_flight.mean(self.makespan_s);
     }
 
     /// Service events followed by every kept per-query event. With every
@@ -680,93 +732,6 @@ struct Dispatch {
     observations: Vec<Observation>,
 }
 
-/// The run-wide telemetry accumulators `run_schedule` feeds: always-on
-/// time-weighted gauges (they back the report's mean fields) plus the
-/// optional windowed registry.
-struct Telemetry {
-    queue: TimeWeighted,
-    in_flight: TimeWeighted,
-    registry: Option<TimeSeriesRegistry>,
-}
-
-impl Telemetry {
-    fn new(config: &ServiceConfig) -> Self {
-        Self {
-            queue: TimeWeighted::new(0.0),
-            in_flight: TimeWeighted::new(0.0),
-            registry: config
-                .snapshot
-                .enabled()
-                .then(|| TimeSeriesRegistry::new(config.snapshot, config.slo)),
-        }
-    }
-
-    fn admit(&mut self, t: f64) {
-        if let Some(r) = &mut self.registry {
-            r.record_admit(t);
-        }
-    }
-
-    fn shed(&mut self, t: f64, deadline: bool) {
-        if let Some(r) = &mut self.registry {
-            r.record_shed(t, deadline);
-        }
-    }
-
-    fn queue_depth(&mut self, t: f64, depth: u32) {
-        self.queue.set(t, f64::from(depth));
-        if let Some(r) = &mut self.registry {
-            r.record_queue_depth(t, depth);
-        }
-    }
-
-    fn in_flight(&mut self, t: f64, n: u32) {
-        self.in_flight.set(t, f64::from(n));
-        if let Some(r) = &mut self.registry {
-            r.record_in_flight(t, n);
-        }
-    }
-
-    fn start(&mut self, t: f64, wait_s: f64) {
-        if let Some(r) = &mut self.registry {
-            r.record_start(t, wait_s);
-        }
-    }
-
-    fn complete(&mut self, t: f64, latency_s: f64, deadline_missed: bool) {
-        if let Some(r) = &mut self.registry {
-            r.record_complete(t, latency_s, deadline_missed);
-        }
-    }
-
-    fn batch(&mut self, t: f64, lanes: u32) {
-        if let Some(r) = &mut self.registry {
-            r.record_batch(t, lanes);
-        }
-    }
-
-    fn corruption(&mut self, t: f64, detected: u32, repaired: u32) {
-        if (detected | repaired) != 0 {
-            if let Some(r) = &mut self.registry {
-                r.record_corruption(t, detected, repaired);
-            }
-        }
-    }
-
-    /// Close the run at `makespan_s` and fold everything into `report`.
-    fn finish(mut self, report: &mut ServiceReport, makespan_s: f64) {
-        report.mean_queue_depth = self.queue.mean(makespan_s);
-        report.mean_in_flight = self.in_flight.mean(makespan_s);
-        if let Some(r) = &mut self.registry {
-            r.finish(makespan_s);
-            report.slo = r.slo_report();
-        }
-        if let Some(r) = self.registry {
-            report.timeseries = r.into_snapshots();
-        }
-    }
-}
-
 /// The long-running query service: one immutable graph, one platform,
 /// many fault-isolated queries.
 pub struct QueryService {
@@ -837,17 +802,29 @@ impl QueryService {
     /// query frees its slot first). Every query ends in exactly one of:
     /// a validated tree, a typed error, or a shed — a panic inside a
     /// dispatch is caught by `catch_unwind` and becomes that dispatch's
-    /// [`XbfsError::KernelPanic`].
+    /// [`XbfsError::KernelPanic`]. A query id that appears twice is an
+    /// [`XbfsError::InvalidArgument`].
     pub fn run_schedule(&self, schedule: &[ScheduleItem]) -> Result<ServiceReport, XbfsError> {
         self.config.validate()?;
         let mut items: Vec<&ScheduleItem> = schedule.iter().collect();
         items.sort_by(|a, b| a.at_s().total_cmp(&b.at_s()));
 
-        let mut report = ServiceReport::default();
+        let mut report = ServiceReport {
+            metrics: Metrics::windowed(self.config.snapshot, self.config.slo),
+            ..ServiceReport::default()
+        };
         // Pre-create outcome records for every query, in schedule order.
+        // The registry matches a query's end to its admission by id, so
+        // ids must be unique.
         let mut requests: Vec<&QueryRequest> = Vec::new();
+        let mut ids = BTreeSet::new();
         for item in &items {
             if let ScheduleItem::Query(q) = item {
+                if !ids.insert(q.id) {
+                    return Err(XbfsError::InvalidArgument {
+                        what: format!("query id {} appears more than once in the schedule", q.id),
+                    });
+                }
                 requests.push(q);
                 report.outcomes.push(QueryOutcome {
                     id: q.id,
@@ -869,7 +846,6 @@ impl QueryService {
         let mut lost: Vec<(Device, f64)> = Vec::new();
         let mut drained_at: Option<f64> = None;
         let mut clock = 0.0f64;
-        let mut tele = Telemetry::new(&self.config);
         let mut running: Vec<Dispatch> = Vec::new();
         // Maps schedule position -> outcome index for query items.
         let mut query_index = 0usize;
@@ -913,7 +889,6 @@ impl QueryService {
                 if let Some(p) = &self.policy {
                     p.apply(&observations);
                 }
-                report.metrics.fold(&events);
                 let batch = slots.len() > 1;
                 let lead_trace = report.query_traces.len();
                 for (slot, result) in slots.into_iter().zip(results) {
@@ -936,7 +911,6 @@ impl QueryService {
                     };
                     self.complete(
                         &mut report,
-                        &mut tele,
                         slot,
                         start_s,
                         completion_s,
@@ -945,6 +919,9 @@ impl QueryService {
                         &mut lost,
                     );
                 }
+                // The lanes' `QueryEnd`s moved the window clock to the
+                // completion, so the trace's corruption counts land there.
+                report.metrics.fold(&events);
                 // The shared trace rides the lead lane when the sample
                 // keeps it; the per-lane `BatchLane` events in the service
                 // stream reconcile the rest.
@@ -958,11 +935,10 @@ impl QueryService {
                 // up to the window when the policy allows.
                 while running.len() < capacity {
                     let Some(slot) = queue.pop_front() else { break };
-                    report.events.push(TraceEvent::QueueDepth {
+                    report.emit(TraceEvent::QueueDepth {
                         depth: queue.len() as u32,
                         at_s: completion_s,
                     });
-                    tele.queue_depth(completion_s, queue.len() as u32);
                     let mut lanes = vec![slot];
                     let compat = self.config.batching.compat;
                     if self.config.batching.enabled()
@@ -973,11 +949,10 @@ impl QueryService {
                             match queue.front() {
                                 Some(&next) if compat.admits(requests[next]) => {
                                     lanes.push(queue.pop_front().expect("peeked"));
-                                    report.events.push(TraceEvent::QueueDepth {
+                                    report.emit(TraceEvent::QueueDepth {
                                         depth: queue.len() as u32,
                                         at_s: completion_s,
                                     });
-                                    tele.queue_depth(completion_s, queue.len() as u32);
                                 }
                                 _ => break,
                             }
@@ -985,7 +960,6 @@ impl QueryService {
                     }
                     running.extend(self.start(
                         &mut report,
-                        &mut tele,
                         &lanes,
                         &requests,
                         completion_s,
@@ -993,7 +967,7 @@ impl QueryService {
                         &lost,
                     ));
                 }
-                tele.in_flight(completion_s, running.len() as u32);
+                report.metrics.in_flight(completion_s, running.len() as u32);
                 continue;
             }
 
@@ -1006,128 +980,54 @@ impl QueryService {
                     drained_at = Some(*at_s);
                     if self.config.drain == DrainMode::Cancel {
                         while let Some(slot) = queue.pop_front() {
-                            self.shed(
-                                &mut report,
-                                &mut tele,
-                                slot,
-                                "shutdown",
-                                Disposition::ShedShutdown,
-                                XbfsError::ShuttingDown,
-                                queue.len() as u32,
-                                *at_s,
-                            );
+                            let depth = queue.len() as u32;
+                            report.shed(slot, XbfsError::ShuttingDown, depth, *at_s);
                         }
-                        report.events.push(TraceEvent::QueueDepth {
+                        report.emit(TraceEvent::QueueDepth {
                             depth: 0,
                             at_s: *at_s,
                         });
-                        tele.queue_depth(*at_s, 0);
                     }
                 }
                 ScheduleItem::Query(q) => {
                     let slot = query_index;
                     query_index += 1;
                     if drained_at.is_some_and(|d| at_s >= d) {
-                        self.shed(
-                            &mut report,
-                            &mut tele,
-                            slot,
-                            "shutdown",
-                            Disposition::ShedShutdown,
-                            XbfsError::ShuttingDown,
-                            queue.len() as u32,
-                            at_s,
-                        );
+                        let depth = queue.len() as u32;
+                        report.shed(slot, XbfsError::ShuttingDown, depth, at_s);
                     } else if running.len() < capacity {
-                        report.admitted += 1;
-                        tele.admit(at_s);
-                        report.events.push(TraceEvent::QueryAdmitted {
+                        report.emit(TraceEvent::QueryAdmitted {
                             query: q.id,
                             queue_depth: 0,
                             at_s,
                         });
-                        running.extend(self.start(
-                            &mut report,
-                            &mut tele,
-                            &[slot],
-                            &requests,
-                            at_s,
-                            0,
-                            &lost,
-                        ));
+                        running.extend(self.start(&mut report, &[slot], &requests, at_s, 0, &lost));
                     } else if queue.len() < queue_limit {
                         queue.push_back(slot);
-                        report.admitted += 1;
-                        tele.admit(at_s);
                         let depth = queue.len() as u32;
-                        report.peak_queue_depth = report.peak_queue_depth.max(depth);
-                        report.events.push(TraceEvent::QueryAdmitted {
+                        report.emit(TraceEvent::QueryAdmitted {
                             query: q.id,
                             queue_depth: depth,
                             at_s,
                         });
-                        report.events.push(TraceEvent::QueueDepth { depth, at_s });
-                        tele.queue_depth(at_s, depth);
+                        report.emit(TraceEvent::QueueDepth { depth, at_s });
                     } else {
                         let depth = queue.len() as u32;
-                        self.shed(
-                            &mut report,
-                            &mut tele,
-                            slot,
-                            "overloaded",
-                            Disposition::ShedOverloaded,
-                            XbfsError::Overloaded {
-                                queue_depth: depth,
-                                queue_limit: self.config.queue_limit,
-                            },
-                            depth,
-                            at_s,
-                        );
+                        let error = XbfsError::Overloaded {
+                            queue_depth: depth,
+                            queue_limit: self.config.queue_limit,
+                        };
+                        report.shed(slot, error, depth, at_s);
                     }
                 }
             }
-            report.peak_in_flight = report.peak_in_flight.max(running.len() as u32);
-            tele.in_flight(clock, running.len() as u32);
+            report.metrics.in_flight(clock, running.len() as u32);
         }
 
         report.makespan_s = clock;
         report.lost_devices = lost;
-        report.metrics.fold(&report.events);
-        tele.finish(&mut report, clock);
+        report.settle();
         Ok(report)
-    }
-
-    /// Record a shed: outcome, counter, and the `QueryShed` event.
-    #[allow(clippy::too_many_arguments)] // the full shed context
-    fn shed(
-        &self,
-        report: &mut ServiceReport,
-        tele: &mut Telemetry,
-        slot: usize,
-        reason: &'static str,
-        disposition: Disposition,
-        error: XbfsError,
-        queue_depth: u32,
-        at_s: f64,
-    ) {
-        match disposition {
-            Disposition::ShedOverloaded => report.shed_overloaded += 1,
-            Disposition::ShedShutdown => report.shed_shutdown += 1,
-            Disposition::DeadlineMissed => report.deadline_missed += 1,
-            _ => {}
-        }
-        tele.shed(at_s, disposition == Disposition::DeadlineMissed);
-        let o = &mut report.outcomes[slot];
-        o.disposition = disposition;
-        o.completion_s = Some(at_s);
-        o.wait_s = (at_s - o.arrival_s).max(0.0);
-        report.events.push(TraceEvent::QueryShed {
-            query: o.id,
-            reason,
-            queue_depth,
-            at_s,
-        });
-        o.error = Some(error);
     }
 
     /// Start `lanes` (outcome slots, in queue order) at `now_s` as one
@@ -1141,7 +1041,6 @@ impl QueryService {
     fn start(
         &self,
         report: &mut ServiceReport,
-        tele: &mut Telemetry,
         lanes: &[usize],
         requests: &[&QueryRequest],
         now_s: f64,
@@ -1153,38 +1052,28 @@ impl QueryService {
             let req = requests[slot];
             let wait_s = (now_s - req.arrival_s).max(0.0);
             match req.deadline_s {
-                Some(d) if d - wait_s <= 0.0 => self.shed(
-                    report,
-                    tele,
-                    slot,
-                    "deadline",
-                    Disposition::DeadlineMissed,
-                    XbfsError::DeadlineExceeded {
+                Some(d) if d - wait_s <= 0.0 => {
+                    let error = XbfsError::DeadlineExceeded {
                         budget_s: d,
                         elapsed_s: wait_s,
-                    },
-                    queue_depth,
-                    now_s,
-                ),
+                    };
+                    report.shed(slot, error, queue_depth, now_s);
+                }
                 _ => live.push(slot),
             }
         }
         let lead = requests[*live.first()?];
         let batch = live.len() > 1;
-        if batch {
-            tele.batch(now_s, live.len() as u32);
-        }
         for (lane, &slot) in live.iter().enumerate() {
             let req = requests[slot];
             let wait_s = (now_s - req.arrival_s).max(0.0);
-            report.events.push(TraceEvent::QueryStart {
+            report.emit(TraceEvent::QueryStart {
                 query: req.id,
                 wait_s,
                 at_s: now_s,
             });
-            tele.start(now_s, wait_s);
             if batch {
-                report.events.push(TraceEvent::BatchLane {
+                report.emit(TraceEvent::BatchLane {
                     lane: lane as u32,
                     query: req.id,
                     source: req.source,
@@ -1306,15 +1195,14 @@ impl QueryService {
         config
     }
 
-    /// Process one completion: counters, the `QueryEnd` event, telemetry,
-    /// the post-mortem cut from the dispatch's trace `events` for typed
-    /// errors, an empty kept-trace slot, and the promotion of permanent
-    /// device losses to the shared ledger.
+    /// Process one completion: the outcome, the `QueryEnd` event, the
+    /// post-mortem cut from the dispatch's trace `events` for typed errors,
+    /// an empty kept-trace slot, and the promotion of permanent device
+    /// losses to the shared ledger.
     #[allow(clippy::too_many_arguments)] // the full completion context
     fn complete(
         &self,
         report: &mut ServiceReport,
-        tele: &mut Telemetry,
         slot: usize,
         start_s: f64,
         completion_s: f64,
@@ -1322,14 +1210,9 @@ impl QueryService {
         events: &[TraceEvent],
         lost: &mut Vec<(Device, f64)>,
     ) {
-        if let Ok(run) = &result {
-            tele.corruption(
-                completion_s,
-                run.report.corruption_detected,
-                run.report.corruption_repairs,
-            );
-        }
-        let (outcome_label, rung_label) = match &result {
+        let o = &mut report.outcomes[slot];
+        o.completion_s = Some(completion_s);
+        let rung = match result {
             Ok(run) => {
                 // Permanent losses join the service-wide ledger *now*, in
                 // completion order — queries already started keep their
@@ -1342,34 +1225,12 @@ impl QueryService {
                         lost.push((t.device, start_s + t.at_s));
                     }
                 }
-                let degraded = run.report.rung != Rung::CrossCpuGpu;
-                if degraded {
-                    report.degraded += 1;
-                } else {
-                    report.served += 1;
-                }
-                (
-                    if degraded { "degraded" } else { "served" },
-                    run.report.rung.label(),
-                )
-            }
-            Err(XbfsError::DeadlineExceeded { .. }) => {
-                report.deadline_missed += 1;
-                ("deadline-missed", "none")
-            }
-            Err(_) => {
-                report.failed += 1;
-                ("failed", "none")
-            }
-        };
-        let o = &mut report.outcomes[slot];
-        o.completion_s = Some(completion_s);
-        match result {
-            Ok(run) => {
                 o.disposition = Disposition::Served {
-                    degraded: outcome_label == "degraded",
+                    degraded: run.report.rung != Rung::CrossCpuGpu,
                 };
+                let rung = run.report.rung.label();
                 o.run = Some(run);
+                rung
             }
             Err(e) => {
                 o.disposition = if matches!(e, XbfsError::DeadlineExceeded { .. }) {
@@ -1378,26 +1239,24 @@ impl QueryService {
                     Disposition::Failed
                 };
                 o.error = Some(e);
+                "none"
             }
-        }
-        report.events.push(TraceEvent::QueryEnd {
-            query: o.id,
-            outcome: outcome_label,
-            rung: rung_label,
+        };
+        let (query, outcome) = (o.id, o.disposition.name());
+        report.emit(TraceEvent::QueryEnd {
+            query,
+            outcome,
+            rung,
             at_s: completion_s,
         });
-        tele.complete(
-            completion_s,
-            (completion_s - o.arrival_s).max(0.0),
-            o.disposition == Disposition::DeadlineMissed,
-        );
+        let o = &report.outcomes[slot];
         let capacity = self.config.flight_recorder;
         if let (Some(error), true) = (&o.error, capacity > 0) {
             let tail = &events[events.len().saturating_sub(capacity)..];
             report.postmortems.push(PostMortem {
-                query: o.id,
+                query,
                 source: o.source,
-                disposition: o.disposition.name(),
+                disposition: outcome,
                 error: error.to_string(),
                 start_s,
                 completion_s,
@@ -1408,7 +1267,7 @@ impl QueryService {
         }
         if self.config.keep_query_traces {
             report.query_traces.push(QueryTrace {
-                query: o.id,
+                query,
                 start_s,
                 events: Vec::new(),
             });
@@ -1588,6 +1447,19 @@ mod tests {
         assert!(matches!(
             svc.run_schedule(&schedule),
             Err(XbfsError::InvalidArgument { .. })
+        ));
+    }
+
+    #[test]
+    fn repeated_query_ids_are_a_typed_error() {
+        let (svc, src) = service(ServiceConfig::default());
+        let schedule: Vec<ScheduleItem> = [0, 1, 0]
+            .into_iter()
+            .map(|id| ScheduleItem::Query(QueryRequest::builder(id, src).build()))
+            .collect();
+        assert!(matches!(
+            svc.run_schedule(&schedule),
+            Err(XbfsError::InvalidArgument { what }) if what.contains("query id 0")
         ));
     }
 
@@ -1859,14 +1731,16 @@ mod tests {
         // Queue: 0 on [0,1), 2 on [1,3), 1 on [3,4), 0 on [4,5] →
         // area 5 over span 5 → mean 1.0. In-flight: 1 on [0,2), 2 on
         // [2,5] → area 8 over 5 → mean 1.6.
-        let mut tele = Telemetry::new(&ServiceConfig::default());
-        tele.queue_depth(1.0, 2);
-        tele.queue_depth(3.0, 1);
-        tele.queue_depth(4.0, 0);
-        tele.in_flight(0.0, 1);
-        tele.in_flight(2.0, 2);
-        let mut report = ServiceReport::default();
-        tele.finish(&mut report, 5.0);
+        let mut report = ServiceReport {
+            makespan_s: 5.0,
+            ..ServiceReport::default()
+        };
+        for (depth, at_s) in [(2, 1.0), (1, 3.0), (0, 4.0)] {
+            report.emit(TraceEvent::QueueDepth { depth, at_s });
+        }
+        report.metrics.in_flight(0.0, 1);
+        report.metrics.in_flight(2.0, 2);
+        report.settle();
         assert_eq!(report.mean_queue_depth, 1.0);
         assert_eq!(report.mean_in_flight, 1.6);
     }
@@ -2085,15 +1959,23 @@ mod tests {
         }
     }
 
-    /// A seeded mixed schedule: solo queries with chaos plans and tight
-    /// deadlines among fault-free ones that batch behind them.
+    /// A seeded mixed schedule: solo queries with chaos plans, the
+    /// committed bit-flip plans and tight deadlines among fault-free ones
+    /// that batch behind them.
     fn mixed_schedule(src: u32, other: u32, seed: u64, n: u64) -> Vec<ScheduleItem> {
+        let flip = |json: &str| FaultPlan::from_json(json).expect("committed plan parses");
+        let frontier_flip = flip(include_str!(
+            "../../../tests/chaos/13-bitflip-frontier.json"
+        ));
+        let storm = flip(include_str!(
+            "../../../tests/chaos/14-bitflip-storm-with-device-loss.json"
+        ));
         (0..n)
             .map(|i| {
                 let mut req = QueryRequest::builder(i, if i % 2 == 0 { src } else { other })
                     .arrival(2e-4 * (i / 3) as f64)
                     .build();
-                match (seed.wrapping_add(i)) % 5 {
+                match (seed.wrapping_add(i)) % 7 {
                     0 => {
                         req.fault_plan = Some(FaultPlan {
                             seed: seed ^ i,
@@ -2107,6 +1989,8 @@ mod tests {
                     }
                     1 => req.deadline_s = Some(2e-4),
                     2 => req.deadline_s = Some(2e-5),
+                    3 => req.fault_plan = Some(frontier_flip.clone()),
+                    4 => req.fault_plan = Some(storm.clone()),
                     _ => {}
                 }
                 ScheduleItem::Query(req)
@@ -2114,13 +1998,87 @@ mod tests {
             .collect()
     }
 
+    /// The sum of every sample of counter family `name` in an exposition.
+    fn family_total(text: &str, name: &str) -> u64 {
+        text.lines()
+            .filter(|l| l.starts_with(&format!("{name} ")) || l.starts_with(&format!("{name}{{")))
+            .map(|l| {
+                l.rsplit_once(' ')
+                    .expect("sample")
+                    .1
+                    .parse::<f64>()
+                    .expect("value") as u64
+            })
+            .sum()
+    }
+
+    /// The windows' sums equal the registry's families (as rendered in
+    /// `text`) and the report's counters.
+    fn assert_one_account(
+        report: &ServiceReport,
+        text: &str,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let sum = |f: fn(&WindowSnapshot) -> u64| report.timeseries.iter().map(f).sum::<u64>();
+        let shed = |reason| u64::from(report.metrics.shed(reason));
+        let deadline_shed = sum(|w| w.deadline_shed);
+        proptest::prop_assert_eq!(deadline_shed, shed("deadline"));
+
+        let admitted = sum(|w| w.admitted);
+        proptest::prop_assert_eq!(admitted, family_total(text, "xbfs_service_admitted_total"));
+        proptest::prop_assert_eq!(admitted, u64::from(report.admitted));
+
+        let shed_total = sum(|w| w.shed);
+        proptest::prop_assert_eq!(shed_total, family_total(text, "xbfs_service_shed_total"));
+        proptest::prop_assert_eq!(
+            shed_total,
+            u64::from(report.shed_overloaded + report.shed_shutdown) + deadline_shed
+        );
+
+        let completed = sum(|w| w.completed);
+        proptest::prop_assert_eq!(completed, family_total(text, "xbfs_service_queries_total"));
+        proptest::prop_assert_eq!(
+            completed + deadline_shed,
+            u64::from(report.served + report.degraded + report.failed + report.deadline_missed)
+        );
+
+        let deadline_missed = sum(|w| w.deadline_missed);
+        proptest::prop_assert_eq!(deadline_missed, u64::from(report.deadline_missed));
+        proptest::prop_assert_eq!(
+            deadline_missed,
+            u64::from(report.metrics.queries("deadline-missed")) + deadline_shed
+        );
+
+        let batch_lanes = sum(|w| w.batch_lanes);
+        proptest::prop_assert_eq!(
+            batch_lanes,
+            family_total(text, "xbfs_batch_lane_queries_total")
+        );
+        proptest::prop_assert_eq!(batch_lanes, family_total(text, "xbfs_batch_lanes_total"));
+
+        let (detected, repaired) = report.metrics.corruption();
+        proptest::prop_assert_eq!(sum(|w| w.corruption_detected), u64::from(detected));
+        proptest::prop_assert_eq!(
+            u64::from(detected),
+            family_total(text, "xbfs_corruption_detected_total")
+        );
+        proptest::prop_assert_eq!(sum(|w| w.corruption_repaired), u64::from(repaired));
+        proptest::prop_assert_eq!(
+            u64::from(repaired),
+            family_total(text, "xbfs_corruption_repairs_total")
+        );
+        Ok(())
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
         /// The metrics count every dispatch: whether traces are kept, how
         /// they are sampled and whether the flight recorder cuts dumps
-        /// never moves a byte of the exposition, and with every trace kept
-        /// it equals the exposition folded from the merged events.
+        /// never moves a byte of the exposition or of the telemetry
+        /// windows, and with every trace kept the exposition equals the one
+        /// folded from the merged events. The windows, the registry's
+        /// families and the report's counters are one account: their sums
+        /// agree.
         #[test]
         fn metrics_never_depend_on_kept_traces(
             seed in 0u64..1024,
@@ -2130,15 +2088,22 @@ mod tests {
             let g = Arc::new(xbfs_graph::rmat::rmat_csr(9, 16));
             let (src, other) = (pick_source(&g, 3).unwrap(), pick_source(&g, 7).unwrap());
             let schedule = mixed_schedule(src, other, seed, n);
-            let mut rendered: Option<String> = None;
+            let mut rendered: Option<(String, String)> = None;
             for keep in [false, true] {
                 for rate in [0.0, 0.1, 1.0] {
                     for recorder in [0usize, 16] {
                         let (svc, _) = service(ServiceConfig {
                             capacity: 2,
                             queue_limit: 16,
+                            resilience: ResilienceConfig {
+                                scrub: xbfs_engine::ScrubPolicy::every_level(),
+                                checksum_transfers: true,
+                                ..ResilienceConfig::default_runtime()
+                            },
                             keep_query_traces: keep,
                             batching: BatchPolicy::windowed(4 * window),
+                            snapshot: SnapshotPolicy::every(2e-4),
+                            slo: Some(SloPolicy::default()),
                             flight_recorder: recorder,
                             trace_sample: TraceSamplePolicy { rate, seed },
                             ..ServiceConfig::default()
@@ -2152,9 +2117,17 @@ mod tests {
                                 &crate::observe::prometheus_text(&report.merged_events())
                             );
                         }
+                        assert_one_account(&report, &text)?;
+                        let lines = crate::observe::timeseries::timeseries_json_lines(
+                            &report.timeseries,
+                            report.slo.as_ref(),
+                        );
                         match &rendered {
-                            None => rendered = Some(text),
-                            Some(first) => proptest::prop_assert_eq!(first, &text),
+                            None => rendered = Some((text, lines)),
+                            Some((first, first_lines)) => {
+                                proptest::prop_assert_eq!(first, &text);
+                                proptest::prop_assert_eq!(first_lines, &lines);
+                            }
                         }
                     }
                 }

@@ -47,16 +47,15 @@ pub mod prelude {
         chrome_trace_json, decision_audit, prometheus_slo_text, prometheus_text,
         service_chrome_trace_json, timeseries_json_lines, trace_event_json, AdaptiveRuntime,
         BatchCompat, BatchPolicy, BatchRun, BatchSession, CheckpointPolicy, CrossParams, CrossRun,
-        DecisionAudit, Disposition, DrainMode, LaneRun, LevelCheckpoint, LogHistogram, Metrics,
+        DecisionAudit, Disposition, DrainMode, Histogram, LaneRun, LevelCheckpoint, Metrics,
         PostMortem, QuantileSummary, QueryRequest, QueryService, RecoveredRun, ResilienceConfig,
         RetryPolicy, RunReport, RunSession, Rung, ScheduleItem, ServiceConfig, ServiceReport,
-        SingleRun, SloPolicy, SloReport, SnapshotPolicy, TimeSeriesRegistry, TimeWeighted,
-        TraceSamplePolicy, WindowSnapshot,
+        SingleRun, SloPolicy, SloReport, SnapshotPolicy, TimeWeighted, TraceSamplePolicy,
+        WindowSnapshot,
     };
     pub use xbfs_engine::{
-        critical_path, trace_diff, AlwaysBottomUp, AlwaysTopDown, BfsOutput, CriticalPath,
-        Direction, FixedMN, MemorySink, NullSink, SwitchPolicy, TraceDiff, TraceEvent, TraceSink,
-        Traversal, XbfsError,
+        critical_path, AlwaysBottomUp, AlwaysTopDown, BfsOutput, CriticalPath, Direction, FixedMN,
+        MemorySink, NullSink, SwitchPolicy, TraceEvent, TraceSink, Traversal, XbfsError,
     };
     pub use xbfs_graph::{Csr, EdgeList, GraphStats, RmatConfig};
     pub use xbfs_svm::{Regressor, Svr, SvrConfig};

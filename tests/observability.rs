@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use xbfs::archsim::{ArchSpec, FaultPlan, Link};
 use xbfs::core::checkpoint::CheckpointPolicy;
 use xbfs::core::{
-    chrome_trace_json, prometheus_text, service_chrome_trace_json, CrossParams, LogHistogram,
-    QueryTrace, RunSession,
+    chrome_trace_json, prometheus_text, service_chrome_trace_json, CrossParams, Histogram,
+    QueryTrace, RunSession, LATENCY_BUCKETS_S,
 };
 use xbfs::engine::trace::{MemorySink, TraceEvent};
 use xbfs::engine::{Direction, FixedMN};
@@ -445,7 +445,7 @@ proptest! {
     fn log_histogram_quantiles_are_monotone(
         values in prop::collection::vec(0.0f64..20.0, 1..200)
     ) {
-        let mut h = LogHistogram::default();
+        let mut h = Histogram::new(&LATENCY_BUCKETS_S);
         for v in &values {
             h.observe(*v);
         }
