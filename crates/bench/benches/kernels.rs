@@ -17,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use xbfs_archsim::{fault::FaultPlan, ArchSpec, Link};
-use xbfs_core::{checkpoint::capture_at, CrossParams, Rung};
+use xbfs_core::{checkpoint::capture_at, CrossParams, ResilienceConfig, Rung};
 use xbfs_engine::{
     bottomup, hybrid, reference, topdown, validate, FixedMN, Scrubber, TraversalState,
 };
@@ -71,6 +71,7 @@ fn bench_hardening(c: &mut Criterion) {
             gpu: FixedMN::new(14.0, 24.0),
         },
         &FaultPlan::none(),
+        &ResilienceConfig::default_runtime(),
         Rung::CpuOnly,
         mid,
     )

@@ -740,11 +740,17 @@ fn load_chaos_plans(dir: &str) -> Result<Vec<(String, FaultPlan)>, String> {
     Ok(plans)
 }
 
-/// Build the request schedule for `serve`: either replay a JSON-lines
-/// stream (`--requests FILE|-`) or synthesize a seeded arrival schedule
+/// The request schedule for `serve`: either replay a JSON-lines stream
+/// (`--requests FILE|-`) or synthesize a seeded arrival schedule
 /// (`--arrivals N --rate R --seed S`), optionally mixing committed chaos
-/// plans into every `--chaos-every`-th query.
-fn serve_schedule(args: &Args, g: &Csr) -> Result<Vec<ScheduleItem>, String> {
+/// plans into every `--chaos-every`-th query. Every flag is parsed and
+/// checked, the stream read and the plans loaded, before the graph is
+/// read; the returned closure takes the graph's vertex count, which only
+/// the seeded sources need.
+fn serve_schedule(args: &Args) -> Result<Box<dyn FnOnce(u32) -> Vec<ScheduleItem>>, String> {
+    let drain = args
+        .parse_num::<f64>("drain-at")?
+        .map(|at_s| ScheduleItem::Drain { at_s });
     let mut schedule: Vec<ScheduleItem> = Vec::new();
     if let Some(path) = args.get("requests") {
         let text = if path == "-" {
@@ -765,38 +771,41 @@ fn serve_schedule(args: &Args, g: &Csr) -> Result<Vec<ScheduleItem>, String> {
                 .map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
             schedule.push(item);
         }
-    } else {
-        let n: u64 = args
-            .parse_num("arrivals")?
-            .ok_or_else(|| "serve needs --requests FILE or --arrivals N".to_string())?;
-        let rate: f64 = args.parse_num("rate")?.unwrap_or(100.0);
-        if !rate.is_finite() || rate <= 0.0 {
-            return Err(format!("--rate must be finite and positive, got {rate}"));
+        schedule.extend(drain);
+        return Ok(Box::new(move |_| schedule));
+    }
+    let n: u64 = args
+        .parse_num("arrivals")?
+        .ok_or_else(|| "serve needs --requests FILE or --arrivals N".to_string())?;
+    let rate: f64 = args.parse_num("rate")?.unwrap_or(100.0);
+    if !rate.is_finite() || rate <= 0.0 {
+        return Err(format!("--rate must be finite and positive, got {rate}"));
+    }
+    let mut rng: u64 = args.parse_num("seed")?.unwrap_or(0xC0FFEE);
+    let request_deadline: Option<f64> = args.parse_num("request-deadline")?;
+    if let Some(d) = request_deadline {
+        if !d.is_finite() || d <= 0.0 {
+            return Err(format!(
+                "--request-deadline must be finite and positive, got {d}"
+            ));
         }
-        let mut rng: u64 = args.parse_num("seed")?.unwrap_or(0xC0FFEE);
-        let request_deadline: Option<f64> = args.parse_num("request-deadline")?;
-        if let Some(d) = request_deadline {
-            if !d.is_finite() || d <= 0.0 {
-                return Err(format!(
-                    "--request-deadline must be finite and positive, got {d}"
-                ));
-            }
-        }
-        let chaos = match args.get("chaos-dir") {
-            None => Vec::new(),
-            Some(dir) => load_chaos_plans(dir)?,
-        };
-        let chaos_every: u64 = args.parse_num("chaos-every")?.unwrap_or(4);
-        if !chaos.is_empty() && chaos_every == 0 {
-            return Err("--chaos-every must be at least 1".to_string());
-        }
+    }
+    let chaos = match args.get("chaos-dir") {
+        None => Vec::new(),
+        Some(dir) => load_chaos_plans(dir)?,
+    };
+    let chaos_every: u64 = args.parse_num("chaos-every")?.unwrap_or(4);
+    if !chaos.is_empty() && chaos_every == 0 {
+        return Err("--chaos-every must be at least 1".to_string());
+    }
+    Ok(Box::new(move |num_vertices| {
         let mut arrival_s = 0.0f64;
         for i in 0..n {
             // Uniform inter-arrival in [0.5, 1.5]/rate — no transcendental
             // math, so the schedule is bit-identical across platforms.
             let u = (splitmix64(&mut rng) >> 11) as f64 / (1u64 << 53) as f64;
             arrival_s += (0.5 + u) / rate;
-            let source = (splitmix64(&mut rng) % u64::from(g.num_vertices())) as u32;
+            let source = (splitmix64(&mut rng) % u64::from(num_vertices)) as u32;
             let mut req = QueryRequest::builder(i, source).arrival(arrival_s).build();
             req.deadline_s = request_deadline;
             if !chaos.is_empty() && i % chaos_every == 0 {
@@ -805,11 +814,9 @@ fn serve_schedule(args: &Args, g: &Csr) -> Result<Vec<ScheduleItem>, String> {
             }
             schedule.push(ScheduleItem::Query(req));
         }
-    }
-    if let Some(at_s) = args.parse_num::<f64>("drain-at")? {
-        schedule.push(ScheduleItem::Drain { at_s });
-    }
-    Ok(schedule)
+        schedule.extend(drain);
+        schedule
+    }))
 }
 
 /// Parse the live-telemetry flags for `serve`: `--snapshot-every SECS`
@@ -879,8 +886,8 @@ fn policy_mode_from_args(args: &Args) -> Result<PolicyMode, String> {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let ui = Ui::new(args);
-    // Every flag parses into the service config and validates before the
-    // graph is read, so a typo fails before any work.
+    // Every flag parses into the service config or the schedule and
+    // validates before the graph is read, so a typo fails before any work.
     let (snapshot, slo, flight_recorder, trace_sample) = telemetry_from_args(args)?;
     let drain = match args.get("drain-mode").unwrap_or("complete") {
         "complete" => DrainMode::Complete,
@@ -907,9 +914,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         policy: policy_mode_from_args(args)?,
     };
     config.validate().map_err(|e| format!("serve flags: {e}"))?;
+    let schedule = serve_schedule(args)?;
     let g = std::sync::Arc::new(load_graph(args)?);
     let stats = GraphStats::unknown(&g);
-    let schedule = serve_schedule(args, &g)?;
+    let schedule = schedule(g.num_vertices());
     if let Some(dir) = &config.spill_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
     }

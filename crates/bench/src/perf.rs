@@ -27,7 +27,6 @@ use xbfs_core::{
     DecisionAudit, PolicyAudit, RunReport, SharedPolicy,
 };
 use xbfs_engine::metrics::{harmonic_mean_teps, Teps};
-use xbfs_engine::trace::analysis::critical_path;
 use xbfs_engine::{reference, MemorySink};
 use xbfs_graph::{gen, Csr};
 
@@ -67,9 +66,13 @@ pub struct BenchCase {
     pub teps: f64,
     /// Edges the run examined (including replays and failed attempts).
     pub edges_examined: u64,
-    /// Critical-path length across device lanes, simulated seconds.
+    /// Simulated seconds the leaf spans cover, across every device lane:
+    /// the audit's [`DecisionAudit::attributed_s`]. The clock is serial,
+    /// so this is the run's critical path, and it equals `total_seconds`
+    /// because every charge of a fresh run has a span.
     pub critical_path_s: f64,
-    /// Simulated seconds per `kind/device` phase bucket.
+    /// Simulated seconds per `kind/device` phase bucket: the audit's
+    /// `phases`, keyed `"{phase}/{device}"`.
     pub phase_seconds: BTreeMap<String, f64>,
     /// Full decision audit of the run.
     pub audit: DecisionAudit,
@@ -229,13 +232,11 @@ fn run_case(
         prediction_overhead_s,
     );
 
-    let cp = critical_path(&events);
-    let mut phase_seconds: BTreeMap<String, f64> = BTreeMap::new();
-    for seg in &cp.segments {
-        *phase_seconds
-            .entry(format!("{}/{}", seg.kind, seg.device))
-            .or_insert(0.0) += seg.seconds();
-    }
+    let phase_seconds = audit
+        .phases
+        .iter()
+        .map(|p| (format!("{}/{}", p.phase, p.device), p.seconds))
+        .collect();
 
     let component_edges = reference::component_edges(&g, &run.output);
     let teps = Teps::new(component_edges, report.total_seconds);
@@ -249,7 +250,7 @@ fn run_case(
         component_edges,
         teps: teps.teps(),
         edges_examined: report.edges_examined,
-        critical_path_s: cp.length_s,
+        critical_path_s: audit.attributed_s(),
         phase_seconds,
         audit,
     }
@@ -874,8 +875,14 @@ mod tests {
         assert_eq!(a, b2);
         // TEPS is exactly edges over simulated seconds.
         assert!((a.teps - a.component_edges as f64 / a.total_seconds).abs() < 1e-9);
-        // The critical path of a fresh fault-free run covers the clock.
-        assert!(a.critical_path_s <= a.total_seconds * (1.0 + 1e-9));
+        // Every charge of a fresh fault-free run has a span, so the
+        // critical path is the whole clock.
+        assert!(
+            (a.critical_path_s - a.total_seconds).abs() <= 1e-9 * a.total_seconds,
+            "critical path {} vs total {}",
+            a.critical_path_s,
+            a.total_seconds
+        );
         let phase_total: f64 = a.phase_seconds.values().sum();
         assert!((phase_total - a.critical_path_s).abs() <= 1e-9 * a.critical_path_s.max(1.0));
     }

@@ -761,33 +761,54 @@ fn serve_flight_recorder_writes_postmortems() {
 
 #[test]
 fn serve_flag_errors_fail_before_the_graph_is_read() {
-    // Every flag parses into the service config, which validates before
-    // the graph is read: a bad value is reported even with a missing
-    // graph, names its flag and runs nothing.
-    for (flag, value, named) in [
-        ("--drain-mode", "bogus", "--drain-mode"),
-        ("--policy", "bogus", "--policy"),
-        ("--batch-window", "x", "--batch-window"),
-        ("--retries", "x", "--retries"),
-        ("--capacity", "0", "capacity must be at least 1"),
-    ] {
-        let out = cli()
-            .args([
-                "serve",
-                "--graph",
-                "/nonexistent/nope.xbfs",
+    // Every flag parses into the service config or the schedule, which
+    // validate before the graph is read: a bad value is reported even
+    // with a missing graph, names its flag and runs nothing.
+    let chaos = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/chaos");
+    for (flags, named) in [
+        (
+            &["--arrivals", "4", "--drain-mode", "bogus"][..],
+            "--drain-mode",
+        ),
+        (&["--arrivals", "4", "--policy", "bogus"], "--policy"),
+        (
+            &["--arrivals", "4", "--batch-window", "x"],
+            "--batch-window",
+        ),
+        (&["--arrivals", "4", "--retries", "x"], "--retries"),
+        (
+            &["--arrivals", "4", "--capacity", "0"],
+            "capacity must be at least 1",
+        ),
+        (&["--arrivals", "4", "--rate", "-1"], "--rate"),
+        (
+            &["--arrivals", "4", "--request-deadline", "-1"],
+            "--request-deadline",
+        ),
+        (&["--arrivals", "4", "--drain-at", "x"], "--drain-at"),
+        (
+            &[
                 "--arrivals",
                 "4",
-                flag,
-                value,
-            ])
+                "--chaos-dir",
+                chaos,
+                "--chaos-every",
+                "0",
+            ],
+            "--chaos-every",
+        ),
+        (&[], "--requests FILE or --arrivals N"),
+    ] {
+        let out = cli()
+            .args(["serve", "--graph", "/nonexistent/nope.xbfs"])
+            .args(flags)
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
-        assert!(stderr.contains(named), "{flag} {value}: {stderr}");
-        assert!(!stderr.contains("nope.xbfs"), "{flag} {value}: {stderr}");
-        assert!(out.stdout.is_empty(), "{flag} {value} ran anyway");
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(stderr.contains(named), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("nope.xbfs"), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} ran anyway");
     }
 }
 

@@ -11,6 +11,10 @@
 //! trace to a `(level, device, phase)` cell using the [`TraceEvent`] stream
 //! a [`MemorySink`](xbfs_engine::MemorySink) buffered.
 //!
+//! The attribution is the one fold over a run's leaf spans: the bench
+//! suite's `phase_seconds` and `critical_path_s` read it, and
+//! `tests/trace_analysis.rs` pins that it covers the simulated clock.
+//!
 //! The audit is pure data, serializable to JSON for `BENCH_<n>.json`
 //! artifacts.
 
@@ -70,7 +74,9 @@ pub struct PhaseSeconds {
     pub seconds: f64,
 }
 
-/// The complete audit of one adaptive run's switching decision.
+/// The complete audit of one adaptive run's switching decision, with the
+/// run's simulated time attributed span by span (see [`decision_audit`]
+/// for what the attribution covers).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DecisionAudit {
     /// The parameters the predictor chose.
@@ -111,7 +117,8 @@ pub struct DecisionAudit {
     /// Per-`(level, device)` simulated-time attribution, sorted by level
     /// then device.
     pub levels: Vec<LevelAttribution>,
-    /// Per-`phase/device` totals, sorted by phase then device.
+    /// Per-`phase/device` totals, sorted by phase then device. They sum
+    /// to [`Self::attributed_s`].
     pub phases: Vec<PhaseSeconds>,
 }
 
@@ -143,6 +150,13 @@ impl DecisionAudit {
             .map(|p| p.seconds)
             .sum()
     }
+
+    /// Every attributed second: the sum of [`Self::phases`]. It equals
+    /// [`Self::total_seconds`] unless the run resumed from a checkpoint or
+    /// re-uploaded one (see [`decision_audit`]).
+    pub fn attributed_s(&self) -> f64 {
+        self.phases.iter().map(|p| p.seconds).sum()
+    }
 }
 
 /// First GPU level of a placement script, if any.
@@ -168,6 +182,16 @@ fn op_device(op: &str) -> &'static str {
 /// * `events` is the run's buffered trace; `report` its [`RunReport`].
 /// * `prediction_overhead_s` is the measured wall time of the prediction
 ///   itself (pass 0.0 when the caller didn't time it).
+///
+/// The attribution sums the trace's leaf spans ([`TraceEvent::Kernel`],
+/// [`TraceEvent::Transfer`], [`TraceEvent::Backoff`] and
+/// [`TraceEvent::Checkpoint`]), failed attempts included, so it covers
+/// every spanned second of the simulated clock. One charge has no span:
+/// the re-upload of the frontier and visited bitmap when the cross rung
+/// restarts from a device-resident checkpoint, as an external resume
+/// (or a rollback repair after the handoff) does. An external resume's
+/// trace also starts at the checkpoint's clock, so its `total_seconds`
+/// carries a prefix the attribution never saw.
 ///
 /// The oracle side sweeps the full 900-candidate pair grid, which costs
 /// `O(900 × depth)` — trivial next to a traversal but not free; audit
@@ -568,7 +592,7 @@ mod tests {
 
         // Every simulated second of the fault-free run is attributed:
         // kernel + transfer phases must reconstruct the report's total.
-        let attributed: f64 = audit.phases.iter().map(|p| p.seconds).sum();
+        let attributed = audit.attributed_s();
         assert!(
             (attributed - report.total_seconds).abs() <= 1e-9 * report.total_seconds.max(1.0),
             "attributed {attributed} vs total {}",

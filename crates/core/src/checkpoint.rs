@@ -27,7 +27,9 @@
 
 use crate::cross::{CrossParams, Placement};
 use crate::health::{BreakerPolicy, HealthSnapshot};
-use crate::recovery::{kernel_op, price_level, Placer, Rung, JITTER_SALT};
+use crate::recovery::{
+    handoff_seconds, kernel_op, price_level, Placer, ResilienceConfig, Rung, JITTER_SALT,
+};
 use serde::{Deserialize, Serialize};
 use xbfs_archsim::fault::{FaultCursor, FaultEvent, FaultOp, FaultPlan, FaultSession};
 use xbfs_archsim::{ArchSpec, Link};
@@ -317,6 +319,11 @@ fn fault_free(session: &mut FaultSession<'_>, op: FaultOp, level: u32) -> Result
 /// prefix. This is the tooling/test primitive behind the "checkpoint at
 /// level ℓ then resume equals an uninterrupted run" property; the
 /// recovery ladder itself captures inline while it executes.
+///
+/// `config` is the configuration the checkpoint will resume under. The
+/// prefix's clock prices the handoff as the ladder does, including the
+/// verification pass when `config.checksum_transfers` is on, so a resumed
+/// run's total matches the uninterrupted run's.
 #[allow(clippy::too_many_arguments)] // the platform, the plan and the cut point
 pub fn capture_at(
     csr: &Csr,
@@ -326,11 +333,13 @@ pub fn capture_at(
     link: &Link,
     params: &CrossParams,
     plan: &FaultPlan,
+    config: &ResilienceConfig,
     rung: Rung,
     level: u32,
 ) -> Result<LevelCheckpoint, XbfsError> {
     params.validate()?;
     plan.validate()?;
+    config.validate()?;
     if source >= csr.num_vertices() {
         return Err(XbfsError::BadSource {
             source,
@@ -361,7 +370,8 @@ pub fn capture_at(
         let (pl, rec) = (step.placement, step.record);
         if step.handoff {
             fault_free(&mut session, FaultOp::Transfer, rec.level)?;
-            clock_s += link.transfer_time(Link::handoff_bytes(n, rec.frontier_vertices));
+            let bytes = Link::handoff_bytes(n, rec.frontier_vertices);
+            clock_s += handoff_seconds(link, bytes, config.checksum_transfers);
         }
         // The reference rung is fault-free by construction; only the
         // clock advances.
@@ -457,6 +467,7 @@ mod tests {
                 &link,
                 &params,
                 &FaultPlan::none(),
+                &ResilienceConfig::default_runtime(),
                 rung,
                 2,
             )
@@ -485,6 +496,7 @@ mod tests {
             &link,
             &eager,
             &FaultPlan::none(),
+            &ResilienceConfig::default_runtime(),
             Rung::CrossCpuGpu,
             2,
         )
@@ -552,6 +564,7 @@ mod tests {
             &link,
             &eager,
             &FaultPlan::none(),
+            &ResilienceConfig::default_runtime(),
             Rung::CrossCpuGpu,
             2,
         )
@@ -573,38 +586,37 @@ mod tests {
     #[test]
     fn capture_rejects_bad_levels_and_fault_prefixes() {
         let (g, src, cpu, gpu, link, params) = fixture();
-        let err = capture_at(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &FaultPlan::none(),
-            Rung::CpuOnly,
-            0,
-        )
-        .unwrap_err();
+        let config = ResilienceConfig::default_runtime();
+        let none = FaultPlan::none();
+        let capture = |plan: &FaultPlan, config: &ResilienceConfig, level: u32| {
+            capture_at(
+                &g,
+                src,
+                &cpu,
+                &gpu,
+                &link,
+                &params,
+                plan,
+                config,
+                Rung::CpuOnly,
+                level,
+            )
+        };
+        let err = capture(&none, &config, 0).unwrap_err();
+        assert!(matches!(err, XbfsError::InvalidArgument { .. }));
+        let err = capture(&none, &config, 10_000).unwrap_err();
         assert!(matches!(err, XbfsError::InvalidArgument { .. }));
 
-        let err = capture_at(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &FaultPlan::none(),
-            Rung::CpuOnly,
-            10_000,
-        )
-        .unwrap_err();
+        // The resume configuration validates as the ladder's does.
+        let bad = ResilienceConfig {
+            deadline_s: Some(-1.0),
+            ..config.clone()
+        };
+        let err = capture(&none, &bad, 2).unwrap_err();
         assert!(matches!(err, XbfsError::InvalidArgument { .. }));
 
         // A fault inside the prefix poisons the capture.
-        let plan = FaultPlan::lost_at(FaultOp::CpuKernel, 0);
-        let err =
-            capture_at(&g, src, &cpu, &gpu, &link, &params, &plan, Rung::CpuOnly, 2).unwrap_err();
+        let err = capture(&FaultPlan::lost_at(FaultOp::CpuKernel, 0), &config, 2).unwrap_err();
         assert!(matches!(err, XbfsError::Checkpoint { .. }));
     }
 
@@ -619,6 +631,7 @@ mod tests {
             &link,
             &params,
             &FaultPlan::none(),
+            &ResilienceConfig::default_runtime(),
             Rung::CpuOnly,
             2,
         )
@@ -657,6 +670,7 @@ mod tests {
             &link,
             &params,
             &FaultPlan::none(),
+            &ResilienceConfig::default_runtime(),
             Rung::CrossCpuGpu,
             3,
         )
@@ -685,6 +699,7 @@ mod tests {
                 &link,
                 &params,
                 &FaultPlan::none(),
+                &ResilienceConfig::default_runtime(),
                 Rung::CrossCpuGpu,
                 2,
             )

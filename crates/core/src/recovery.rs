@@ -1235,6 +1235,17 @@ pub(crate) fn price_level(
     total_s
 }
 
+/// The simulated seconds of the handoff transfer of `bytes`: the link's
+/// transfer time, plus the receiver's verification pass when transfers
+/// are checksummed.
+pub(crate) fn handoff_seconds(link: &Link, bytes: u64, checksum: bool) -> f64 {
+    let mut t = link.transfer_time(bytes);
+    if checksum {
+        t += link.checksum_time(bytes);
+    }
+    t
+}
+
 /// The fault operation and device of a level kernel at `placement`.
 pub(crate) fn kernel_op(placement: Placement) -> (FaultOp, Device) {
     if placement.on_gpu() {
@@ -1376,10 +1387,7 @@ fn run_rung(
         let mut observed_s = 0.0;
         if step.handoff {
             let bytes = Link::handoff_bytes(n, lvl.frontier_vertices);
-            let mut t = link.transfer_time(bytes);
-            if rec.checksum_transfers {
-                t += link.checksum_time(bytes);
-            }
+            let t = handoff_seconds(link, bytes, rec.checksum_transfers);
             observed_s += t;
             rec.attempt_op(
                 &mut state,

@@ -53,7 +53,6 @@ pub use hybrid::TraversalState;
 pub use policy::{AlwaysBottomUp, AlwaysTopDown, Direction, FixedMN, SwitchContext, SwitchPolicy};
 pub use scrub::{ScrubPolicy, Scrubber};
 pub use stats::{LevelRecord, Traversal};
-pub use trace::analysis::{critical_path, CriticalPath, PathSegment};
 pub use trace::{MemorySink, NullSink, RungOutcome, TraceEvent, TraceSink, NULL_SINK};
 pub use validate::{validate, ValidationError};
 

@@ -12,16 +12,15 @@
 //!
 //! Sinks are deliberately dumb: they receive events and either drop them
 //! ([`NullSink`]) or buffer them ([`MemorySink`]). Interpretation —
-//! folding metrics, building a chrome-trace file, cutting a post-mortem,
-//! a span tree — happens in `xbfs-core`, on the buffered event list. That
+//! folding metrics, attributing simulated time, building a chrome-trace
+//! file, cutting a post-mortem — happens in `xbfs-core`, on the buffered
+//! event list. That
 //! split keeps the hot path to a single virtual call guarded by
 //! [`TraceSink::enabled`], which the default [`NullSink`] answers `false`
 //! so instrumented code can skip event construction entirely.
 
 use crate::policy::Direction;
 use std::sync::Mutex;
-
-pub mod analysis;
 
 /// How a recovery-ladder rung ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,9 +1,10 @@
 //! Observability walkthrough: run the resilient cross-architecture ladder
 //! under a chaotic fault plan with a [`MemorySink`] attached, then mine
-//! the recorded trace four ways — a [`DecisionAudit`] of the predictor's
-//! (M, N) choice against the exhaustive oracle, the critical path through
-//! the device lanes, a chrome://tracing JSON file you can drop into
-//! <https://ui.perfetto.dev>, and a Prometheus text snapshot.
+//! the recorded trace three ways — a [`DecisionAudit`] of the predictor's
+//! (M, N) choice against the exhaustive oracle, whose attribution puts
+//! every simulated second on a phase and device lane, a chrome://tracing
+//! JSON file you can drop into <https://ui.perfetto.dev>, and a
+//! Prometheus text snapshot.
 //!
 //! The second act replays a seeded burst through the query service with
 //! the live-telemetry stack on: windowed time-series snapshots, SLO
@@ -121,14 +122,13 @@ fn main() {
         );
     }
 
-    // The critical path: the serialized chain of kernel/transfer/backoff/
-    // checkpoint spans that bounds the makespan.
-    let path = critical_path(&events);
+    // The simulated clock is serial and every charge of a fresh run has a
+    // kernel, transfer, backoff or checkpoint span, so the attributed
+    // total is the whole makespan: the run's critical path.
     println!(
-        "critical path: {:.3} ms across {} segments ({:.3} ms idle gap)",
-        path.length_s * 1e3,
-        path.segments.len(),
-        path.gap_s * 1e3,
+        "attributed: {:.3} ms of {:.3} ms simulated",
+        audit.attributed_s() * 1e3,
+        audit.total_seconds * 1e3,
     );
 
     // Chrome trace: load this file at https://ui.perfetto.dev (or

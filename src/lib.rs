@@ -54,8 +54,8 @@ pub mod prelude {
         WindowSnapshot,
     };
     pub use xbfs_engine::{
-        critical_path, AlwaysBottomUp, AlwaysTopDown, BfsOutput, CriticalPath, Direction, FixedMN,
-        MemorySink, NullSink, SwitchPolicy, TraceEvent, TraceSink, Traversal, XbfsError,
+        AlwaysBottomUp, AlwaysTopDown, BfsOutput, Direction, FixedMN, MemorySink, NullSink,
+        SwitchPolicy, TraceEvent, TraceSink, Traversal, XbfsError,
     };
     pub use xbfs_graph::{Csr, EdgeList, GraphStats, RmatConfig};
     pub use xbfs_svm::{Regressor, Svr, SvrConfig};

@@ -1,8 +1,10 @@
 //! Checkpoint/resume contract, end to end: a seeded device loss at level
 //! ℓ ≥ 2 resumes without replaying the prefix; checkpoints round-trip
 //! through serde losslessly; a fault-free "checkpoint at ℓ then resume"
-//! produces a tree identical to the uninterrupted run on every rung; and
-//! the fault stream stays deterministic across an external resume.
+//! produces a tree identical to the uninterrupted run on every rung; a
+//! checksummed capture bills the handoff's verification as the
+//! uninterrupted run does; and the fault stream stays deterministic
+//! across an external resume.
 
 use proptest::prelude::*;
 use xbfs::archsim::fault::{FaultKind, FaultOp, FaultPlan, ScheduledFault};
@@ -209,6 +211,65 @@ fn fault_stream_is_deterministic_across_external_resume() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Checksummed transfers add the receiver's verification pass to the
+/// handoff. A capture past the handoff must bill it in the prefix it
+/// hands over, so turning checksums on moves a resumed run's clock by
+/// exactly what it moves the uninterrupted run's.
+#[test]
+fn checksummed_capture_bills_the_handoff_check_like_an_uninterrupted_run() {
+    let (g, src, cpu, gpu, link, params) = fixture();
+    let plan = FaultPlan::none();
+    let off = ResilienceConfig::default_runtime();
+    let on = ResilienceConfig {
+        checksum_transfers: true,
+        ..off.clone()
+    };
+    let uninterrupted = |config: &ResilienceConfig| {
+        RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(config.clone())
+            .run()
+            .expect("fault-free run")
+            .report
+            .total_seconds
+    };
+    let resumed = |config: &ResilienceConfig, level: u32| {
+        let ck = capture_at(
+            &g,
+            src,
+            &cpu,
+            &gpu,
+            &link,
+            &params,
+            &plan,
+            config,
+            Rung::CrossCpuGpu,
+            level,
+        )
+        .expect("fault-free capture inside the traversal");
+        assert!(ck.handed_off, "level {level} is past the handoff");
+        RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .fault_plan(&plan)
+            .resilience(config.clone())
+            .resume(&ck)
+            .expect("fault-free resume")
+            .report
+            .total_seconds
+    };
+    let (u_on, u_off) = (uninterrupted(&on), uninterrupted(&off));
+    let check = u_on - u_off;
+    assert!(check > 0.0, "checksums cost the uninterrupted run nothing");
+    for level in 2..=5 {
+        let resumed_check = resumed(&on, level) - resumed(&off, level);
+        assert!(
+            (resumed_check - check).abs() <= 1e-9 * u_on,
+            "level {level}: checksums add {resumed_check} s to the resumed run, \
+             {check} s to the uninterrupted one"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -223,7 +284,8 @@ proptest! {
         let (g, src, cpu, gpu, link, params) = fixture();
         let rung = [Rung::CrossCpuGpu, Rung::CpuOnly, Rung::Reference][rung_ix];
         let plan = FaultPlan { seed, ..FaultPlan::none() };
-        let ck = capture_at(&g, src, &cpu, &gpu, &link, &params, &plan, rung, level)
+        let config = ResilienceConfig::default_runtime();
+        let ck = capture_at(&g, src, &cpu, &gpu, &link, &params, &plan, &config, rung, level)
             .expect("fault-free capture inside the traversal");
         prop_assert_eq!(ck.level(), level);
         prop_assert!(ck.validate_for(&g).is_ok());
@@ -251,7 +313,8 @@ proptest! {
             Rung::CpuOnly => hybrid::run(&g, src, &mut FixedMN::new(14.0, 24.0)).output,
             Rung::Reference => hybrid::run(&g, src, &mut AlwaysTopDown).output,
         };
-        let ck = capture_at(&g, src, &cpu, &gpu, &link, &params, &plan, rung, level)
+        let config = ResilienceConfig::default_runtime();
+        let ck = capture_at(&g, src, &cpu, &gpu, &link, &params, &plan, &config, rung, level)
             .expect("fault-free capture inside the traversal");
         let resumed = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
             .fault_plan(&plan)

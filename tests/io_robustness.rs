@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use xbfs::archsim::{ArchSpec, FaultPlan, Link};
 use xbfs::core::checkpoint::{capture_at, LevelCheckpoint};
-use xbfs::core::recovery::Rung;
+use xbfs::core::recovery::{ResilienceConfig, Rung};
 use xbfs::core::CrossParams;
 use xbfs::engine::{FixedMN, XbfsError};
 use xbfs::graph::{gen, io, Csr};
@@ -32,6 +32,7 @@ fn spilled() -> &'static (Csr, String) {
             &Link::pcie3(),
             &params,
             &FaultPlan::none(),
+            &ResilienceConfig::default_runtime(),
             Rung::CpuOnly,
             2,
         )

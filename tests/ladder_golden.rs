@@ -13,7 +13,10 @@
 //!   level) × the offline and the online policy;
 //! * `capture_at`, then `resume`, on every rung at levels 1–4 under two
 //!   fault seeds;
-//! * `BatchSession` with 1, 2 and 6 lanes, with and without a policy.
+//! * `BatchSession` with 1, 2 and 6 lanes, with and without a policy;
+//! * the cross rung's `capture_at` and `resume` again with transfer
+//!   checksums on, under the same two seeds and fault-free (last, so
+//!   that adding them moved no earlier line).
 //!
 //! The test also asserts that the cases reach every rung, a resume, a
 //! typed error and both corruption detectors, so the golden file can
@@ -259,30 +262,45 @@ fn chaos_lines(reached: &mut Reached) -> Vec<String> {
     lines
 }
 
-fn resume_lines(reached: &mut Reached) -> Vec<String> {
-    let p = platform();
+/// The committed moderate chaos plan 08 under fault seeds 0 and 5, named
+/// `s0` and `s5`.
+fn moderate_plans() -> Vec<(String, FaultPlan)> {
     let moderate = chaos_plans()
         .into_iter()
         .find(|(name, _)| name == "08")
         .expect("plan 08 is committed")
         .1;
-    let config = ResilienceConfig {
-        checkpoint: CheckpointPolicy::every(2),
-        ..ResilienceConfig::default_runtime()
-    };
+    [0, 5]
+        .into_iter()
+        .map(|seed| {
+            let plan = FaultPlan {
+                seed,
+                ..moderate.clone()
+            };
+            (format!("s{seed}"), plan)
+        })
+        .collect()
+}
+
+/// `capture_at`, then `resume`, under `config` on each of `rungs` and
+/// each of `plans`, with lines named `{label}/{graph}/{rung}/l{level}/{plan}`.
+fn resume_lines(
+    reached: &mut Reached,
+    label: &str,
+    config: &ResilienceConfig,
+    rungs: &[Rung],
+    plans: &[(String, FaultPlan)],
+) -> Vec<String> {
+    let p = platform();
     let mut lines = Vec::new();
     for (gname, g) in graphs() {
         let src = xbfs::core::training::pick_source(&g, 3).expect("non-empty graph");
-        for rung in [Rung::CrossCpuGpu, Rung::CpuOnly, Rung::Reference] {
+        for &rung in rungs {
             for level in 1..=4 {
-                for seed in [0, 5] {
-                    let plan = FaultPlan {
-                        seed,
-                        ..moderate.clone()
-                    };
-                    let name = format!("resume/{gname}/{}/l{level}/s{seed}", rung.label());
+                for (pname, plan) in plans {
+                    let name = format!("{label}/{gname}/{}/l{level}/{pname}", rung.label());
                     let ck = match capture_at(
-                        &g, src, &p.cpu, &p.gpu, &p.link, &p.params, &plan, rung, level,
+                        &g, src, &p.cpu, &p.gpu, &p.link, &p.params, plan, config, rung, level,
                     ) {
                         Ok(ck) => ck,
                         Err(e) => {
@@ -296,7 +314,7 @@ fn resume_lines(reached: &mut Reached) -> Vec<String> {
                     };
                     let sink = MemorySink::new();
                     let result = RunSession::on_platform(&g, &p.cpu, &p.gpu, &p.link, &p.params)
-                        .fault_plan(&plan)
+                        .fault_plan(plan)
                         .resilience(config.clone())
                         .sink(&sink)
                         .resume(&ck);
@@ -363,9 +381,36 @@ fn batch_lines(reached: &mut Reached) -> Vec<String> {
 #[test]
 fn ladder_digests_match_the_golden_file() {
     let mut reached = Reached::default();
+    let ck2 = ResilienceConfig {
+        checkpoint: CheckpointPolicy::every(2),
+        ..ResilienceConfig::default_runtime()
+    };
+    let ck2_sum = ResilienceConfig {
+        checksum_transfers: true,
+        ..ck2.clone()
+    };
+    let all_rungs = [Rung::CrossCpuGpu, Rung::CpuOnly, Rung::Reference];
+    let moderate = moderate_plans();
     let mut lines = chaos_lines(&mut reached);
-    lines.extend(resume_lines(&mut reached));
+    lines.extend(resume_lines(
+        &mut reached,
+        "resume",
+        &ck2,
+        &all_rungs,
+        &moderate,
+    ));
     lines.extend(batch_lines(&mut reached));
+    // Plan 08 faults most cross prefixes past the handoff, so the
+    // checksummed cases also capture and resume fault-free.
+    let mut with_clean = moderate;
+    with_clean.push(("clean".to_string(), FaultPlan::none()));
+    lines.extend(resume_lines(
+        &mut reached,
+        "resume-sum",
+        &ck2_sum,
+        &[Rung::CrossCpuGpu],
+        &with_clean,
+    ));
     let text = lines.join("\n") + "\n";
 
     // The cases must keep reaching every branch the file pins.

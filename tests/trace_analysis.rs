@@ -1,15 +1,20 @@
-//! Contracts of trace analysis ([`critical_path`]) against real simulated
-//! runs: a deterministic run re-executes to the identical trace, the
-//! critical path through the device lanes never exceeds the run's
-//! simulated makespan, and a run that degrades to the single-lane
-//! reference rung is *all* critical path.
+//! Coverage contracts of the decision audit's time attribution
+//! ([`decision_audit`]) against real simulated runs: a deterministic run
+//! re-executes to the identical trace; every clock charge of a fresh run,
+//! chaos included, lands in a `(phase, device)` cell, so the attributed
+//! phases sum to the makespan; a run that degrades to the single-lane
+//! reference rung is *all* `kernel/cpu`; and an external resume of a
+//! handed-off cross checkpoint leaves exactly its re-upload unattributed.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use xbfs::archsim::{ArchSpec, FaultOp, FaultPlan, Link};
-use xbfs::core::checkpoint::CheckpointPolicy;
-use xbfs::core::{CrossParams, RecoveredRun, RunSession};
+use xbfs::core::checkpoint::{capture_at, CheckpointPolicy};
+use xbfs::core::{
+    decision_audit, CrossParams, DecisionAudit, RecoveredRun, ResilienceConfig, RunSession, Rung,
+};
 use xbfs::engine::trace::MemorySink;
-use xbfs::engine::{critical_path, FixedMN};
+use xbfs::engine::FixedMN;
 use xbfs::graph::Csr;
 
 fn fixture() -> (Csr, u32, ArchSpec, ArchSpec, Link, CrossParams) {
@@ -53,6 +58,22 @@ fn traced_run(seed: u64) -> (RecoveredRun, MemorySink) {
     (run, sink)
 }
 
+/// The decision audit of a fixture run, from its buffered trace.
+fn audit_of(run: &RecoveredRun, sink: &MemorySink) -> DecisionAudit {
+    let (g, src, cpu, gpu, link, params) = fixture();
+    let profile = xbfs::archsim::profile(&g, src);
+    decision_audit(
+        &profile,
+        &cpu,
+        &gpu,
+        &link,
+        &params,
+        &sink.events(),
+        &run.report,
+        0.0,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -66,30 +87,47 @@ proptest! {
         prop_assert_eq!(first.events(), second.events());
     }
 
-    /// The critical path walks real leaf spans on the simulated clock, so
-    /// its length can never exceed the run's total simulated time, and the
-    /// path plus its idle gaps accounts for the observed span window.
+    /// Every charge of a fresh run — failed attempts, stalls, backoffs
+    /// and checkpoint drains included — has a leaf span on the serial
+    /// simulated clock, so the attributed phases sum to the makespan: the
+    /// critical path is the whole run, partitioned by device lane.
     #[test]
     fn critical_path_is_bounded_by_the_makespan(seed in 0u64..256) {
         let (run, sink) = traced_run(seed);
-        let path = critical_path(&sink.events());
+        let audit = audit_of(&run, &sink);
         let total = run.report.total_seconds;
+        let attributed = audit.attributed_s();
         prop_assert!(
-            path.length_s <= total * (1.0 + 1e-9),
-            "critical path {} exceeds makespan {total}",
-            path.length_s
+            (attributed - total).abs() <= 1e-9 * total,
+            "attributed {attributed} vs makespan {total}"
         );
-        // length + gap spans exactly the window the leaf spans cover.
-        prop_assert!(((path.end_s - path.start_s) - (path.length_s + path.gap_s)).abs() <= 1e-9);
-        // Per-device attribution is a partition of the path.
-        let by_device: f64 = path.device_seconds.values().sum();
-        prop_assert!((by_device - path.length_s).abs() <= 1e-9 * path.length_s.max(1.0));
+        // Lane by lane, the phases and the `(level, device)` cells hold the
+        // same seconds. A cell may hold only a priced `KernelCost` (a
+        // kernel that died before its span), so lanes are matched by sum.
+        let mut lanes: BTreeMap<&str, (f64, f64)> = BTreeMap::new();
+        for p in &audit.phases {
+            lanes.entry(&p.device).or_default().0 += p.seconds;
+        }
+        for c in &audit.levels {
+            lanes.entry(&c.device).or_default().1 += c.total_s();
+        }
+        for (device, (phase_s, cell_s)) in &lanes {
+            prop_assert!(
+                ["cpu", "gpu", "link", "ladder"].contains(device),
+                "unknown lane {device}"
+            );
+            prop_assert!(
+                (phase_s - cell_s).abs() <= 1e-9 * total,
+                "{device}: phases {phase_s} vs cells {cell_s}"
+            );
+        }
     }
 }
 
 /// Killing the CPU at its first kernel drops the ladder to the sequential
 /// reference rung: a single-lane run whose every simulated moment is a
-/// `cpu` kernel span, so the critical path *is* the makespan.
+/// `cpu` kernel span, so the attribution is one `kernel/cpu` phase equal
+/// to the makespan.
 #[test]
 fn single_lane_reference_run_is_all_critical_path() {
     let (g, src, cpu, gpu, link, params) = fixture();
@@ -104,19 +142,69 @@ fn single_lane_reference_run_is_all_critical_path() {
         .expect("the reference rung serves");
     assert_eq!(run.report.rung.label(), "reference");
 
-    let path = critical_path(&sink.events());
+    let audit = audit_of(&run, &sink);
     let total = run.report.total_seconds;
-    assert!(
-        (path.length_s - total).abs() <= 1e-9 * total,
-        "single-lane path {} != makespan {total}",
-        path.length_s
+    let phases: Vec<(&str, &str)> = audit
+        .phases
+        .iter()
+        .map(|p| (p.phase.as_str(), p.device.as_str()))
+        .collect();
+    assert_eq!(
+        phases,
+        [("kernel", "cpu")],
+        "reference rung runs on the cpu lane only"
     );
-    assert!(path.gap_s <= 1e-9 * total, "single lane has no idle gaps");
-    assert!(!path.segments.is_empty());
     assert!(
-        path.segments.iter().all(|s| s.device == "cpu"),
-        "reference rung runs on the cpu lane only: {:?}",
-        path.segments.iter().map(|s| s.device).collect::<Vec<_>>()
+        (audit.phases[0].seconds - total).abs() <= 1e-9 * total,
+        "single-lane attribution {} != makespan {total}",
+        audit.phases[0].seconds
     );
-    assert!((path.on_device("cpu") - path.length_s).abs() <= 1e-12);
+}
+
+/// An external resume of a cross checkpoint taken after the handoff puts
+/// the frontier and visited bitmap back on the device before the GPU
+/// phase continues. That re-upload is the one charge with no span, so the
+/// resumed clock less the checkpoint's own clock less the attribution is
+/// exactly its transfer time: a new unspanned charge, or a lost span,
+/// moves the difference.
+#[test]
+fn resumed_cross_run_leaves_only_the_reupload_unattributed() {
+    let (g, src, cpu, gpu, link, params) = fixture();
+    let plan = FaultPlan::none();
+    let config = ResilienceConfig::default_runtime();
+    let n = g.num_vertices() as u64;
+    for level in 1..=5u32 {
+        let ck = capture_at(
+            &g,
+            src,
+            &cpu,
+            &gpu,
+            &link,
+            &params,
+            &plan,
+            &config,
+            Rung::CrossCpuGpu,
+            level,
+        )
+        .expect("fault-free capture inside the traversal");
+        assert_eq!(ck.handed_off, level >= 2, "level {level}");
+        let sink = MemorySink::new();
+        let run = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .fault_plan(&plan)
+            .resilience(config.clone())
+            .sink(&sink)
+            .resume(&ck)
+            .expect("fault-free resume");
+        let total = run.report.total_seconds;
+        let unattributed = total - ck.clock_s - audit_of(&run, &sink).attributed_s();
+        let reupload = if ck.handed_off {
+            link.transfer_time(Link::handoff_bytes(n, ck.state.frontier.len() as u64))
+        } else {
+            0.0
+        };
+        assert!(
+            (unattributed - reupload).abs() <= 1e-9 * total,
+            "level {level}: unattributed {unattributed} vs re-upload {reupload}"
+        );
+    }
 }
