@@ -33,14 +33,13 @@ use xbfs_bench::perf;
 use xbfs_core::{
     chrome_trace_json, prometheus_slo_text, prometheus_text, service_chrome_trace_json,
     timeseries_json_lines, training::pick_source, AdaptiveRuntime, BatchCompat, BatchPolicy,
-    CheckpointPolicy, DrainMode, LevelCheckpoint, OnlineBandit, Placement, PolicyMode, PolicyRun,
-    QueryRequest, QueryService, ResilienceConfig, RetryPolicy, ScheduleItem, ServiceConfig,
-    SloPolicy, SnapshotPolicy, TraceSamplePolicy,
+    CheckpointPolicy, DrainMode, LevelCheckpoint, OnlineBandit, PolicyMode, PolicyRun,
+    QueryRequest, QueryService, ResilienceConfig, ScheduleItem, ServiceConfig, SloPolicy,
+    SnapshotPolicy, TraceSamplePolicy,
 };
 use xbfs_engine::{
-    hybrid, par, stcon, tree, validate, AlwaysBottomUp, AlwaysTopDown, Direction, FixedMN,
-    MemorySink, ScrubPolicy, Scrubber, SwitchPolicy, TraceEvent, TraceSink, TraversalState,
-    XbfsError,
+    hybrid, par, stcon, tree, validate, AlwaysBottomUp, AlwaysTopDown, FixedMN, MemorySink,
+    ScrubPolicy, Scrubber, SwitchPolicy, TraceEvent, TraversalState, XbfsError,
 };
 use xbfs_graph::{components, io, stats, Csr, GraphStats, RmatConfig, RmatGenerator};
 
@@ -256,16 +255,12 @@ fn resilience_from_args(args: &Args, spill: Option<String>) -> Result<Resilience
             return Err(format!("--deadline must be finite and positive, got {d}"));
         }
     }
-    let retry = RetryPolicy {
-        max_attempts: args.parse_num("retries")?.unwrap_or(3),
-        ..RetryPolicy::default_runtime()
-    };
     let checkpoint = CheckpointPolicy {
         interval_levels: args.parse_num("checkpoint-interval")?.unwrap_or(0),
         spill,
     };
     let config = ResilienceConfig {
-        retry,
+        max_attempts: args.parse_num("retries")?.unwrap_or(3),
         deadline_s,
         checkpoint,
         scrub: if args.on("scrub") {
@@ -340,86 +335,6 @@ fn fingerprint(out: &xbfs_engine::BfsOutput) -> u64 {
     h
 }
 
-/// `bfs --policy online[:SEED]`: per-level bandit direction choice on the
-/// single-threaded stepping engine. Each level the bandit picks an arm
-/// for the current feature bin and is rewarded with the simulated CPU
-/// cost of the level it just ran — fully deterministic, so a seeded run
-/// replays bit-for-bit. The raw engine has no GPU, so the bandit's
-/// device dimension collapses to the direction choice.
-fn cmd_bfs_online(args: &Args, ui: &Ui, g: &Csr, src: u32, seed: u64) -> Result<(), String> {
-    if args.parse_num::<usize>("threads")?.unwrap_or(1) > 1 {
-        return Err(
-            "--policy online drives the single-threaded stepping engine; drop --threads".into(),
-        );
-    }
-    if args.on("scrub") {
-        return Err("--policy online and --scrub both drive the stepping engine; pick one".into());
-    }
-    let arch = ArchSpec::cpu_sandy_bridge();
-    let cell = std::cell::RefCell::new(PolicyRun::new(OnlineBandit::new(seed)));
-    let mut offline = FixedMN::new(14.0, 24.0);
-    let sink = MemorySink::new();
-    let mut st = TraversalState::start(g, src);
-    let start = std::time::Instant::now();
-    let mut sim_s = 0.0f64;
-    let mut decisions = 0u32;
-    let mut exploring = 0u32;
-    loop {
-        if st.frontier.is_empty() {
-            break;
-        }
-        let ctx = st.switch_context(g);
-        let offline_arm = match offline.direction(&ctx) {
-            Direction::TopDown => Placement::CpuTd,
-            Direction::BottomUp => Placement::CpuBu,
-        };
-        let d = cell.borrow().decide(&ctx, false, offline_arm);
-        let mut forced: Box<dyn SwitchPolicy> = match d.placement.direction() {
-            Direction::TopDown => Box::new(AlwaysTopDown),
-            Direction::BottomUp => Box::new(AlwaysBottomUp),
-        };
-        let Some(rec) = st.step_traced(g, forced.as_mut(), &sink) else {
-            break;
-        };
-        let level = rec.level;
-        let cost_s = xbfs_archsim::cost::level_time_for_record(&arch, rec);
-        sink.record(&TraceEvent::PolicyDecision {
-            level,
-            bin: d.bin,
-            device: d.placement.device(),
-            direction: d.placement.direction(),
-            explore: d.explore,
-            at_s: sim_s,
-        });
-        sim_s += cost_s;
-        decisions += 1;
-        exploring += u32::from(d.explore);
-        cell.borrow_mut().observe(d.bin, d.placement, cost_s);
-    }
-    let t = st.into_traversal();
-    let secs = start.elapsed().as_secs_f64();
-    validate(g, &t.output).map_err(|e| format!("validation failed: {e}"))?;
-    ui.say(format!(
-        "online BFS (online:{seed}): {} level(s), {decisions} decision(s) ({exploring} exploring), \
-         {:.3} ms simulated, {:.3} ms wall",
-        t.levels.len(),
-        sim_s * 1e3,
-        secs * 1e3,
-    ));
-    if args.on("checksum") {
-        ui.say(format!("checksum {:#018x}", fingerprint(&t.output)));
-    }
-    ui.say(format!(
-        "visited {} of {} vertices in {} levels ({} edges examined)",
-        t.output.visited_count(),
-        g.num_vertices(),
-        t.depth(),
-        t.total_edges_examined(),
-    ));
-    export_trace(args, ui, &sink.events())?;
-    Ok(())
-}
-
 fn cmd_bfs(args: &Args) -> Result<(), String> {
     let ui = Ui::new(args);
     let g = load_graph(args)?;
@@ -435,15 +350,10 @@ fn cmd_bfs(args: &Args) -> Result<(), String> {
     }
     let tracing = args.get("trace-out").is_some() || args.get("metrics-out").is_some();
     let policy_name = args.get("policy").unwrap_or("hybrid");
-    if let Some(PolicyMode::Online { seed }) = PolicyMode::parse(policy_name) {
-        return cmd_bfs_online(args, &ui, &g, src, seed);
-    }
     let mut policy: Box<dyn SwitchPolicy> = match policy_name {
         "td" => Box::new(AlwaysTopDown),
         "bu" => Box::new(AlwaysBottomUp),
-        // "offline" is the cross-architecture vocabulary for the same
-        // offline-trained hybrid switch point.
-        "hybrid" | "offline" => Box::new(FixedMN::new(14.0, 24.0)),
+        "hybrid" => Box::new(FixedMN::new(14.0, 24.0)),
         "model" => Box::new(CostModelPolicy::new(ArchSpec::cpu_sandy_bridge())),
         other => return Err(format!("unknown policy '{other}'")),
     };
@@ -740,14 +650,17 @@ fn load_chaos_plans(dir: &str) -> Result<Vec<(String, FaultPlan)>, String> {
     Ok(plans)
 }
 
+/// A `serve` schedule waiting for the graph's vertex count.
+type DeferredSchedule = Box<dyn FnOnce(u32) -> Result<Vec<ScheduleItem>, String>>;
+
 /// The request schedule for `serve`: either replay a JSON-lines stream
 /// (`--requests FILE|-`) or synthesize a seeded arrival schedule
 /// (`--arrivals N --rate R --seed S`), optionally mixing committed chaos
 /// plans into every `--chaos-every`-th query. Every flag is parsed and
 /// checked, the stream read and the plans loaded, before the graph is
 /// read; the returned closure takes the graph's vertex count, which only
-/// the seeded sources need.
-fn serve_schedule(args: &Args) -> Result<Box<dyn FnOnce(u32) -> Vec<ScheduleItem>>, String> {
+/// the seeded sources need, and refuses a graph with none to draw from.
+fn serve_schedule(args: &Args) -> Result<DeferredSchedule, String> {
     let drain = args
         .parse_num::<f64>("drain-at")?
         .map(|at_s| ScheduleItem::Drain { at_s });
@@ -772,7 +685,7 @@ fn serve_schedule(args: &Args) -> Result<Box<dyn FnOnce(u32) -> Vec<ScheduleItem
             schedule.push(item);
         }
         schedule.extend(drain);
-        return Ok(Box::new(move |_| schedule));
+        return Ok(Box::new(move |_| Ok(schedule)));
     }
     let n: u64 = args
         .parse_num("arrivals")?
@@ -799,6 +712,11 @@ fn serve_schedule(args: &Args) -> Result<Box<dyn FnOnce(u32) -> Vec<ScheduleItem
         return Err("--chaos-every must be at least 1".to_string());
     }
     Ok(Box::new(move |num_vertices| {
+        if num_vertices == 0 {
+            return Err("--arrivals draws each source from the graph's vertices, \
+                 but the graph has no vertices"
+                .to_string());
+        }
         let mut arrival_s = 0.0f64;
         for i in 0..n {
             // Uniform inter-arrival in [0.5, 1.5]/rate — no transcendental
@@ -815,7 +733,7 @@ fn serve_schedule(args: &Args) -> Result<Box<dyn FnOnce(u32) -> Vec<ScheduleItem
             schedule.push(ScheduleItem::Query(req));
         }
         schedule.extend(drain);
-        schedule
+        Ok(schedule)
     }))
 }
 
@@ -917,7 +835,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let schedule = serve_schedule(args)?;
     let g = std::sync::Arc::new(load_graph(args)?);
     let stats = GraphStats::unknown(&g);
-    let schedule = schedule(g.num_vertices());
+    let schedule = schedule(g.num_vertices())?;
     if let Some(dir) = &config.spill_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
     }
@@ -1408,8 +1326,7 @@ usage: xbfs-cli <command> [flags]
 commands:
   gen        --scale S [--edgefactor E] [--seed X] --out FILE [--text]
   info       --graph FILE [--text]
-  bfs        --graph FILE [--source V]
-             [--policy td|bu|hybrid|model|offline|online[:SEED]]
+  bfs        --graph FILE [--source V] [--policy td|bu|hybrid|model]
              [--threads T] [--scrub] [--checksum]
              [--trace-out T.json] [--metrics-out M.prom] [--quiet] [--text]
   stcon      --graph FILE --from A --to B [--text]
@@ -1508,16 +1425,17 @@ solo and writes the simulated-clock amortization curve to BATCHED.json in
 --bench-dir — deterministic, but its case set is absent from the
 committed baseline, so it stays out of the --compare gate.
 
---policy offline|online[:SEED] selects the per-level placement policy:
-offline (the default) is the paper's fixed (M, N) pipeline, byte-identical
-to omitting the flag; online replaces it with a seeded deterministic
-bandit over discretized frontier-feature bins that picks TD/BU x CPU/GPU
-each level and learns from realized simulated level costs. Under serve,
-one shared bandit carries learning across queries: each query runs on a
-snapshot taken at admission and its observations fold back at completion,
-both in simulated order, so a seeded stream replays byte-for-byte. bfs
---policy online[:SEED] runs the same bandit restricted to the raw CPU
-engine's direction choice. bench --policy writes an informational
+adaptive and serve take --policy offline|online[:SEED], which selects the
+per-level placement policy: offline (the default) is the paper's fixed
+(M, N) pipeline, byte-identical to omitting the flag; online replaces it
+with a seeded deterministic bandit over discretized frontier-feature bins
+that picks TD/BU x CPU/GPU each level and learns from realized simulated
+level costs. Under serve, one shared bandit carries learning across
+queries: each query runs on a snapshot taken at admission and its
+observations fold back at completion, both in simulated order, so a
+seeded stream replays byte-for-byte. bfs --policy picks the CPU engine's
+direction rule instead: td, bu, hybrid (the default, FixedMN 14/24) or
+model (the CPU cost model). bench --policy writes an informational
 POLICY.json (offline vs online vs oracle regret per query cohort, on
 R-MAT plus road-like and small-world generators); like BATCHED it never
 joins the --compare gate.";

@@ -813,6 +813,40 @@ fn serve_flag_errors_fail_before_the_graph_is_read() {
 }
 
 #[test]
+fn serve_arrivals_on_an_empty_graph_is_a_typed_error() {
+    let graph = tmpfile("empty.el");
+    std::fs::write(&graph, b"").unwrap();
+    let graph = graph.to_str().unwrap();
+    // Seeded sources are drawn from the graph's vertices: with none to
+    // draw from, the schedule is refused before the predictor trains.
+    let out = cli()
+        .args(["serve", "--graph", graph, "--text", "--arrivals", "2"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--arrivals"), "{stderr}");
+    assert!(stderr.contains("the graph has no vertices"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "trained anyway");
+    // A replayed stream names its own sources; each bad one ends its
+    // query in a typed error and the service run still succeeds.
+    let requests = tmpfile("empty-graph-requests.jsonl");
+    std::fs::write(&requests, "{\"id\":0,\"source\":0,\"arrival_s\":0.0}\n").unwrap();
+    let served = stdout_of(cli().args([
+        "serve",
+        "--graph",
+        graph,
+        "--text",
+        "--requests",
+        requests.to_str().unwrap(),
+    ]));
+    assert!(served.contains("failed 1"), "{served}");
+    std::fs::remove_file(graph).ok();
+    std::fs::remove_file(requests).ok();
+}
+
+#[test]
 fn serve_windows_count_corruption_of_every_completed_query() {
     // Both queries that detect corruption on this schedule then miss their
     // deadline. The windows, the exposition and the narration count them

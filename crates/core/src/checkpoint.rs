@@ -26,7 +26,7 @@
 //! checkpoint exists.
 
 use crate::cross::{CrossParams, Placement};
-use crate::health::{BreakerPolicy, HealthSnapshot};
+use crate::health::{DeviceHealth, HealthSnapshot};
 use crate::recovery::{
     handoff_seconds, kernel_op, price_level, Placer, ResilienceConfig, Rung, JITTER_SALT,
 };
@@ -410,8 +410,7 @@ pub fn capture_at(
         events: Vec::new(),
         fault_cursor: session.cursor(),
         jitter_rng: plan.seed ^ JITTER_SALT,
-        breakers: crate::health::DeviceHealth::new(BreakerPolicy::default_runtime(), plan.seed)
-            .snapshot(),
+        breakers: DeviceHealth::new(plan.seed).snapshot(),
     })
 }
 

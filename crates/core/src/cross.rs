@@ -85,12 +85,6 @@ pub struct CrossParams {
 }
 
 impl CrossParams {
-    /// Handoff semantics of line 9 of Algorithm 3: CPU top-down iff the
-    /// frontier is strictly below both thresholds.
-    fn stays_on_cpu(&self, ctx: &SwitchContext) -> bool {
-        !self.handoff.wants_bottom_up(ctx)
-    }
-
     /// Validate both threshold pairs: finite and strictly positive.
     ///
     /// [`try_cost_cross`] and [`try_run_cross`] share this single gate, so
@@ -104,9 +98,12 @@ impl CrossParams {
 
     /// The placement Algorithm 3 would choose at `ctx`, given whether the
     /// one-way handoff already fired — the offline baseline the online
-    /// policy explores first in every feature bin.
+    /// policy explores first in every feature bin. Before the handoff the
+    /// CPU runs top-down iff the frontier is strictly below both `(M1, N1)`
+    /// thresholds (line 9 of Algorithm 3); after it, `(M2, N2)` picks the
+    /// GPU's direction.
     pub fn offline_placement(&self, ctx: &SwitchContext, handed_off: bool) -> Placement {
-        if !handed_off && self.stays_on_cpu(ctx) {
+        if !handed_off && !self.handoff.wants_bottom_up(ctx) {
             Placement::CpuTd
         } else if self.gpu.wants_bottom_up(ctx) {
             Placement::GpuBu
@@ -126,17 +123,9 @@ pub fn placement_script(profile: &TraversalProfile, params: &CrossParams) -> Vec
         .levels
         .iter()
         .map(|lp| {
-            let ctx = cost::switch_context(profile, lp);
-            if !on_gpu && params.stays_on_cpu(&ctx) {
-                Placement::CpuTd
-            } else {
-                on_gpu = true;
-                if params.gpu.wants_bottom_up(&ctx) {
-                    Placement::GpuBu
-                } else {
-                    Placement::GpuTd
-                }
-            }
+            let pl = params.offline_placement(&cost::switch_context(profile, lp), on_gpu);
+            on_gpu |= pl.on_gpu();
+            pl
         })
         .collect()
 }

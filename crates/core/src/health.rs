@@ -19,14 +19,17 @@
 //! `Closed` admits work; `Open` rejects it until a seeded-jitter cooldown
 //! elapses on the simulated clock; `HalfOpen` admits exactly the next
 //! operation as a probe — success re-closes the breaker, failure re-opens
-//! it. A [`FaultKind::DeviceLost`](xbfs_archsim::fault::FaultKind) event
-//! opens the breaker permanently: no probe can resurrect a device that
-//! fell off the bus. Every transition is recorded so a `RunReport` can
+//! it. Every device shares one fixed tuning: 3 straight transient failures
+//! trip a breaker, and each cooldown lasts 2 ms of simulated time
+//! stretched by up to 25 % seeded jitter, so co-tripped breakers do not
+//! probe in lockstep. A
+//! [`FaultKind::DeviceLost`](xbfs_archsim::fault::FaultKind) event opens
+//! the breaker permanently: no probe can resurrect a device that fell off
+//! the bus. Every transition is recorded so a `RunReport` can
 //! show exactly when the runtime stopped trusting a device, and the chaos
 //! suite can assert the state machine only ever walks legal edges.
 
 use serde::{Deserialize, Serialize};
-use xbfs_engine::XbfsError;
 
 use crate::seeded::splitmix_unit;
 
@@ -43,7 +46,7 @@ pub enum Device {
 
 impl Device {
     /// Stable lowercase name, matching the `device` strings in
-    /// [`XbfsError`] fault variants.
+    /// [`XbfsError`](xbfs_engine::XbfsError) fault variants.
     pub fn name(self) -> &'static str {
         match self {
             Device::Cpu => "cpu",
@@ -141,61 +144,19 @@ pub fn legal_transition(from: BreakerState, to: BreakerState) -> bool {
     )
 }
 
-/// Breaker tuning shared by all devices.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BreakerPolicy {
-    /// Consecutive transient failures that trip a closed breaker.
-    pub failure_threshold: u32,
-    /// Base cooldown before an open breaker admits a probe, in simulated
-    /// seconds.
-    pub cooldown_s: f64,
-    /// Uniform jitter fraction in `[0, 1]`: each cooldown is scheduled at
-    /// `cooldown_s × (1 + probe_jitter_frac × u)` with `u ~ U[0, 1)` from
-    /// the breaker's seeded RNG, so co-tripped breakers don't probe in
-    /// lockstep.
-    pub probe_jitter_frac: f64,
-}
-
-impl BreakerPolicy {
-    /// Runtime default: trip after 3 straight failures, ~2 ms simulated
-    /// cooldown, 25 % probe jitter.
-    pub fn default_runtime() -> Self {
-        Self {
-            failure_threshold: 3,
-            cooldown_s: 2e-3,
-            probe_jitter_frac: 0.25,
-        }
-    }
-
-    /// Validate ranges.
-    pub fn validate(&self) -> Result<(), XbfsError> {
-        if self.failure_threshold == 0 {
-            return Err(XbfsError::InvalidArgument {
-                what: "breaker failure_threshold must be >= 1".into(),
-            });
-        }
-        if !self.cooldown_s.is_finite() || self.cooldown_s < 0.0 {
-            return Err(XbfsError::InvalidArgument {
-                what: format!(
-                    "breaker cooldown_s must be finite and non-negative, got {}",
-                    self.cooldown_s
-                ),
-            });
-        }
-        if !(0.0..=1.0).contains(&self.probe_jitter_frac) {
-            return Err(XbfsError::InvalidArgument {
-                what: format!(
-                    "breaker probe_jitter_frac must be in [0, 1], got {}",
-                    self.probe_jitter_frac
-                ),
-            });
-        }
-        Ok(())
-    }
-}
+/// Consecutive transient failures that trip a closed breaker.
+const FAILURE_THRESHOLD: u32 = 3;
+/// Base cooldown before an open breaker admits a probe, in simulated
+/// seconds.
+const COOLDOWN_S: f64 = 2e-3;
+/// Uniform jitter fraction: each cooldown is scheduled at
+/// `COOLDOWN_S × (1 + PROBE_JITTER_FRAC × u)` with `u ~ U[0, 1)` from the
+/// breaker's seeded RNG.
+const PROBE_JITTER_FRAC: f64 = 0.25;
 
 /// The serializable dynamic state of one breaker — what a checkpoint
-/// persists (the policy is supplied again at resume).
+/// persists (the tuning is constant, so nothing else is needed at
+/// resume).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BreakerSnapshot {
     /// Current state.
@@ -215,7 +176,6 @@ pub struct BreakerSnapshot {
 #[derive(Clone, Debug)]
 pub struct CircuitBreaker {
     device: Device,
-    policy: BreakerPolicy,
     state: BreakerState,
     consecutive_failures: u32,
     open_until_s: f64,
@@ -225,10 +185,9 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    fn new(device: Device, policy: BreakerPolicy, seed: u64) -> Self {
+    fn new(device: Device, seed: u64) -> Self {
         Self {
             device,
-            policy,
             state: BreakerState::Closed,
             consecutive_failures: 0,
             open_until_s: 0.0,
@@ -277,7 +236,7 @@ impl CircuitBreaker {
             BreakerState::Closed => {
                 if permanent {
                     self.open(now_s, TransitionCause::DeviceLost);
-                } else if self.consecutive_failures >= self.policy.failure_threshold {
+                } else if self.consecutive_failures >= FAILURE_THRESHOLD {
                     self.open(now_s, TransitionCause::FailureThreshold);
                 }
             }
@@ -305,8 +264,8 @@ impl CircuitBreaker {
     }
 
     fn open(&mut self, now_s: f64, cause: TransitionCause) {
-        let jitter = 1.0 + self.policy.probe_jitter_frac * splitmix_unit(&mut self.rng);
-        self.open_until_s = now_s + self.policy.cooldown_s * jitter;
+        let jitter = 1.0 + PROBE_JITTER_FRAC * splitmix_unit(&mut self.rng);
+        self.open_until_s = now_s + COOLDOWN_S * jitter;
         self.transition(BreakerState::Open, now_s, cause);
     }
 
@@ -370,11 +329,11 @@ pub struct DeviceHealth {
 
 impl DeviceHealth {
     /// Fresh all-closed health, with probe schedules seeded from `seed`.
-    pub fn new(policy: BreakerPolicy, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         Self {
-            cpu: CircuitBreaker::new(Device::Cpu, policy, seed),
-            gpu: CircuitBreaker::new(Device::Gpu, policy, seed),
-            link: CircuitBreaker::new(Device::Link, policy, seed),
+            cpu: CircuitBreaker::new(Device::Cpu, seed),
+            gpu: CircuitBreaker::new(Device::Gpu, seed),
+            link: CircuitBreaker::new(Device::Link, seed),
         }
     }
 
@@ -464,7 +423,7 @@ mod tests {
     use super::*;
 
     fn breaker() -> CircuitBreaker {
-        CircuitBreaker::new(Device::Gpu, BreakerPolicy::default_runtime(), 42)
+        CircuitBreaker::new(Device::Gpu, 42)
     }
 
     #[test]
@@ -551,7 +510,7 @@ mod tests {
     #[test]
     fn probe_schedule_is_seeded_and_jittered() {
         let cooled = |seed: u64| {
-            let mut b = CircuitBreaker::new(Device::Gpu, BreakerPolicy::default_runtime(), seed);
+            let mut b = CircuitBreaker::new(Device::Gpu, seed);
             for _ in 0..3 {
                 b.record_failure(0.0, false);
             }
@@ -561,7 +520,7 @@ mod tests {
         // the base cooldown.
         assert_eq!(cooled(1), cooled(1));
         assert_ne!(cooled(1), cooled(2));
-        assert!(cooled(1) >= BreakerPolicy::default_runtime().cooldown_s);
+        assert!(cooled(1) >= COOLDOWN_S);
     }
 
     #[test]
@@ -583,7 +542,7 @@ mod tests {
 
     #[test]
     fn health_gates_rungs_by_first_denial() {
-        let mut h = DeviceHealth::new(BreakerPolicy::default_runtime(), 7);
+        let mut h = DeviceHealth::new(7);
         assert_eq!(
             h.first_denial(&[Device::Cpu, Device::Gpu, Device::Link], 0.0),
             None
@@ -593,19 +552,5 @@ mod tests {
         assert_eq!(denial, Some((Device::Gpu, BreakerState::Open)));
         // A rung that only needs the CPU is unaffected.
         assert_eq!(h.first_denial(&[Device::Cpu], 0.0), None);
-    }
-
-    #[test]
-    fn policy_validation() {
-        assert!(BreakerPolicy::default_runtime().validate().is_ok());
-        let mut p = BreakerPolicy::default_runtime();
-        p.failure_threshold = 0;
-        assert!(p.validate().is_err());
-        let mut p = BreakerPolicy::default_runtime();
-        p.cooldown_s = f64::NAN;
-        assert!(p.validate().is_err());
-        let mut p = BreakerPolicy::default_runtime();
-        p.probe_jitter_frac = -0.1;
-        assert!(p.validate().is_err());
     }
 }

@@ -54,9 +54,7 @@ pub use cross::{
     CrossRun, Placement,
 };
 pub use features::feature_vector;
-pub use health::{
-    BreakerPolicy, BreakerState, BreakerTransition, Device, DeviceHealth, HealthSnapshot,
-};
+pub use health::{BreakerState, BreakerTransition, Device, DeviceHealth, HealthSnapshot};
 pub use observe::timeseries::{
     prometheus_slo_text, timeseries_json_lines, QuantileSummary, SloPolicy, SloReport,
     SnapshotPolicy, TimeWeighted, WindowBurn, WindowSnapshot, LATENCY_BUCKETS_S,
@@ -71,7 +69,7 @@ pub use policy_online::{
     SharedPolicy,
 };
 pub use predictor::SwitchPredictor;
-pub use recovery::{RecoveredRun, ResilienceConfig, ResumeRecord, RetryPolicy, RunReport, Rung};
+pub use recovery::{RecoveredRun, ResilienceConfig, ResumeRecord, RunReport, Rung};
 pub use runtime::AdaptiveRuntime;
 pub use service::{
     BatchCompat, BatchPolicy, Disposition, DrainMode, PostMortem, QueryOutcome, QueryRequest,

@@ -8,7 +8,7 @@
 pub use crate::audit::{decision_audit, DecisionAudit, LevelAttribution, PhaseSeconds};
 pub use crate::checkpoint::{CheckpointPolicy, LevelCheckpoint, Residency};
 pub use crate::cross::CrossParams;
-pub use crate::health::{BreakerPolicy, BreakerState, BreakerTransition, Device};
+pub use crate::health::{BreakerState, BreakerTransition, Device};
 pub use crate::observe::timeseries::{
     prometheus_slo_text, timeseries_json_lines, QuantileSummary, SloPolicy, SloReport,
     SnapshotPolicy, TimeWeighted, WindowSnapshot,
@@ -17,9 +17,7 @@ pub use crate::observe::{
     chrome_trace_json, prometheus_text, service_chrome_trace_json, trace_event_json, Histogram,
     Metrics,
 };
-pub use crate::recovery::{
-    RecoveredRun, ResilienceConfig, ResumeRecord, RetryPolicy, RunReport, Rung,
-};
+pub use crate::recovery::{RecoveredRun, ResilienceConfig, ResumeRecord, RunReport, Rung};
 pub use crate::runtime::AdaptiveRuntime;
 pub use crate::service::{
     BatchCompat, BatchPolicy, Disposition, DrainMode, PostMortem, QueryRequest,

@@ -8,8 +8,9 @@
 //!
 //! * **Retry with exponential backoff** — transient faults (transfer
 //!   failures, kernel timeouts) waste the attempt's simulated time, wait
-//!   out a seeded-jitter backoff, and try again up to
-//!   [`RetryPolicy::max_attempts`].
+//!   out a seeded-jitter backoff (100 µs before the first retry, doubling
+//!   per further retry, up to 10 % jitter), and try again up to
+//!   [`ResilienceConfig::max_attempts`].
 //! * **Deadline budget** — every simulated second (productive, wasted, or
 //!   backoff) is charged against one clock; blowing the budget aborts the
 //!   whole ladder with [`XbfsError::DeadlineExceeded`].
@@ -39,7 +40,7 @@
 
 use crate::checkpoint::{CheckpointPolicy, LevelCheckpoint, Residency, CHECKPOINT_FORMAT_VERSION};
 use crate::cross::{CrossDriver, CrossParams, Placement};
-use crate::health::{BreakerPolicy, BreakerTransition, Device, DeviceHealth};
+use crate::health::{BreakerTransition, Device, DeviceHealth};
 use crate::policy_online::{step_level, LevelStep, PolicyCell};
 use crate::seeded::splitmix_unit;
 use serde::{Deserialize, Serialize};
@@ -63,90 +64,25 @@ pub(crate) const JITTER_SALT: u64 = 0x5851_f42d_4c95_7f2d;
 /// checkpoint's rung.
 const LADDER: [Rung; 3] = [Rung::CrossCpuGpu, Rung::CpuOnly, Rung::Reference];
 
-/// Bounded retry with exponential backoff and seeded jitter.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Attempts per operation, including the first (≥ 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in simulated seconds.
-    pub base_backoff_s: f64,
-    /// Multiplier applied to the backoff per further retry (≥ 1).
-    pub backoff_factor: f64,
-    /// Uniform jitter fraction in `[0, 1]`: each backoff is scaled by
-    /// `1 + jitter_frac × u` with `u ~ U[0, 1)` from the fault seed.
-    pub jitter_frac: f64,
-}
+/// Backoff before the first retry, in simulated seconds.
+const BACKOFF_BASE_S: f64 = 1e-4;
+/// Multiplier applied to the backoff per further retry.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Uniform jitter fraction: each backoff is scaled by
+/// `1 + BACKOFF_JITTER × u` with `u ~ U[0, 1)` from the fault seed.
+const BACKOFF_JITTER: f64 = 0.1;
 
-impl RetryPolicy {
-    /// The runtime default: 3 attempts, 100 µs base backoff, doubling,
-    /// 10 % jitter.
-    pub fn default_runtime() -> Self {
-        Self {
-            max_attempts: 3,
-            base_backoff_s: 1e-4,
-            backoff_factor: 2.0,
-            jitter_frac: 0.1,
-        }
-    }
-
-    /// No retries: every transient fault is immediately permanent.
-    pub fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            base_backoff_s: 0.0,
-            backoff_factor: 1.0,
-            jitter_frac: 0.0,
-        }
-    }
-
-    /// Validate ranges.
-    pub fn validate(&self) -> Result<(), XbfsError> {
-        if self.max_attempts == 0 {
-            return Err(XbfsError::InvalidArgument {
-                what: "retry policy needs max_attempts >= 1".into(),
-            });
-        }
-        if !self.base_backoff_s.is_finite() || self.base_backoff_s < 0.0 {
-            return Err(XbfsError::InvalidArgument {
-                what: format!(
-                    "base_backoff_s must be finite and non-negative, got {}",
-                    self.base_backoff_s
-                ),
-            });
-        }
-        if !self.backoff_factor.is_finite() || self.backoff_factor < 1.0 {
-            return Err(XbfsError::InvalidArgument {
-                what: format!(
-                    "backoff_factor must be finite and >= 1, got {}",
-                    self.backoff_factor
-                ),
-            });
-        }
-        if !(0.0..=1.0).contains(&self.jitter_frac) {
-            return Err(XbfsError::InvalidArgument {
-                what: format!("jitter_frac must be in [0, 1], got {}", self.jitter_frac),
-            });
-        }
-        Ok(())
-    }
-
-    /// Backoff before retry number `retry` (0-based), with `u ~ U[0, 1)`.
-    fn backoff_s(&self, retry: u32, u: f64) -> f64 {
-        self.base_backoff_s * self.backoff_factor.powi(retry as i32) * (1.0 + self.jitter_frac * u)
-    }
-}
-
-/// The full failure-handling configuration of one resilient run.
+/// The full failure-handling configuration of one resilient run. The
+/// backoff between retries and the circuit breakers' tuning are fixed
+/// constants of the ladder, not settings.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ResilienceConfig {
-    /// Per-operation retry policy.
-    pub retry: RetryPolicy,
+    /// Attempts per operation, including the first (≥ 1).
+    pub max_attempts: u32,
     /// Optional end-to-end simulated deadline budget.
     pub deadline_s: Option<f64>,
     /// Checkpoint cadence and spill target.
     pub checkpoint: CheckpointPolicy,
-    /// Circuit-breaker tuning shared by all devices.
-    pub breaker: BreakerPolicy,
     /// Per-level invariant scrub cadence ([`ScrubPolicy::Off`] by
     /// default — zero mid-run checks on the fault-free hot path).
     pub scrub: ScrubPolicy,
@@ -162,16 +98,15 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// Runtime defaults: default retries and breakers, a checkpoint every
-    /// 4 levels (in-memory only), no deadline, corruption defense off
+    /// Runtime defaults: 3 attempts per operation, a checkpoint every 4
+    /// levels (in-memory only), no deadline, corruption defense off
     /// (scrub off, unchecksummed transfers) with 2 repair attempts if it
     /// is turned on.
     pub fn default_runtime() -> Self {
         Self {
-            retry: RetryPolicy::default_runtime(),
+            max_attempts: 3,
             deadline_s: None,
             checkpoint: CheckpointPolicy::every(4),
-            breaker: BreakerPolicy::default_runtime(),
             scrub: ScrubPolicy::Off,
             checksum_transfers: false,
             corruption_repair_limit: 2,
@@ -180,9 +115,12 @@ impl ResilienceConfig {
 
     /// Validate every component.
     pub fn validate(&self) -> Result<(), XbfsError> {
-        self.retry.validate()?;
+        if self.max_attempts == 0 {
+            return Err(XbfsError::InvalidArgument {
+                what: "retry policy needs max_attempts >= 1".into(),
+            });
+        }
         self.checkpoint.validate()?;
-        self.breaker.validate()?;
         self.scrub.validate()?;
         if let Some(d) = self.deadline_s {
             if !d.is_finite() || d <= 0.0 {
@@ -367,7 +305,7 @@ enum RungError {
 /// Shared per-ladder mutable state threaded through the rungs.
 struct Recovery<'a> {
     session: FaultSession<'a>,
-    retry: RetryPolicy,
+    max_attempts: u32,
     clock: Clock,
     jitter_rng: u64,
     events: Vec<FaultEvent>,
@@ -428,13 +366,13 @@ impl<'a> Recovery<'a> {
         // service's shared loss ledger) open their breakers for good at
         // t=0, before the first rung is gated — so a service-wide GPU loss
         // skips the cross rung without this query re-discovering the fault.
-        let mut health = DeviceHealth::new(config.breaker, plan.seed);
+        let mut health = DeviceHealth::new(plan.seed);
         for &device in lost {
             health.record_failure(device, 0.0, true);
         }
         Self {
             session: plan.session(),
-            retry: config.retry,
+            max_attempts: config.max_attempts,
             clock: Clock {
                 elapsed_s: 0.0,
                 budget_s: config.deadline_s,
@@ -542,8 +480,9 @@ impl<'a> Recovery<'a> {
     }
 
     /// Run one fallible operation of nominal duration `nominal_s`,
-    /// retrying transients per policy and feeding every outcome to the
-    /// device's circuit breaker. `bytes` is the payload size reported on
+    /// trying it up to `max_attempts` times with a backoff after each
+    /// transient, and feeding every outcome to the device's circuit
+    /// breaker. `bytes` is the payload size reported on
     /// transfer spans (0 for kernels). An injected bit flip the defenses
     /// could not see lands in `state`: the operation *succeeded* on the
     /// clock and the breaker, and only a later scrub or validation can
@@ -560,7 +499,7 @@ impl<'a> Recovery<'a> {
         bytes: u64,
     ) -> Result<(), RungError> {
         let traced = self.sink.enabled();
-        for attempt in 1..=self.retry.max_attempts {
+        for attempt in 1..=self.max_attempts {
             let start_s = self.clock.elapsed_s;
             let Some(kind) = self.session.check(op, level) else {
                 self.clock.charge(nominal_s).map_err(RungError::Fatal)?;
@@ -639,7 +578,7 @@ impl<'a> Recovery<'a> {
                     });
                 }
             }
-            if attempt == self.retry.max_attempts {
+            if attempt == self.max_attempts {
                 return Err(RungError::Degrade(match kind {
                     FaultKind::BitFlip { payload, word, bit } => XbfsError::CorruptionDetected {
                         what: format!(
@@ -663,7 +602,9 @@ impl<'a> Recovery<'a> {
                 }));
             }
             let u = splitmix_unit(&mut self.jitter_rng);
-            let backoff = self.retry.backoff_s(attempt - 1, u);
+            let backoff = BACKOFF_BASE_S
+                * BACKOFF_FACTOR.powi((attempt - 1) as i32)
+                * (1.0 + BACKOFF_JITTER * u);
             self.lost_s += backoff;
             self.retries += 1;
             let backoff_start = self.clock.elapsed_s;
@@ -1479,33 +1420,25 @@ mod tests {
 
     #[test]
     fn retry_policy_rejects_bad_ranges() {
-        let mut r = RetryPolicy::default_runtime();
-        r.max_attempts = 0;
-        assert!(r.validate().is_err());
-        let mut r = RetryPolicy::default_runtime();
-        r.backoff_factor = 0.5;
-        assert!(r.validate().is_err());
-        let mut r = RetryPolicy::default_runtime();
-        r.jitter_frac = 2.0;
-        assert!(r.validate().is_err());
-        assert!(RetryPolicy::default_runtime().validate().is_ok());
-        assert!(RetryPolicy::none().validate().is_ok());
+        let mut c = ResilienceConfig::default_runtime();
+        c.max_attempts = 0;
+        let err = c.validate().expect_err("zero attempts is rejected");
+        assert!(err.to_string().contains("max_attempts >= 1"), "{err}");
+        c.max_attempts = 1;
+        assert!(c.validate().is_ok());
     }
 
     #[test]
     fn resilience_config_validates_components() {
         assert!(ResilienceConfig::default_runtime().validate().is_ok());
         let mut c = ResilienceConfig::default_runtime();
-        c.retry.max_attempts = 0;
+        c.max_attempts = 0;
         assert!(c.validate().is_err());
         let mut c = ResilienceConfig::default_runtime();
         c.checkpoint = CheckpointPolicy {
             interval_levels: 0,
             spill: Some("/tmp/x.json".into()),
         };
-        assert!(c.validate().is_err());
-        let mut c = ResilienceConfig::default_runtime();
-        c.breaker.failure_threshold = 0;
         assert!(c.validate().is_err());
         let mut c = ResilienceConfig::default_runtime();
         c.deadline_s = Some(-1.0);

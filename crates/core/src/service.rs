@@ -199,29 +199,25 @@ pub enum DrainMode {
     Cancel,
 }
 
-/// Which queued queries may share a batch. Batches always exclude
-/// queries with fault plans: lockstep execution has no per-lane recovery
-/// ladder, so a faulty query would poison its batch.
+/// Which queued queries may share a batch: any fault-free query, deadline
+/// or not. Batches exclude queries with fault plans because lockstep
+/// execution has no per-lane recovery ladder, so a faulty query would
+/// poison its batch. There is one rule. The type and
+/// [`BatchPolicy::compat`] stay only because the wall-clock benchmark
+/// (`wallbench/`) builds its policy with `compat: BatchCompat::default()`;
+/// deleting them changes that benchmark, which is a change of its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BatchCompat {
     /// Any fault-free query joins, deadline or not; per-lane deadlines
     /// are re-checked against the batch completion instant.
     #[default]
     FaultFree,
-    /// Only fault-free queries *without* deadlines join — batching can
-    /// never convert a would-have-served query into a deadline miss.
-    FaultAndDeadlineFree,
 }
 
 impl BatchCompat {
     /// Whether `req` may ride a batch under this rule.
     pub fn admits(self, req: &QueryRequest) -> bool {
-        match self {
-            BatchCompat::FaultFree => req.fault_plan.is_none(),
-            BatchCompat::FaultAndDeadlineFree => {
-                req.fault_plan.is_none() && req.deadline_s.is_none()
-            }
-        }
+        req.fault_plan.is_none()
     }
 }
 

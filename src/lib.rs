@@ -49,9 +49,8 @@ pub mod prelude {
         BatchCompat, BatchPolicy, BatchRun, BatchSession, CheckpointPolicy, CrossParams, CrossRun,
         DecisionAudit, Disposition, DrainMode, Histogram, LaneRun, LevelCheckpoint, Metrics,
         PostMortem, QuantileSummary, QueryRequest, QueryService, RecoveredRun, ResilienceConfig,
-        RetryPolicy, RunReport, RunSession, Rung, ScheduleItem, ServiceConfig, ServiceReport,
-        SingleRun, SloPolicy, SloReport, SnapshotPolicy, TimeWeighted, TraceSamplePolicy,
-        WindowSnapshot,
+        RunReport, RunSession, Rung, ScheduleItem, ServiceConfig, ServiceReport, SingleRun,
+        SloPolicy, SloReport, SnapshotPolicy, TimeWeighted, TraceSamplePolicy, WindowSnapshot,
     };
     pub use xbfs_engine::{
         AlwaysBottomUp, AlwaysTopDown, BfsOutput, Direction, FixedMN, MemorySink, NullSink,
