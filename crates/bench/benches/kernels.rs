@@ -8,18 +8,23 @@
 //! query's traversal and validation costs read side by side.
 //!
 //! The `hardening_road128` group times the recovery ladder's per-boundary
-//! guards on the road-like graph of the `hardened-road` workload, apart
-//! from the traversal they guard: `scrub` scrubs a whole traversal's
-//! boundary states with one [`Scrubber`], as the ladder does with a scrub
-//! every level, and `checkpoint_byte_size` counts one mid-run checkpoint's
-//! serialized bytes.
+//! guards on the road-like graph of the `hardened-road` workload. `scrub`
+//! scrubs a whole traversal's boundary states with one [`Scrubber`], as
+//! the ladder does with a scrub every level, apart from the traversal
+//! they guard. `checkpoint_byte_size` times the cold oracle
+//! `LevelCheckpoint::byte_size` on one mid-run checkpoint; the ladder
+//! keeps that count running instead of calling it per capture.
+//! `hardened_session` times one whole fault-free [`RunSession`] under the
+//! workload's resilience configuration (a scrub every level, checksummed
+//! transfers, a checkpoint every 4 levels): the traversal and its guards
+//! together.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use xbfs_archsim::{fault::FaultPlan, ArchSpec, Link};
-use xbfs_core::{checkpoint::capture_at, CrossParams, ResilienceConfig, Rung};
+use xbfs_core::{checkpoint::capture_at, CrossParams, ResilienceConfig, RunSession, Rung};
 use xbfs_engine::{
-    bottomup, hybrid, reference, topdown, validate, FixedMN, Scrubber, TraversalState,
+    bottomup, hybrid, reference, topdown, validate, FixedMN, ScrubPolicy, Scrubber, TraversalState,
 };
 
 fn bench_kernels(c: &mut Criterion) {
@@ -60,22 +65,33 @@ fn bench_hardening(c: &mut Criterion) {
         boundaries.push(st.clone());
     }
     let mid = boundaries.len() as u32 / 2;
+    let (cpu, gpu, link) = (
+        ArchSpec::cpu_sandy_bridge(),
+        ArchSpec::gpu_k20x(),
+        Link::pcie3(),
+    );
+    let params = CrossParams {
+        handoff: FixedMN::new(64.0, 64.0),
+        gpu: FixedMN::new(14.0, 24.0),
+    };
     let ck = capture_at(
         &g,
         src,
-        &ArchSpec::cpu_sandy_bridge(),
-        &ArchSpec::gpu_k20x(),
-        &Link::pcie3(),
-        &CrossParams {
-            handoff: FixedMN::new(64.0, 64.0),
-            gpu: FixedMN::new(14.0, 24.0),
-        },
+        &cpu,
+        &gpu,
+        &link,
+        &params,
         &FaultPlan::none(),
         &ResilienceConfig::default_runtime(),
         Rung::CpuOnly,
         mid,
     )
     .unwrap();
+    let hardened = ResilienceConfig {
+        scrub: ScrubPolicy::every_level(),
+        checksum_transfers: true,
+        ..ResilienceConfig::default_runtime()
+    };
 
     let mut group = c.benchmark_group("hardening_road128");
     group.sample_size(20);
@@ -91,6 +107,15 @@ fn bench_hardening(c: &mut Criterion) {
     });
     group.bench_function("checkpoint_byte_size", |b| {
         b.iter(|| black_box(black_box(&ck).byte_size()))
+    });
+    group.bench_function("hardened_session", |b| {
+        b.iter(|| {
+            let run = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+                .source(src)
+                .resilience(hardened.clone())
+                .run();
+            black_box(run.unwrap())
+        })
     });
     group.finish();
 }

@@ -666,6 +666,21 @@ fn serve_schedule(args: &Args) -> Result<DeferredSchedule, String> {
         .map(|at_s| ScheduleItem::Drain { at_s });
     let mut schedule: Vec<ScheduleItem> = Vec::new();
     if let Some(path) = args.get("requests") {
+        // A replayed stream carries its own arrivals, deadlines and plans.
+        for flag in [
+            "arrivals",
+            "rate",
+            "request-deadline",
+            "chaos-dir",
+            "chaos-every",
+        ] {
+            if args.get(flag).is_some() {
+                return Err(format!(
+                    "--{flag} and --requests do not mix: --requests replays its stream \
+                     as written, so it takes none of the --arrivals generator's flags"
+                ));
+            }
+        }
         let text = if path == "-" {
             use std::io::Read;
             let mut buf = String::new();
@@ -1383,6 +1398,9 @@ permanent device losses through service-wide circuit breakers. --deadline
 bounds each query's simulated clock; --request-deadline additionally
 counts queue wait against each synthetic request. --chaos-dir mixes the
 committed fault plans into every --chaos-every-th query (default 4).
+--requests replays its stream as written: --arrivals, --rate,
+--request-deadline, --chaos-dir and --chaos-every shape only the seeded
+schedule, and each of them alongside --requests is a flag error.
 --batch-window W (default 0 = off) turns on the batching stage: whenever
 a slot frees, up to W compatible queued queries (fault-free; --batch-lanes
 caps the batch, default 64) run as one BatchSession occupying a single

@@ -798,6 +798,43 @@ fn serve_flag_errors_fail_before_the_graph_is_read() {
             "--chaos-every",
         ),
         (&[], "--requests FILE or --arrivals N"),
+        // A replayed stream takes none of the generator's flags, and the
+        // stream is not read to find that out.
+        (
+            &["--requests", "/nonexistent/nope.jsonl", "--arrivals", "4"],
+            "--arrivals and --requests",
+        ),
+        (
+            &["--requests", "/nonexistent/nope.jsonl", "--rate", "7"],
+            "--rate and --requests",
+        ),
+        (
+            &[
+                "--requests",
+                "/nonexistent/nope.jsonl",
+                "--request-deadline",
+                "0.1",
+            ],
+            "--request-deadline and --requests",
+        ),
+        (
+            &[
+                "--requests",
+                "/nonexistent/nope.jsonl",
+                "--chaos-dir",
+                chaos,
+            ],
+            "--chaos-dir and --requests",
+        ),
+        (
+            &[
+                "--requests",
+                "/nonexistent/nope.jsonl",
+                "--chaos-every",
+                "2",
+            ],
+            "--chaos-every and --requests",
+        ),
     ] {
         let out = cli()
             .args(["serve", "--graph", "/nonexistent/nope.xbfs"])
@@ -808,6 +845,7 @@ fn serve_flag_errors_fail_before_the_graph_is_read() {
         assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
         assert!(stderr.contains(named), "{flags:?}: {stderr}");
         assert!(!stderr.contains("nope.xbfs"), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("nope.jsonl"), "{flags:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{flags:?} ran anyway");
     }
 }

@@ -34,8 +34,8 @@ use serde::{Deserialize, Serialize};
 use xbfs_archsim::fault::{FaultCursor, FaultEvent, FaultOp, FaultPlan, FaultSession};
 use xbfs_archsim::{ArchSpec, Link};
 use xbfs_engine::trace::NULL_SINK;
-use xbfs_engine::{tree, BfsOutput, TraversalState, XbfsError};
-use xbfs_graph::{Bitmap, Csr, VertexId};
+use xbfs_engine::{tree, BfsOutput, LevelRecord, TraversalState, XbfsError, UNREACHED};
+use xbfs_graph::{Bitmap, Csr, VertexId, NO_PARENT};
 
 /// On-disk format version; bumped on any incompatible layout change.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
@@ -163,13 +163,24 @@ impl LevelCheckpoint {
         })
     }
 
-    /// Serialized size in bytes — the number a `RunReport` exposes as
-    /// `checkpoint_bytes`. Counted, not built: it equals
-    /// `to_json().len()`, but only a shell with the parent map, level map
-    /// and frontier emptied goes through the serializer. Each of those
-    /// arrays then adds its numbers' decimal digits and the commas
-    /// between them.
+    /// Serialized size in bytes: exactly `to_json().len()`, the number a
+    /// `RunReport` exposes as `checkpoint_bytes`. Counted, not built: only
+    /// a shell without the parent map, level map, frontier and level
+    /// records goes through the serializer. The maps and the frontier then
+    /// add their numbers' decimal digits and the commas between them, and
+    /// each record its own serialized length.
+    ///
+    /// This is the cold count, from scratch on every call. The recovery
+    /// ladder does not call it per capture: it keeps the same count
+    /// running from one capture to the next, and tests pin that count
+    /// against the serialized string at every capture.
     pub fn byte_size(&self) -> u64 {
+        ByteCount::of(&self.state).total(self)
+    }
+
+    /// The serialized length of this checkpoint with the parent map, level
+    /// map, frontier and level records emptied.
+    fn shell_bytes(&self) -> u64 {
         let state = &self.state;
         let shell = LevelCheckpoint {
             state: TraversalState {
@@ -179,7 +190,7 @@ impl LevelCheckpoint {
                     levels: Vec::new(),
                 },
                 frontier: Vec::new(),
-                levels: state.levels.clone(),
+                levels: Vec::new(),
                 ..*state
             },
             placements: self.placements.clone(),
@@ -188,9 +199,6 @@ impl LevelCheckpoint {
             ..*self
         };
         shell.to_json().len() as u64
-            + json_array_items(&state.output.parents)
-            + json_array_items(&state.output.levels)
-            + json_array_items(&state.frontier)
     }
 
     /// Write to `path` as JSON, returning the bytes written: a spilled
@@ -298,11 +306,86 @@ impl LevelCheckpoint {
 /// The bytes a JSON array of `values` holds beyond an empty `[]`: every
 /// element's decimal digits, plus the commas between them.
 fn json_array_items(values: &[u32]) -> u64 {
-    let digits: u64 = values
-        .iter()
-        .map(|&v| u64::from(v.checked_ilog10().map_or(1, |d| d + 1)))
-        .sum();
+    let digits: u64 = values.iter().map(|&v| decimal_digits(v)).sum();
     digits + (values.len() as u64).saturating_sub(1)
+}
+
+/// The decimal digits of `v`.
+fn decimal_digits(v: u32) -> u64 {
+    u64::from(v.checked_ilog10().map_or(1, |d| d + 1))
+}
+
+/// The serialized length of one level record.
+fn record_bytes(record: &LevelRecord) -> u64 {
+    serde_json::to_string(record)
+        .expect("LevelRecord serializes")
+        .len() as u64
+}
+
+/// [`LevelCheckpoint::byte_size`] kept running across the captures of one
+/// traversal state, so a capture costs O(what changed since the last
+/// one) plus the shell. It holds the maps' digits and commas, and the
+/// serialized length of every level record counted so far; a fresh count
+/// is `byte_size` itself.
+///
+/// Its owner builds it with [`of`](Self::of) at a capture whose state an
+/// audit or a same-boundary scrub has just passed, and feeds it every
+/// level step after that through [`step`](Self::step). In such a state
+/// every unvisited entry holds the two sentinels, and a clean step writes
+/// exactly the entries it lists in its new frontier, each once. Anything
+/// else that writes the state (a restore, a fresh start, an injected bit
+/// flip) must drop the count, so that the next capture counts in full.
+#[derive(Debug)]
+pub(crate) struct ByteCount {
+    /// `json_array_items` of the parent map plus that of the level map.
+    maps: u64,
+    /// The serialized bytes of the first `records` level records.
+    record_bytes: u64,
+    records: usize,
+}
+
+impl ByteCount {
+    /// Count the maps of `state` in full; its records are counted by the
+    /// first [`total`](Self::total).
+    pub(crate) fn of(state: &TraversalState) -> Self {
+        Self {
+            maps: json_array_items(&state.output.parents) + json_array_items(&state.output.levels),
+            record_bytes: 0,
+            records: 0,
+        }
+    }
+
+    /// Follow one level step of `state`: each vertex of the new frontier
+    /// trades the sentinels' digits for those of its parent and level.
+    pub(crate) fn step(&mut self, state: &TraversalState) {
+        let out = &state.output;
+        let sentinels = decimal_digits(NO_PARENT) + decimal_digits(UNREACHED);
+        let digits: u64 = state
+            .frontier
+            .iter()
+            .map(|&v| {
+                decimal_digits(out.parents[v as usize]) + decimal_digits(out.levels[v as usize])
+            })
+            .sum();
+        self.maps = self.maps + digits - sentinels * state.frontier.len() as u64;
+    }
+
+    /// `ck.byte_size()`, for a checkpoint of the state this count follows.
+    /// The records appended since the last call are counted here, once.
+    pub(crate) fn total(&mut self, ck: &LevelCheckpoint) -> u64 {
+        let records = &ck.state.levels;
+        self.record_bytes += records[self.records..]
+            .iter()
+            .map(record_bytes)
+            .sum::<u64>();
+        self.records = records.len();
+        // `[r0,r1,…]` holds each record and the commas between them.
+        ck.shell_bytes()
+            + self.maps
+            + json_array_items(&ck.state.frontier)
+            + self.record_bytes
+            + (records.len() as u64).saturating_sub(1)
+    }
 }
 
 fn fault_free(session: &mut FaultSession<'_>, op: FaultOp, level: u32) -> Result<(), XbfsError> {

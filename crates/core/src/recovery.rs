@@ -38,7 +38,9 @@
 //! validated [`BfsOutput`] plus a [`RunReport`] naming the rung that
 //! produced it, or a typed [`XbfsError`] — never a panic.
 
-use crate::checkpoint::{CheckpointPolicy, LevelCheckpoint, Residency, CHECKPOINT_FORMAT_VERSION};
+use crate::checkpoint::{
+    ByteCount, CheckpointPolicy, LevelCheckpoint, Residency, CHECKPOINT_FORMAT_VERSION,
+};
 use crate::cross::{CrossDriver, CrossParams, Placement};
 use crate::health::{BreakerTransition, Device, DeviceHealth};
 use crate::policy_online::{step_level, LevelStep, PolicyCell};
@@ -321,6 +323,10 @@ struct Recovery<'a> {
     latest: Option<LevelCheckpoint>,
     checkpoints_taken: u32,
     checkpoint_bytes: u64,
+    /// The byte count of the current rung's state, running from the
+    /// capture that last counted it in full; `None` until then, and again
+    /// once the state is restored, restarted or hit by a bit flip.
+    byte_count: Option<ByteCount>,
     checkpoint_seconds: f64,
     /// Set only by an external resume.
     resumed_from_level: Option<u32>,
@@ -338,8 +344,8 @@ struct Recovery<'a> {
     skipped: Vec<Rung>,
     /// Scrub cadence for mid-run corruption detection.
     scrub: ScrubPolicy,
-    /// The scrub itself, trusting the last boundary it passed on the
-    /// current rung's state.
+    /// The scrub itself, with its shadow of the last boundary it passed on
+    /// the current rung's state.
     scrubber: Scrubber,
     /// Whether link transfers are integrity-checksummed at the receiver.
     checksum_transfers: bool,
@@ -387,6 +393,7 @@ impl<'a> Recovery<'a> {
             latest: None,
             checkpoints_taken: 0,
             checkpoint_bytes: 0,
+            byte_count: None,
             checkpoint_seconds: 0.0,
             resumed_from_level: None,
             external: false,
@@ -534,6 +541,7 @@ impl<'a> Recovery<'a> {
                         self.emit_attempt(op, device, level, attempt, bytes, start_s, true);
                     }
                     apply_bit_flip(state, payload, word, bit);
+                    self.byte_count = None;
                     return Ok(());
                 }
                 FaultKind::LinkStall => {
@@ -681,6 +689,13 @@ impl<'a> Recovery<'a> {
     /// on the clock), so the stored checkpoint is host-durable. The capture
     /// audits `st` before trusting it, unless `scrubbed`: a scrub passed
     /// this very state at this boundary.
+    ///
+    /// An unspilled capture's bytes come from the running byte count,
+    /// which [`count_step`](Self::count_step) keeps up to date from level
+    /// to level. When there is none, this capture counts `st` in full and
+    /// starts it: the audit or scrub just passed `st`, which is what the
+    /// running count needs to stay exact. A spilled capture counts the
+    /// string it writes.
     #[allow(clippy::too_many_arguments)]
     fn maybe_capture(
         &mut self,
@@ -747,7 +762,10 @@ impl<'a> Recovery<'a> {
         let spilled = self.checkpoint.spill.is_some();
         let bytes = match &self.checkpoint.spill {
             Some(path) => ck.spill(path).map_err(RungError::Fatal)?,
-            None => ck.byte_size(),
+            None => self
+                .byte_count
+                .get_or_insert_with(|| ByteCount::of(st))
+                .total(&ck),
         };
         self.checkpoint_bytes += bytes;
         self.latest = Some(ck);
@@ -762,6 +780,15 @@ impl<'a> Recovery<'a> {
             });
         }
         Ok(())
+    }
+
+    /// Follow one level step of `st` in the running byte count, if there
+    /// is one. There is none unless a capture has counted this state, so
+    /// a run that cuts no checkpoint does nothing here.
+    fn count_step(&mut self, st: &TraversalState) {
+        if let Some(count) = &mut self.byte_count {
+            count.step(st);
+        }
     }
 
     /// Run the invariant scrubber at the boundary in front of `st` if one
@@ -813,8 +840,10 @@ impl<'a> Recovery<'a> {
         link: &Link,
     ) -> Result<(TraversalState, Placer), RungError> {
         let external = std::mem::take(&mut self.external);
-        // A fresh or restored state: nothing the scrub passed carries over.
+        // A fresh or restored state: nothing the scrub passed or the byte
+        // count followed carries over.
         self.scrubber = Scrubber::default();
+        self.byte_count = None;
         let Some(ck) = self.latest.clone() else {
             return Ok((
                 TraversalState::start(csr, source),
@@ -1322,6 +1351,7 @@ fn run_rung(
         let Some(step) = placer.step(csr, &mut state, policy, rec.sink, level_start_s) else {
             break;
         };
+        rec.count_step(&state);
         let (pl, lvl, level) = (step.placement, step.record, step.record.level as usize);
         // The policy's reward: the level's kernel time plus the handoff
         // transfer when this decision fired it.

@@ -3,16 +3,22 @@
 //! through serde losslessly; a fault-free "checkpoint at ℓ then resume"
 //! produces a tree identical to the uninterrupted run on every rung; a
 //! checksummed capture bills the handoff's verification as the
-//! uninterrupted run does; and the fault stream stays deterministic
-//! across an external resume.
+//! uninterrupted run does; the fault stream stays deterministic across an
+//! external resume; and the ladder's running byte count equals the
+//! serialized checkpoint at every capture.
+
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use xbfs::archsim::fault::{FaultKind, FaultOp, FaultPlan, ScheduledFault};
+use xbfs::archsim::fault::{CorruptPayload, FaultKind, FaultOp, FaultPlan, ScheduledFault};
 use xbfs::archsim::{ArchSpec, Link};
 use xbfs::core::checkpoint::{capture_at, CheckpointPolicy, LevelCheckpoint};
-use xbfs::core::recovery::{ResilienceConfig, Rung};
+use xbfs::core::recovery::{RecoveredRun, ResilienceConfig, Rung};
 use xbfs::core::{run_cross, CrossParams, RunSession};
-use xbfs::engine::{hybrid, validate, AlwaysTopDown, FixedMN, UNREACHED};
+use xbfs::engine::{
+    hybrid, validate, AlwaysTopDown, FixedMN, MemorySink, ScrubPolicy, TraceEvent, XbfsError,
+    UNREACHED,
+};
 use xbfs::graph::Csr;
 
 fn fixture() -> (Csr, u32, ArchSpec, ArchSpec, Link, CrossParams) {
@@ -268,6 +274,214 @@ fn checksummed_capture_bills_the_handoff_check_like_an_uninterrupted_run() {
              {check} s to the uninterrupted one"
         );
     }
+}
+
+/// Every committed chaos plan, by its two-digit prefix.
+fn chaos_plans() -> Vec<(String, FaultPlan)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("chaos");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("chaos corpus dir {}: {e}", dir.display()))
+        .map(|entry| entry.expect("readable dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .collect();
+    files.sort();
+    files
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path).expect("readable plan");
+            let plan = FaultPlan::from_json(&text).expect("plan parses");
+            let stem = path.file_stem().unwrap().to_string_lossy();
+            (stem[..2].to_string(), plan)
+        })
+        .collect()
+}
+
+/// What a run exposes about its captures: the bytes of every
+/// [`TraceEvent::Checkpoint`] in order, the report JSON (or the typed
+/// error), and the served parent map.
+struct Captures {
+    bytes: Vec<u64>,
+    report: String,
+    parents: Option<Vec<u32>>,
+}
+
+impl Captures {
+    fn of(result: &Result<RecoveredRun, XbfsError>, sink: &MemorySink) -> Self {
+        let bytes = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Checkpoint { bytes, .. } => Some(*bytes),
+                _ => None,
+            })
+            .collect();
+        let (report, parents) = match result {
+            Ok(run) => (run.report.to_json(), Some(run.output.parents.clone())),
+            Err(e) => (format!("{e:?}"), None),
+        };
+        Self {
+            bytes,
+            report,
+            parents,
+        }
+    }
+}
+
+/// A plan whose one fault is a parent-word flip after the kernel of level
+/// 3 that re-parents a vertex discovered by then to another neighbour one
+/// level shallower, whose id has a different number of digits. The tree
+/// stays sound, so the audit, the scrub and validation all accept it, and
+/// the next captures are cut from a state no level step wrote. Returns
+/// the plan, the vertex and its new parent, if the graph has such a
+/// vertex.
+fn silent_reparent(
+    g: &Csr,
+    src: u32,
+    platform: (&ArchSpec, &ArchSpec, &Link, &CrossParams),
+) -> Option<(FaultPlan, u32, u32)> {
+    const LEVEL: usize = 3;
+    let (cpu, gpu, link, params) = platform;
+    let run = run_cross(g, src, cpu, gpu, link, params);
+    let op = if run.placements.get(LEVEL)?.on_gpu() {
+        FaultOp::GpuKernel
+    } else {
+        FaultOp::CpuKernel
+    };
+    let out = &run.traversal.output;
+    let (v, bit, q) = (0..g.num_vertices()).find_map(|v| {
+        let (p, l) = (out.parents[v as usize], out.levels[v as usize]);
+        if v == src || l == UNREACHED || l > LEVEL as u32 {
+            return None;
+        }
+        (0..32u8).find_map(|bit| {
+            let q = p ^ (1 << bit);
+            let other = q < g.num_vertices()
+                && q != v
+                && out.levels[q as usize].checked_add(1) == Some(l)
+                && g.has_edge(q, v)
+                && q.to_string().len() != p.to_string().len();
+            other.then_some((v, bit, q))
+        })
+    })?;
+    let plan = FaultPlan {
+        scheduled: vec![ScheduledFault {
+            op,
+            level: LEVEL,
+            kind: FaultKind::BitFlip {
+                payload: CorruptPayload::Parents,
+                word: v,
+                bit,
+            },
+        }],
+        ..FaultPlan::none()
+    };
+    Some((plan, v, q))
+}
+
+/// The ladder counts an unspilled capture's bytes from a running count,
+/// and a spilled one from the string it writes. Run every case both ways:
+/// each capture must report the same bytes, so the running count is the
+/// serialized length at every boundary. The cases cover every committed
+/// chaos plan (bit flips that land, checksummed retries, degradations
+/// that resume on a lower rung), a flip that no check can see, three
+/// scrub cadences, and an external resume on each rung, with a
+/// checkpoint every level and checksums on.
+#[test]
+fn running_byte_count_is_the_serialized_length_at_every_capture() {
+    let (_, _, cpu, gpu, link, params) = fixture();
+    let graphs = [
+        ("rmat10", xbfs::graph::rmat::rmat_csr(10, 16)),
+        ("road24", xbfs::graph::gen::road_like(24, 24, 16, 1)),
+    ];
+    let scrubs = [
+        ("off", ScrubPolicy::Off),
+        ("every2", ScrubPolicy::every(2)),
+        ("every1", ScrubPolicy::every_level()),
+    ];
+    let dir = std::env::temp_dir().join(format!("xbfs-running-count-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut resumed_on = Vec::new();
+    let (mut cases, mut silent_flips) = (0, 0);
+    for (gname, g) in &graphs {
+        let src = xbfs::core::training::pick_source(g, 3).expect("non-empty graph");
+        let mut plans = chaos_plans();
+        let silent = silent_reparent(g, src, (&cpu, &gpu, &link, &params));
+        if let Some((plan, _, _)) = &silent {
+            plans.push(("silent".to_string(), plan.clone()));
+        }
+        for (pname, plan) in &plans {
+            for (sname, scrub) in scrubs {
+                let config = |spill: Option<&Path>| ResilienceConfig {
+                    checkpoint: CheckpointPolicy {
+                        interval_levels: 1,
+                        spill: spill.map(|p| p.to_str().unwrap().to_string()),
+                    },
+                    scrub,
+                    checksum_transfers: true,
+                    ..ResilienceConfig::default_runtime()
+                };
+                let starts = [
+                    None,
+                    Some(Rung::CrossCpuGpu),
+                    Some(Rung::CpuOnly),
+                    Some(Rung::Reference),
+                ];
+                for start in starts {
+                    let ck = match start {
+                        None => None,
+                        Some(rung) => {
+                            let config = config(None);
+                            match capture_at(
+                                g, src, &cpu, &gpu, &link, &params, plan, &config, rung, 3,
+                            ) {
+                                Ok(ck) => Some(ck),
+                                // The plan faults inside the prefix.
+                                Err(XbfsError::Checkpoint { .. }) => continue,
+                                Err(e) => panic!("{gname}/{pname}/{rung}: {e}"),
+                            }
+                        }
+                    };
+                    let name = format!("{gname}/{pname}/{sname}/{start:?}");
+                    let path = dir.join(format!("{gname}-{pname}-{sname}-{start:?}.json"));
+                    let run = |spill: Option<&Path>| {
+                        let sink = MemorySink::new();
+                        let session = RunSession::on_platform(g, &cpu, &gpu, &link, &params)
+                            .fault_plan(plan)
+                            .resilience(config(spill))
+                            .sink(&sink);
+                        let result = match &ck {
+                            None => session.source(src).run(),
+                            Some(ck) => session.resume(ck),
+                        };
+                        Captures::of(&result, &sink)
+                    };
+                    let counted = run(None);
+                    let spilled = run(Some(&path));
+                    std::fs::remove_file(&path).ok();
+                    assert!(!counted.bytes.is_empty(), "{name}: no capture");
+                    assert_eq!(counted.bytes, spilled.bytes, "{name}");
+                    assert_eq!(counted.report, spilled.report, "{name}");
+                    if let (Some((_, v, q)), "silent", None) = (&silent, pname.as_str(), start) {
+                        let parents = counted.parents.expect("a sound tree is served");
+                        assert_eq!(parents[*v as usize], *q, "{name}: the flip landed unseen");
+                        silent_flips += 1;
+                    }
+                    if let Some(rung) = start {
+                        resumed_on.push(rung);
+                    }
+                    cases += 1;
+                }
+            }
+        }
+    }
+    std::fs::remove_dir(&dir).ok();
+    for rung in [Rung::CrossCpuGpu, Rung::CpuOnly, Rung::Reference] {
+        assert!(resumed_on.contains(&rung), "no external resume on {rung}");
+    }
+    assert!(silent_flips > 0, "no graph offers a silent re-parent");
+    assert!(cases >= 2 * 14 * 3, "{cases} cases");
 }
 
 proptest! {
