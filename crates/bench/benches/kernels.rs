@@ -6,6 +6,9 @@
 //! direction and therefore run fastest. `validate` times the Graph 500
 //! check of the hybrid's output on the same graph and source, so a served
 //! query's traversal and validation costs read side by side.
+//! `validate_8` checks the hybrid's outputs from eight sources one by one,
+//! and `validate_lanes_8` checks the same eight in one lane-packed pass,
+//! as a multi-lane `BatchSession` does.
 //!
 //! The `hardening_road128` group times the recovery ladder's per-boundary
 //! guards on the road-like graph of the `hardened-road` workload. `scrub`
@@ -24,7 +27,8 @@ use std::hint::black_box;
 use xbfs_archsim::{fault::FaultPlan, ArchSpec, Link};
 use xbfs_core::{checkpoint::capture_at, CrossParams, ResilienceConfig, RunSession, Rung};
 use xbfs_engine::{
-    bottomup, hybrid, reference, topdown, validate, FixedMN, ScrubPolicy, Scrubber, TraversalState,
+    bottomup, hybrid, reference, topdown, validate, validate_lanes, BfsOutput, FixedMN,
+    ScrubPolicy, Scrubber, TraversalState,
 };
 
 fn bench_kernels(c: &mut Criterion) {
@@ -46,6 +50,23 @@ fn bench_kernels(c: &mut Criterion) {
     let out = hybrid::run(&g, src, &mut FixedMN::new(14.0, 24.0)).output;
     group.bench_function("validate", |b| {
         b.iter(|| black_box(validate(&g, black_box(&out))))
+    });
+    let outs: Vec<BfsOutput> = (1..=8)
+        .map(|seed| {
+            let src = xbfs_core::training::pick_source(&g, seed).unwrap();
+            hybrid::run(&g, src, &mut FixedMN::new(14.0, 24.0)).output
+        })
+        .collect();
+    let lanes: Vec<&BfsOutput> = outs.iter().collect();
+    group.bench_function("validate_8", |b| {
+        b.iter(|| {
+            for out in &lanes {
+                black_box(validate(&g, black_box(out))).unwrap();
+            }
+        })
+    });
+    group.bench_function("validate_lanes_8", |b| {
+        b.iter(|| black_box(validate_lanes(&g, black_box(&lanes))))
     });
     group.bench_function("reference_fifo", |b| {
         b.iter(|| black_box(reference::run(&g, src)))

@@ -13,7 +13,7 @@
 //! schedule is a discrete-event simulation: admission, queueing,
 //! deadline checks, and the shared loss ledger all advance on simulated
 //! time in a deterministic event order. Each dispatch — one query, or a
-//! lane-packed batch of them — executes inline on the event-loop thread
+//! batch of them — executes inline on the event-loop thread
 //! at its start event; its result is then held until the simulated clock
 //! reaches its completion. Queries overlap on the simulated clock, never
 //! in wall time, which is what lets the chaos suite replay seeded
@@ -222,8 +222,8 @@ impl BatchCompat {
 }
 
 /// The service's batching stage: when a slot frees, up to `window`
-/// compatible queries are popped from the queue front and served as one
-/// lane-packed [`BatchSession`] occupying a single slot.
+/// compatible queries are popped from the queue front and served as the
+/// lanes of one [`BatchSession`] occupying a single slot.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BatchPolicy {
     /// Most queries collected per dispatch; `0` or `1` disables batching
@@ -710,7 +710,7 @@ impl ServiceReport {
     }
 }
 
-/// One dispatch occupying a slot — a solo query or a lane-packed batch —
+/// One dispatch occupying a slot — a solo query or a batch —
 /// already executed at its start event and held until the simulated clock
 /// reaches its completion.
 struct Dispatch {
@@ -1030,9 +1030,9 @@ impl QueryService {
     /// dispatch occupying a single slot. Lanes whose deadline expired
     /// while queued are shed; the rest execute here, inline. One lane runs
     /// a [`RunSession`] with its own fault plan, the presumed-lost
-    /// devices, a spill path and its remaining deadline; several run one
-    /// lane-packed [`BatchSession`] bounded only by the base deadline, and
-    /// their own deadlines are settled at completion.
+    /// devices, a spill path and its remaining deadline; several run as
+    /// the lanes of one [`BatchSession`] bounded only by the base
+    /// deadline, and their own deadlines are settled at completion.
     #[allow(clippy::too_many_arguments)] // the full dispatch context
     fn start(
         &self,

@@ -40,7 +40,7 @@ use crate::recovery::{
 use crate::runtime::AdaptiveRuntime;
 use xbfs_archsim::{ArchSpec, FaultPlan, Link};
 use xbfs_engine::trace::{TraceEvent, TraceSink, NULL_SINK};
-use xbfs_engine::{validate, TraversalState, XbfsError};
+use xbfs_engine::{validate_lanes, BfsOutput, TraversalState, XbfsError};
 use xbfs_graph::{Csr, GraphStats, VertexId};
 
 /// Where the devices and switch parameters come from.
@@ -284,9 +284,10 @@ pub const MAX_LANES: usize = 64;
 /// share one link transfer. That is the amortization that makes a k-query
 /// burst cost ~one traversal instead of k.
 ///
-/// Batching amortizes only the simulated clock. On the host, each lane
-/// runs the solo stepping engine and is validated on its own, so a lane
-/// costs the CPU time of a solo session.
+/// Batching amortizes the simulated clock. On the host, each lane runs
+/// the solo stepping engine, so a lane costs a solo session's traversal;
+/// the lanes are then validated together by [`validate_lanes`], up to
+/// eight in one pass over the graph's rows.
 ///
 /// Per-lane *results* are exactly the solo results: each lane's parents,
 /// levels, and [`LevelRecord`](xbfs_engine::LevelRecord)s are produced by
@@ -422,8 +423,10 @@ impl<'a> BatchSession<'a> {
     /// [`XbfsError::InvalidArgument`] for an empty or oversized batch,
     /// [`XbfsError::BadSource`] for an out-of-range source,
     /// [`XbfsError::DeadlineExceeded`] if the batch clock blows a
-    /// configured deadline, and any error of the single-source ladder when
-    /// the batch carries one lane.
+    /// configured deadline, [`XbfsError::Validation`] with the first
+    /// failing lane's error (in lane order) if a lane of a multi-lane
+    /// batch fails Graph 500 validation, and any error of the
+    /// single-source ladder when the batch carries one lane.
     pub fn run(self) -> Result<BatchRun, XbfsError> {
         if self.sources.is_empty() || self.sources.len() > MAX_LANES {
             return Err(XbfsError::InvalidArgument {
@@ -662,10 +665,18 @@ impl<'a> BatchSession<'a> {
             });
         }
 
+        // One packed pass validates up to eight lanes; the first failing
+        // lane's error, in lane order, fails the batch.
+        let traversals: Vec<_> = states
+            .into_iter()
+            .map(TraversalState::into_traversal)
+            .collect();
+        let outputs: Vec<&BfsOutput> = traversals.iter().map(|t| &t.output).collect();
+        for result in validate_lanes(self.csr, &outputs) {
+            result?;
+        }
         let mut lane_runs = Vec::with_capacity(lanes);
-        for (lane, (state, &source)) in states.into_iter().zip(&self.sources).enumerate() {
-            let traversal = state.into_traversal();
-            validate(self.csr, &traversal.output)?;
+        for (lane, (traversal, &source)) in traversals.into_iter().zip(&self.sources).enumerate() {
             let report = RunReport {
                 rung: Rung::CrossCpuGpu,
                 rungs_tried: vec![Rung::CrossCpuGpu],

@@ -27,11 +27,13 @@
 //! the architecture simulator replays to charge per-level costs.
 //!
 //! [`validate`](crate::validate::validate) implements the Graph 500-style
-//! output checker, [`metrics`] the TEPS accounting, and
-//! [`mod@reference`] the naive queue-based baseline the paper compares
-//! against in §V-D. [`scrub`] is the mid-run counterpart of the
-//! validator: an opt-in per-level invariant pass the recovery runtime uses
-//! to catch silent data corruption before it reaches the caller.
+//! output checker, and [`validate_lanes`] checks several outputs of one
+//! graph up to eight in a pass, as a batch needs. [`metrics`] holds the
+//! TEPS accounting, and [`mod@reference`] the naive queue-based baseline
+//! the paper compares against in §V-D. [`scrub`] is the mid-run
+//! counterpart of the validator: an opt-in per-level invariant pass the
+//! recovery runtime uses to catch silent data corruption before it
+//! reaches the caller.
 
 pub mod bottomup;
 pub mod error;
@@ -54,7 +56,7 @@ pub use policy::{AlwaysBottomUp, AlwaysTopDown, Direction, FixedMN, SwitchContex
 pub use scrub::{ScrubPolicy, Scrubber};
 pub use stats::{LevelRecord, Traversal};
 pub use trace::{MemorySink, NullSink, RungOutcome, TraceEvent, TraceSink, NULL_SINK};
-pub use validate::{validate, ValidationError};
+pub use validate::{validate, validate_lanes, ValidationError};
 
 use serde::{Deserialize, Serialize};
 use xbfs_graph::{VertexId, NO_PARENT};

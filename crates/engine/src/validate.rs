@@ -33,6 +33,35 @@
 //! in that order, so the error for a given output does not depend on which
 //! row the fast sweep tripped on. The reporter doubles as the test oracle
 //! for the sweep.
+//!
+//! # Lanes
+//!
+//! [`validate_lanes`] decides several outputs of one graph in one pass
+//! over the rows, up to eight at a time, the way a batch of traversals
+//! shares its sweeps. A solo sweep costs per row rather than per edge, so
+//! the row walk is paid once for the group instead of once per lane.
+//!
+//! A packing pass first builds one `u64` per vertex holding eight 7-bit
+//! lane codes: `level + 1` for a visited vertex and 127 for an unreached
+//! one. It folds each lane's parent/level agreement on the way. The row
+//! pass then skips a row that no lane visited. In any other row each edge
+//! costs one load of the neighbour's word and a carry-free byte test,
+//! per lane, that the neighbour's code minus the row's level is 0, 1 or
+//! 2. That is exactly the solo sweep's test, provided every level is at
+//! most 124: a visited neighbour's code is then at most 125, and the code
+//! 127 is at least 3 above any row level, so an unreached neighbour fails
+//! as it should. Lanes that did not visit the row are masked out of the
+//! result. After the row, the lanes' parents are looked up in it: all
+//! eight in one branch-free scan of a short row, one binary search each in
+//! a long one (rows are sorted). A lane that visited the row needs its
+//! parent there with a code one below the row's; the parent's code comes
+//! from the packed word, which the row scan has just loaded.
+//!
+//! The length and source checks run first, lane by lane. A lane with a
+//! level above 124 cannot be packed, and the only packable lane of a group
+//! gains nothing from packing; [`validate`] decides both alone. A lane the
+//! pass rejects gets the reporter's error, so every lane's result is
+//! exactly [`validate`]'s.
 
 use crate::{BfsOutput, UNREACHED};
 use xbfs_graph::{Csr, VertexId, NO_PARENT};
@@ -117,6 +146,73 @@ impl std::error::Error for ValidationError {}
 /// assert!(validate(&g, &out).is_err());
 /// ```
 pub fn validate(csr: &Csr, out: &BfsOutput) -> Result<(), ValidationError> {
+    entry_checks(csr, out)?;
+    if visited_rows_sound(csr, out) {
+        Ok(())
+    } else {
+        first_violation(csr, out)
+    }
+}
+
+/// Validate several outputs of one graph: element `i` of the result is
+/// exactly `validate(csr, outputs[i])`.
+///
+/// Up to eight lanes share one pass over the rows (see the module docs,
+/// "Lanes"); a lane with a level above 124, or the only packable lane of
+/// a group, is validated alone.
+///
+/// # Examples
+/// ```
+/// use xbfs_engine::{topdown, validate_lanes, ValidationError};
+///
+/// let g = xbfs_graph::gen::path(4);
+/// let good = topdown::run(&g, 0).output;
+/// let mut bad = topdown::run(&g, 3).output;
+/// bad.levels[3] = 1; // the source must sit at level 0
+/// assert_eq!(
+///     validate_lanes(&g, &[&good, &bad]),
+///     [Ok(()), Err(ValidationError::BadSource)]
+/// );
+/// ```
+pub fn validate_lanes(csr: &Csr, outputs: &[&BfsOutput]) -> Vec<Result<(), ValidationError>> {
+    let mut results = vec![Ok(()); outputs.len()];
+    let mut packable = Vec::with_capacity(outputs.len());
+    for (i, out) in outputs.iter().enumerate() {
+        if packs(csr, out) {
+            packable.push(i);
+        } else {
+            results[i] = validate(csr, out);
+        }
+    }
+    let mut codes = Vec::new();
+    for group in packable.chunks(LANES_PER_PASS) {
+        if let [only] = group {
+            results[*only] = validate(csr, outputs[*only]);
+            continue;
+        }
+        let lanes: Vec<&BfsOutput> = group.iter().map(|&i| outputs[i]).collect();
+        let rejected = packed_rows_sound(csr, &lanes, &mut codes);
+        for (lane, &i) in group.iter().enumerate() {
+            if rejected & (0x80 << (8 * lane)) != 0 {
+                results[i] = first_violation(csr, outputs[i]);
+            }
+        }
+    }
+    results
+}
+
+/// Whether `out` may share a packed pass: it passes the entry checks and
+/// holds no level above [`MAX_PACKED_LEVEL`].
+fn packs(csr: &Csr, out: &BfsOutput) -> bool {
+    entry_checks(csr, out).is_ok()
+        && out
+            .levels
+            .iter()
+            .all(|&l| l <= MAX_PACKED_LEVEL || l == UNREACHED)
+}
+
+/// The length and source checks every output passes before its rows.
+fn entry_checks(csr: &Csr, out: &BfsOutput) -> Result<(), ValidationError> {
     let n = csr.num_vertices() as usize;
     if out.parents.len() != n || out.levels.len() != n {
         return Err(ValidationError::WrongLength);
@@ -125,11 +221,7 @@ pub fn validate(csr: &Csr, out: &BfsOutput) -> Result<(), ValidationError> {
     if out.parents[s] != out.source || out.levels[s] != 0 {
         return Err(ValidationError::BadSource);
     }
-    if visited_rows_sound(csr, out) {
-        Ok(())
-    } else {
-        first_violation(csr, out)
-    }
+    Ok(())
 }
 
 /// The single pass: `true` iff properties 2–5 hold. Assumes the lengths
@@ -182,18 +274,130 @@ fn scan_row(levels: &[u32], row: &[VertexId], level: u32, parent: VertexId) -> (
     (near, parent_adjacent)
 }
 
+/// Lanes one packed word carries, one byte each.
+const LANES_PER_PASS: usize = 8;
+
+/// Deepest level a packed lane may hold; see the module docs, "Lanes".
+const MAX_PACKED_LEVEL: u32 = 124;
+
+/// The lane code of an unreached vertex.
+const UNREACHED_CODE: u64 = 127;
+
+/// `1` in every byte of a packed word.
+const ONES: u64 = 0x0101_0101_0101_0101;
+
+/// The high bit of every byte: one flag per lane.
+const HIGH: u64 = ONES << 7;
+
+/// [`UNREACHED_CODE`] in every byte: the word of a vertex no lane reached.
+const ALL_UNREACHED: u64 = ONES * UNREACHED_CODE;
+
+/// Rows up to this long are matched against every lane's parent in one
+/// branch-free scan; longer rows are binary-searched lane by lane.
+const SHORT_ROW: usize = 64;
+
+/// The packed pass over up to eight lanes that each [`packs`]. Returns
+/// the rejected lanes as the high bits of their bytes: lane `i` is
+/// rejected iff [`visited_rows_sound`] fails for it. `codes` is scratch
+/// space for the packed words.
+fn packed_rows_sound(csr: &Csr, lanes: &[&BfsOutput], codes: &mut Vec<u64>) -> u64 {
+    debug_assert!(lanes.len() <= LANES_PER_PASS);
+    codes.clear();
+    codes.resize(csr.num_vertices() as usize, ALL_UNREACHED);
+    let mut rejected = 0;
+    for (lane, out) in lanes.iter().enumerate() {
+        let shift = 8 * lane;
+        let mut mismatch = false;
+        for ((word, &level), &parent) in codes.iter_mut().zip(&out.levels).zip(&out.parents) {
+            let code = if level == UNREACHED {
+                UNREACHED_CODE
+            } else {
+                u64::from(level) + 1
+            };
+            *word ^= (code ^ UNREACHED_CODE) << shift;
+            mismatch |= (parent != NO_PARENT) != (level != UNREACHED);
+        }
+        rejected |= u64::from(mismatch) << (shift + 7);
+    }
+
+    let offsets = csr.row_offsets();
+    let columns = csr.column_indices();
+    for (u, &word) in codes.iter().enumerate() {
+        // A visited lane's byte is nonzero here, and adding 127 sets its
+        // high bit without a carry out of the byte.
+        let visited = ((word ^ ALL_UNREACHED) + ONES * 0x7F) & HIGH;
+        if visited == 0 {
+            continue;
+        }
+        let row = &columns[offsets[u] as usize..offsets[u + 1] as usize];
+
+        // A neighbour's code `a` is within one level of the row's code `c`
+        // iff `s = a + 126 - c` lies in 125..=127: the high bit of `s`
+        // clear and that of `s + 3` set. Unvisited lanes add 0 instead.
+        // No byte sum reaches 256, so no lane carries into the next.
+        let keep = (visited >> 7) * 0xFF;
+        let offset = (ONES * 126 - (word & keep)) & keep;
+        let mut above = 0;
+        let mut reached = HIGH;
+        for &v in row {
+            let code = codes[v as usize];
+            above |= code + offset;
+            reached &= code + offset + ONES * 3;
+        }
+        rejected |= (above | !reached) & visited;
+
+        let mut parents = [NO_PARENT; LANES_PER_PASS];
+        let mut tree_edges = 0;
+        for (lane, out) in lanes.iter().enumerate() {
+            parents[lane] = out.parents[u];
+            tree_edges |= u64::from(u == out.source as usize) << (8 * lane + 7);
+        }
+        let found = parents_in_row(row, &parents, lanes.len());
+        for (lane, (&parent, found)) in parents.iter().zip(found).enumerate() {
+            // The parent must be in the row, one level shallower. A parent
+            // out of range is in no row, and `get` keeps it from indexing.
+            let shift = 8 * lane;
+            let code = (word >> shift) & 0x7F;
+            let parent_code = codes
+                .get(parent as usize)
+                .map_or(0, |w| (w >> shift) & 0x7F);
+            let tree_edge = found & (parent_code + 1 == code);
+            tree_edges |= u64::from(tree_edge) << (shift + 7);
+        }
+        rejected |= visited & !tree_edges;
+    }
+    rejected
+}
+
+/// Which of the first `lanes` entries of `parents` the sorted `row` holds.
+/// The other entries are [`NO_PARENT`], which no row holds.
+#[inline]
+fn parents_in_row(
+    row: &[VertexId],
+    parents: &[VertexId; LANES_PER_PASS],
+    lanes: usize,
+) -> [bool; LANES_PER_PASS] {
+    let mut found = [false; LANES_PER_PASS];
+    if row.len() <= SHORT_ROW {
+        for &v in row {
+            for (found, &parent) in found.iter_mut().zip(parents) {
+                *found |= v == parent;
+            }
+        }
+    } else {
+        for (found, parent) in found.iter_mut().zip(&parents[..lanes]) {
+            *found = row.binary_search(parent).is_ok();
+        }
+    }
+    found
+}
+
 /// The exact reporter: the first violation, found by a tree-edge loop and
 /// then an edge sweep over every row. Cold; runs only on rejected outputs.
 #[cold]
 fn first_violation(csr: &Csr, out: &BfsOutput) -> Result<(), ValidationError> {
+    entry_checks(csr, out)?;
     let n = csr.num_vertices() as usize;
-    if out.parents.len() != n || out.levels.len() != n {
-        return Err(ValidationError::WrongLength);
-    }
-    let s = out.source as usize;
-    if out.parents[s] != out.source || out.levels[s] != 0 {
-        return Err(ValidationError::BadSource);
-    }
 
     for v in csr.vertices() {
         let vi = v as usize;
@@ -452,6 +656,46 @@ mod tests {
         (g, out)
     }
 
+    /// A corpus graph and 1–12 lanes on it, so a batch can span two
+    /// groups: each lane a source seed and 0–3 corruptions.
+    fn arb_lanes() -> impl Strategy<Value = (usize, Vec<(u32, Vec<Corruption>)>)> {
+        let lane = (
+            any::<u32>(),
+            prop::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 0..4),
+        );
+        (0..corpus().len(), prop::collection::vec(lane, 1..13))
+    }
+
+    /// Each lane's result of [`validate_lanes`] must be [`validate`]'s.
+    fn assert_lanes_match_validate(g: &Csr, outputs: &[BfsOutput]) {
+        let lanes: Vec<&BfsOutput> = outputs.iter().collect();
+        let solo: Vec<_> = outputs.iter().map(|out| validate(g, out)).collect();
+        assert_eq!(validate_lanes(g, &lanes), solo);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn lanes_match_solo_validation((graph, lanes) in arb_lanes()) {
+            let g = &corpus()[graph];
+            let outputs: Vec<BfsOutput> = lanes
+                .into_iter()
+                .map(|(source, corruptions)| corrupted((graph, source, corruptions)).1)
+                .collect();
+            let refs: Vec<&BfsOutput> = outputs.iter().collect();
+            let solo: Vec<_> = refs.iter().map(|out| validate(g, out)).collect();
+            prop_assert_eq!(validate_lanes(g, &refs), solo);
+            // The pass itself must be exact too: a lane it rejects by
+            // mistake would still get the reporter's `Ok`, only slower.
+            let packable: Vec<&BfsOutput> = refs.into_iter().filter(|out| packs(g, out)).collect();
+            for group in packable.chunks(LANES_PER_PASS) {
+                let expected: Vec<bool> = group.iter().map(|out| !visited_rows_sound(g, out)).collect();
+                prop_assert_eq!(packed_rejections(g, group), expected);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
@@ -565,5 +809,146 @@ mod tests {
         out.parents[0] = NO_PARENT;
         out.levels[0] = UNREACHED;
         assert_pinned(&g, &out, Err(ValidationError::Incomplete { u: 1, v: 0 }));
+    }
+
+    /// The lanes' packed pass alone: which of `outputs` it rejects, in
+    /// lane order.
+    fn packed_rejections(g: &Csr, outputs: &[&BfsOutput]) -> Vec<bool> {
+        let rejected = packed_rows_sound(g, outputs, &mut Vec::new());
+        (0..outputs.len())
+            .map(|lane| rejected & (0x80 << (8 * lane)) != 0)
+            .collect()
+    }
+
+    /// `out` with its vertex `v` erased from the tree.
+    fn erased(mut out: BfsOutput, v: usize) -> BfsOutput {
+        out.parents[v] = NO_PARENT;
+        out.levels[v] = UNREACHED;
+        out
+    }
+
+    #[test]
+    fn level_124_packs_and_level_125_is_validated_alone() {
+        // On a 125-vertex path from one end the deepest level is 124, the
+        // deepest a lane may pack. The erased lane's level-123 row meets
+        // an unreached neighbour.
+        let g = gen::path(125);
+        let clean = topdown::run(&g, 0).output;
+        let cut = erased(clean.clone(), 124);
+        assert_eq!(packed_rejections(&g, &[&clean, &cut]), [false, true]);
+        assert_eq!(
+            validate_lanes(&g, &[&clean, &cut]),
+            [Ok(()), Err(ValidationError::Incomplete { u: 123, v: 124 })]
+        );
+
+        // One vertex longer, the clean lane reaches level 125 and is
+        // validated alone. Its erased copy is 124 deep and packs beside a
+        // lane from vertex 1; its level-124 row meets code 127, exactly 3
+        // above the row's level.
+        let g = gen::path(126);
+        let deep = topdown::run(&g, 0).output;
+        let cut = erased(deep.clone(), 125);
+        let shifted = topdown::run(&g, 1).output;
+        assert_eq!(deep.max_level(), 125);
+        assert_eq!(packed_rejections(&g, &[&cut, &shifted]), [true, false]);
+        // A corrupt lane that is still 125 deep gets `validate`'s error.
+        let deep_cut = erased(deep.clone(), 124);
+        assert_eq!(
+            validate_lanes(&g, &[&deep, &cut, &shifted, &deep_cut]),
+            [
+                Ok(()),
+                Err(ValidationError::Incomplete { u: 124, v: 125 }),
+                Ok(()),
+                Err(ValidationError::BadTreeLevel {
+                    v: 125,
+                    level: 125,
+                    parent_level: UNREACHED,
+                }),
+            ]
+        );
+        assert_lanes_match_validate(&g, &[deep, cut, shifted, deep_cut]);
+    }
+
+    #[test]
+    fn the_ninth_lane_alone_is_corrupt() {
+        // Eight clean lanes fill the first group; the ninth is the only
+        // lane of the second, so it is validated alone.
+        let g = xbfs_graph::rmat::rmat_csr(8, 8);
+        let mut outputs: Vec<BfsOutput> = (0..9)
+            .map(|i| topdown::run(&g, i * 29 % g.num_vertices()).output)
+            .collect();
+        let v = (0..g.num_vertices())
+            .find(|&v| outputs[8].levels[v as usize] == 2)
+            .unwrap();
+        outputs[8].parents[v as usize] = outputs[8].source;
+        let lanes: Vec<&BfsOutput> = outputs.iter().collect();
+        let results = validate_lanes(&g, &lanes);
+        assert!(results[..8].iter().all(Result::is_ok), "{results:?}");
+        assert!(results[8].is_err());
+        assert_lanes_match_validate(&g, &outputs);
+    }
+
+    #[test]
+    fn entry_errors_sit_beside_valid_lanes() {
+        let g = gen::path(6);
+        let valid = topdown::run(&g, 0).output;
+        let mut short = topdown::run(&g, 2).output;
+        short.levels.pop();
+        let mut bad_source = topdown::run(&g, 5).output;
+        bad_source.parents[5] = 4;
+        let other = topdown::run(&g, 3).output;
+        assert_eq!(
+            validate_lanes(&g, &[&valid, &short, &bad_source, &other]),
+            [
+                Ok(()),
+                Err(ValidationError::WrongLength),
+                Err(ValidationError::BadSource),
+                Ok(()),
+            ]
+        );
+        assert!(validate_lanes(&g, &[]).is_empty());
+    }
+
+    #[test]
+    fn packed_parent_with_bit_31_flipped_is_a_phantom_edge() {
+        // The flipped parent is in no row, and its packed word is never read.
+        let g = gen::path(5);
+        let valid = topdown::run(&g, 4).output;
+        let mut flipped = topdown::run(&g, 0).output;
+        flipped.parents[2] ^= 1 << 31;
+        assert_eq!(packed_rejections(&g, &[&valid, &flipped]), [false, true]);
+        assert_eq!(
+            validate_lanes(&g, &[&valid, &flipped]),
+            [Ok(()), Err(ValidationError::PhantomTreeEdge { v: 2 })]
+        );
+    }
+
+    #[test]
+    fn a_non_source_vertex_claiming_level_0_is_rejected() {
+        // On a star every leaf is one level below the source, so a leaf
+        // claiming level 0 passes the near test and only its tree edge
+        // fails: as its own parent it is no neighbour of itself, and under
+        // the source it is not one level deeper.
+        let g = gen::star(9);
+        let valid = topdown::run(&g, 0).output;
+        let mut own_parent = valid.clone();
+        own_parent.parents[2] = 2;
+        own_parent.levels[2] = 0;
+        let mut flat = valid.clone();
+        flat.levels[3] = 0;
+        let lanes = [&valid, &own_parent, &flat];
+        assert_eq!(packed_rejections(&g, &lanes), [false, true, true]);
+        assert_eq!(
+            validate_lanes(&g, &lanes),
+            [
+                Ok(()),
+                Err(ValidationError::PhantomTreeEdge { v: 2 }),
+                Err(ValidationError::BadTreeLevel {
+                    v: 3,
+                    level: 0,
+                    parent_level: 0,
+                }),
+            ]
+        );
     }
 }
