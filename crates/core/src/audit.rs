@@ -152,8 +152,8 @@ impl DecisionAudit {
     }
 
     /// Every attributed second: the sum of [`Self::phases`]. It equals
-    /// [`Self::total_seconds`] unless the run resumed from a checkpoint or
-    /// re-uploaded one (see [`decision_audit`]).
+    /// [`Self::total_seconds`] unless the run is an external resume (see
+    /// [`decision_audit`]).
     pub fn attributed_s(&self) -> f64 {
         self.phases.iter().map(|p| p.seconds).sum()
     }
@@ -185,13 +185,10 @@ fn op_device(op: &str) -> &'static str {
 ///
 /// The attribution sums the trace's leaf spans ([`TraceEvent::Kernel`],
 /// [`TraceEvent::Transfer`], [`TraceEvent::Backoff`] and
-/// [`TraceEvent::Checkpoint`]), failed attempts included, so it covers
-/// every spanned second of the simulated clock. One charge has no span:
-/// the re-upload of the frontier and visited bitmap when the cross rung
-/// restarts from a device-resident checkpoint, as an external resume
-/// (or a rollback repair after the handoff) does. An external resume's
-/// trace also starts at the checkpoint's clock, so its `total_seconds`
-/// carries a prefix the attribution never saw.
+/// [`TraceEvent::Checkpoint`]), failed attempts included. Every charge of
+/// the simulated clock has one, so the attribution is the makespan. An
+/// external resume's trace starts at the checkpoint's clock, so its
+/// `total_seconds` carries a prefix the attribution never saw.
 ///
 /// The oracle side sweeps the full 900-candidate pair grid, which costs
 /// `O(900 × depth)` — trivial next to a traversal but not free; audit

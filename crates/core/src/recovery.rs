@@ -725,12 +725,15 @@ impl<'a> Recovery<'a> {
         } else {
             Residency::Host
         };
-        if residency == Residency::Device {
-            let t = link.transfer_time(Link::pullback_bytes(
+        let pullback_bytes = (residency == Residency::Device).then(|| {
+            Link::pullback_bytes(
                 csr.num_vertices() as u64,
                 device_discovered,
                 st.frontier.len() as u64,
-            ));
+            )
+        });
+        if let Some(bytes) = pullback_bytes {
+            let t = link.transfer_time(bytes);
             self.checkpoint_seconds += t;
             self.clock.charge(t).map_err(RungError::Fatal)?;
         }
@@ -755,7 +758,19 @@ impl<'a> Recovery<'a> {
         if ck.audit(csr, !scrubbed).is_err() {
             // A state that fails its own audit must never become a resume
             // point; keep the previous checkpoint and let end-of-rung
-            // validation deal with the corruption.
+            // validation deal with the corruption. The pullback was still
+            // charged, and with no checkpoint span to cover it, it gets a
+            // transfer span of its own.
+            if let (Some(bytes), true) = (pullback_bytes, self.sink.enabled()) {
+                self.sink.record(&TraceEvent::Transfer {
+                    level: st.next_level,
+                    bytes,
+                    attempt: 0,
+                    start_s: capture_start_s,
+                    end_s: self.clock.elapsed_s,
+                    ok: true,
+                });
+            }
             return Ok(());
         }
         self.checkpoints_taken += 1;
@@ -862,13 +877,23 @@ impl<'a> Recovery<'a> {
                     // The checkpoint is host-durable; put the frontier and
                     // visited bitmap back on the device before continuing
                     // the GPU phase. Supervised machinery, not a faultable
-                    // kernel launch — charged, never injected.
-                    let t = link.transfer_time(Link::handoff_bytes(
-                        csr.num_vertices() as u64,
-                        state.frontier.len() as u64,
-                    ));
+                    // kernel launch — charged and spanned, never injected.
+                    let bytes =
+                        Link::handoff_bytes(csr.num_vertices() as u64, state.frontier.len() as u64);
+                    let t = link.transfer_time(bytes);
+                    let start_s = self.clock.elapsed_s;
                     self.checkpoint_seconds += t;
                     self.clock.charge(t).map_err(RungError::Fatal)?;
+                    if self.sink.enabled() {
+                        self.sink.record(&TraceEvent::Transfer {
+                            level: from,
+                            bytes,
+                            attempt: 0,
+                            start_s,
+                            end_s: self.clock.elapsed_s,
+                            ok: true,
+                        });
+                    }
                 }
                 Placer::Cross {
                     driver: CrossDriver::resume(*params, ck.handed_off, ck.placements.clone()),

@@ -2,19 +2,22 @@
 //! ([`decision_audit`]) against real simulated runs: a deterministic run
 //! re-executes to the identical trace; every clock charge of a fresh run,
 //! chaos included, lands in a `(phase, device)` cell, so the attributed
-//! phases sum to the makespan; a run that degrades to the single-lane
-//! reference rung is *all* `kernel/cpu`; and an external resume of a
-//! handed-off cross checkpoint leaves exactly its re-upload unattributed.
+//! phases sum to the makespan, over seeded chaos and over every committed
+//! chaos plan, rollback repairs included; a run that degrades to the
+//! single-lane reference rung is *all* `kernel/cpu`; and an external
+//! resume of a handed-off cross checkpoint spans its re-upload, so only
+//! the checkpoint's own clock goes unattributed.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use xbfs::archsim::{ArchSpec, FaultOp, FaultPlan, Link};
 use xbfs::core::checkpoint::{capture_at, CheckpointPolicy};
 use xbfs::core::{
     decision_audit, CrossParams, DecisionAudit, RecoveredRun, ResilienceConfig, RunSession, Rung,
 };
 use xbfs::engine::trace::MemorySink;
-use xbfs::engine::FixedMN;
+use xbfs::engine::{FixedMN, ScrubPolicy};
 use xbfs::graph::Csr;
 
 fn fixture() -> (Csr, u32, ArchSpec, ArchSpec, Link, CrossParams) {
@@ -161,18 +164,83 @@ fn single_lane_reference_run_is_all_critical_path() {
     );
 }
 
+/// Every committed chaos plan, its file name first.
+fn chaos_plans() -> Vec<(String, FaultPlan)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("chaos");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("chaos corpus dir {}: {e}", dir.display()))
+        .map(|entry| entry.expect("readable dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .collect();
+    files.sort();
+    files
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path).expect("readable plan");
+            let plan = FaultPlan::from_json(&text).expect("plan parses");
+            (
+                path.file_name().unwrap().to_string_lossy().into_owned(),
+                plan,
+            )
+        })
+        .collect()
+}
+
+/// Every committed chaos plan, with a checkpoint every level or every two
+/// and with or without a scrub every level and checksummed transfers:
+/// whatever the ladder does (retries, degradations, rollback repairs that
+/// re-upload a device-resident checkpoint, captures refused by their
+/// audit), each clock charge has a span, so the attribution is the
+/// makespan.
+#[test]
+fn every_chaos_plan_attributes_its_whole_makespan() {
+    let (g, src, cpu, gpu, link, params) = fixture();
+    for (name, plan) in chaos_plans() {
+        for every in [1, 2] {
+            for hardened in [false, true] {
+                let config = ResilienceConfig {
+                    checkpoint: CheckpointPolicy::every(every),
+                    scrub: if hardened {
+                        ScrubPolicy::every_level()
+                    } else {
+                        ScrubPolicy::Off
+                    },
+                    checksum_transfers: hardened,
+                    ..ResilienceConfig::default_runtime()
+                };
+                let case = format!("{name}, checkpoint every {every}, hardened {hardened}");
+                let sink = MemorySink::new();
+                let run = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+                    .source(src)
+                    .fault_plan(&plan)
+                    .resilience(config)
+                    .sink(&sink)
+                    .run()
+                    .unwrap_or_else(|e| panic!("{case}: {e:?}"));
+                let total = run.report.total_seconds;
+                let attributed = audit_of(&run, &sink).attributed_s();
+                assert!(
+                    (total - attributed).abs() <= 1e-9 * total,
+                    "{case}: attributed {attributed} of {total}"
+                );
+            }
+        }
+    }
+}
+
 /// An external resume of a cross checkpoint taken after the handoff puts
 /// the frontier and visited bitmap back on the device before the GPU
-/// phase continues. That re-upload is the one charge with no span, so the
-/// resumed clock less the checkpoint's own clock less the attribution is
-/// exactly its transfer time: a new unspanned charge, or a lost span,
-/// moves the difference.
+/// phase continues, and spans that re-upload as a transfer. The resumed
+/// trace starts at the checkpoint's clock, so the resumed clock less the
+/// checkpoint's own clock is exactly the attribution: an unspanned charge,
+/// or a lost span, moves the difference.
 #[test]
-fn resumed_cross_run_leaves_only_the_reupload_unattributed() {
+fn resumed_cross_run_attributes_everything_after_its_checkpoint() {
     let (g, src, cpu, gpu, link, params) = fixture();
     let plan = FaultPlan::none();
     let config = ResilienceConfig::default_runtime();
-    let n = g.num_vertices() as u64;
     for level in 1..=5u32 {
         let ck = capture_at(
             &g,
@@ -197,14 +265,9 @@ fn resumed_cross_run_leaves_only_the_reupload_unattributed() {
             .expect("fault-free resume");
         let total = run.report.total_seconds;
         let unattributed = total - ck.clock_s - audit_of(&run, &sink).attributed_s();
-        let reupload = if ck.handed_off {
-            link.transfer_time(Link::handoff_bytes(n, ck.state.frontier.len() as u64))
-        } else {
-            0.0
-        };
         assert!(
-            (unattributed - reupload).abs() <= 1e-9 * total,
-            "level {level}: unattributed {unattributed} vs re-upload {reupload}"
+            unattributed.abs() <= 1e-9 * total,
+            "level {level}: unattributed {unattributed} of {total}"
         );
     }
 }
