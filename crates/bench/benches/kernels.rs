@@ -20,14 +20,19 @@
 //! `hardened_session` times one whole fault-free [`RunSession`] under the
 //! workload's resilience configuration (a scrub every level, checksummed
 //! transfers, a checkpoint every 4 levels): the traversal and its guards
-//! together.
+//! together. `chrome_trace` renders that session's trace as a chrome
+//! trace, and `metrics_fold` folds it into a fresh [`Metrics`] registry:
+//! the two exports the workload pays per query.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use xbfs_archsim::{fault::FaultPlan, ArchSpec, Link};
-use xbfs_core::{checkpoint::capture_at, CrossParams, ResilienceConfig, RunSession, Rung};
+use xbfs_core::{
+    checkpoint::capture_at, chrome_trace_json, CrossParams, Metrics, ResilienceConfig, RunSession,
+    Rung,
+};
 use xbfs_engine::{
-    bottomup, hybrid, reference, topdown, validate, validate_lanes, BfsOutput, FixedMN,
+    bottomup, hybrid, reference, topdown, validate, validate_lanes, BfsOutput, FixedMN, MemorySink,
     ScrubPolicy, Scrubber, TraversalState,
 };
 
@@ -136,6 +141,24 @@ fn bench_hardening(c: &mut Criterion) {
                 .resilience(hardened.clone())
                 .run();
             black_box(run.unwrap())
+        })
+    });
+    let sink = MemorySink::new();
+    RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+        .source(src)
+        .resilience(hardened.clone())
+        .sink(&sink)
+        .run()
+        .unwrap();
+    let events = sink.events();
+    group.bench_function("chrome_trace", |b| {
+        b.iter(|| black_box(chrome_trace_json(black_box(&events))))
+    });
+    group.bench_function("metrics_fold", |b| {
+        b.iter(|| {
+            let mut metrics = Metrics::default();
+            metrics.fold(black_box(&events));
+            black_box(metrics)
         })
     });
     group.finish();
