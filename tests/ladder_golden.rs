@@ -4,7 +4,10 @@
 //! Each case runs traversals into a `MemorySink` and folds what they
 //! produce into FNV-1a digests: the report JSON (or the typed error), the
 //! chrome trace, the Prometheus text, the output maps and the online
-//! bandit's observations. `tests/golden/ladder.digests` holds one line
+//! bandit's observations. Each chrome trace must also reprint byte for
+//! byte through `from_str::<Value>` and `to_string_pretty`: the exporter
+//! writes its records straight into text, in exactly the vendored
+//! `serde_json`'s pretty format. `tests/golden/ladder.digests` holds one line
 //! per case. The cases, each on an R-MAT and a road-like graph:
 //!
 //! * every committed chaos plan × four resilience configurations (a
@@ -45,6 +48,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 fn digest(text: &str) -> String {
     format!("{:016x}", fnv1a(text.as_bytes()))
+}
+
+/// The chrome trace of case `name`, checked to reprint byte for byte
+/// through the `Value` tree.
+fn chrome_text(name: &str, events: &[TraceEvent]) -> String {
+    let text = chrome_trace_json(events);
+    let value: serde_json::Value = serde_json::from_str(&text)
+        .unwrap_or_else(|e| panic!("{name}: the chrome trace is not JSON: {e:?}"));
+    assert!(
+        serde_json::to_string_pretty(&value).expect("a Value serializes") == text,
+        "{name}: the chrome trace differs from the vendored pretty format"
+    );
+    text
 }
 
 fn maps_text(output: &BfsOutput) -> String {
@@ -118,7 +134,7 @@ fn run_line(
     format!(
         "{name} {outcome} report={} trace={} prom={} maps={} obs={}",
         digest(&report),
-        digest(&chrome_trace_json(&events)),
+        digest(&chrome_text(name, &events)),
         digest(&prometheus_text(&events)),
         digest(&maps),
         digest(&observations),
@@ -367,7 +383,7 @@ fn batch_lines(reached: &mut Reached) -> Vec<String> {
                     "{name} lanes={} report={} trace={} prom={} maps={} obs={}",
                     batch.lanes.len(),
                     digest(&report),
-                    digest(&chrome_trace_json(&events)),
+                    digest(&chrome_text(&name, &events)),
                     digest(&prometheus_text(&events)),
                     digest(&maps),
                     digest(&observations),
