@@ -91,13 +91,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// `true` if retrying the operation can ever succeed. A detected bit
-    /// flip is transient in this sense: re-running the transfer or kernel
-    /// produces an uncorrupted result.
-    pub fn is_transient(self) -> bool {
-        !matches!(self, FaultKind::DeviceLost)
-    }
-
     /// Stable lowercase label for trace events and metrics keys.
     pub fn name(self) -> &'static str {
         match self {
@@ -623,14 +616,13 @@ mod tests {
     }
 
     #[test]
-    fn bit_flip_labels_and_transience() {
+    fn bit_flip_labels() {
         let k = FaultKind::BitFlip {
             payload: CorruptPayload::Bitmap,
             word: 0,
             bit: 31,
         };
         assert_eq!(k.name(), "bit-flip");
-        assert!(k.is_transient());
         assert_eq!(CorruptPayload::Bitmap.name(), "bitmap");
         assert_eq!(CorruptPayload::Parents.name(), "parents");
     }

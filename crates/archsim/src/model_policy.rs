@@ -15,8 +15,7 @@
 //! neighbor (geometric, ≈ `1/p` probes) or scans its whole adjacency.
 //!
 //! The estimator tracks visited totals across calls, so one instance must
-//! not be reused across traversals ([`CostModelPolicy::reset`] or a fresh
-//! instance per run).
+//! not be reused across traversals: make a fresh instance per run.
 
 use crate::ArchSpec;
 use xbfs_engine::{Direction, SwitchContext, SwitchPolicy};
@@ -54,12 +53,6 @@ impl CostModelPolicy {
             visited_edges: 0,
             visited_vertices: 0,
         }
-    }
-
-    /// Forget accumulated state so the instance can drive a new traversal.
-    pub fn reset(&mut self) {
-        self.visited_edges = 0;
-        self.visited_vertices = 0;
     }
 
     /// Estimated bottom-up probes for the level described by `ctx`, given
@@ -196,16 +189,5 @@ mod tests {
             .map(|r| cost::level_time_for_record(&arch, r))
             .sum();
         assert!(t_model < t_bad, "model {t_model} vs mistuned {t_bad}");
-    }
-
-    #[test]
-    fn reset_clears_accumulated_state() {
-        let g = rmat();
-        let src = non_isolated_source(&g);
-        let mut policy = CostModelPolicy::new(ArchSpec::cpu_sandy_bridge());
-        let first = hybrid::run(&g, src, &mut policy).direction_script();
-        policy.reset();
-        let second = hybrid::run(&g, src, &mut policy).direction_script();
-        assert_eq!(first, second);
     }
 }

@@ -65,11 +65,6 @@ impl TraversalProfile {
         self.levels.len()
     }
 
-    /// Total top-down edge examinations over the whole traversal.
-    pub fn total_td_edges(&self) -> u64 {
-        self.levels.iter().map(|l| l.frontier_edges).sum()
-    }
-
     /// Total bottom-up probes if every level ran bottom-up.
     pub fn total_bu_probes(&self) -> u64 {
         self.levels.iter().map(|l| l.bu_probes).sum()
@@ -221,7 +216,8 @@ mod tests {
         // Sum of frontier edges over all levels = directed edges of the
         // component (every component edge is examined once per endpoint).
         let comp_directed: u64 = 2 * p.component_edges;
-        assert_eq!(p.total_td_edges(), comp_directed);
+        let td_edges: u64 = p.levels.iter().map(|l| l.frontier_edges).sum();
+        assert_eq!(td_edges, comp_directed);
     }
 
     #[test]

@@ -661,9 +661,12 @@ type DeferredSchedule = Box<dyn FnOnce(u32) -> Result<Vec<ScheduleItem>, String>
 /// read; the returned closure takes the graph's vertex count, which only
 /// the seeded sources need, and refuses a graph with none to draw from.
 fn serve_schedule(args: &Args) -> Result<DeferredSchedule, String> {
-    let drain = args
-        .parse_num::<f64>("drain-at")?
-        .map(|at_s| ScheduleItem::Drain { at_s });
+    let drain = match args.parse_num::<f64>("drain-at")? {
+        Some(at_s) if !(at_s.is_finite() && at_s >= 0.0) => {
+            return Err(format!("--drain-at must be finite and >= 0, got {at_s}"));
+        }
+        at => at.map(|at_s| ScheduleItem::Drain { at_s }),
+    };
     let mut schedule: Vec<ScheduleItem> = Vec::new();
     if let Some(path) = args.get("requests") {
         // A replayed stream carries its own arrivals, deadlines and plans.
@@ -1016,6 +1019,16 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             Some(FaultPlan::from_json(&text).map_err(|e| format!("{path}: {e}"))?)
         }
     };
+    let tol = perf::PerfTolerance {
+        rel: args.parse_num("tolerance")?.unwrap_or(1e-6),
+        ..perf::PerfTolerance::default()
+    };
+    if !(tol.rel.is_finite() && tol.rel >= 0.0) {
+        return Err(format!(
+            "--tolerance must be finite and >= 0, got {}",
+            tol.rel
+        ));
+    }
 
     ui.say(format!(
         "running pinned perf suite (preset {preset_name}, {} scales x {{{}, chaos}})…",
@@ -1140,10 +1153,6 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 
     if let Some(path) = args.get("compare") {
         let baseline = perf::BenchReport::load(std::path::Path::new(path))?;
-        let tol = perf::PerfTolerance {
-            rel: args.parse_num("tolerance")?.unwrap_or(1e-6),
-            ..perf::PerfTolerance::default()
-        };
         let outcome = perf::compare(&report, &baseline, &tol);
         for note in &outcome.improvements {
             ui.say(format!("improvement: {note}"));

@@ -461,6 +461,27 @@ fn bench_overlay_slowdown_trips_gate() {
 }
 
 #[test]
+fn bench_tolerance_is_checked_before_the_suite_runs() {
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baseline.json");
+    for bad in ["nan", "inf", "-1", "x"] {
+        let bench_dir = tmpfile(&format!("bench-tolerance-{bad}"));
+        let out = cli()
+            .args(["bench", "--compare", baseline, "--tolerance", bad])
+            .args(["--bench-dir", bench_dir.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--tolerance {bad}: {stderr}");
+        assert!(
+            stderr.contains("--tolerance"),
+            "--tolerance {bad}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "--tolerance {bad} ran the suite");
+        assert!(!bench_dir.exists(), "--tolerance {bad} wrote a BENCH file");
+    }
+}
+
+#[test]
 fn repro_trace_out_writes_recovery_trace() {
     let trace_dir = tmpfile("repro-traces");
     let artifacts = tmpfile("repro-artifacts");
@@ -786,6 +807,14 @@ fn serve_flag_errors_fail_before_the_graph_is_read() {
             "--request-deadline",
         ),
         (&["--arrivals", "4", "--drain-at", "x"], "--drain-at"),
+        (
+            &["--arrivals", "4", "--drain-at", "nan"],
+            "--drain-at must be finite",
+        ),
+        (
+            &["--arrivals", "4", "--drain-at", "-1"],
+            "--drain-at must be finite",
+        ),
         (
             &[
                 "--arrivals",

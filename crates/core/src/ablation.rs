@@ -190,23 +190,6 @@ pub fn feature_ablation(ts: &TrainingSet, features: FeatureSet) -> f64 {
     xbfs_svm::model_selection::cross_validate(&masked, cfg, 4.min(masked.len()))
 }
 
-/// In-sample mean-squared error of an SVR fit on the masked `dataset_m` —
-/// the information-content half of ablation 2, complementing the
-/// generalization story of [`feature_ablation`].
-///
-/// Cross-validation cannot expose the architecture block on a small
-/// training set: the block's value is the pair×graph *interaction*, and a
-/// held-out (graph, pair) cell is exactly the interaction the remaining
-/// folds never saw. Fit error can: with the block masked, the samples of
-/// one graph collapse to identical feature vectors whose differing best-M
-/// targets put an irreducible within-graph variance floor under *any*
-/// regressor, while the full feature set separates them.
-pub fn feature_fit(ts: &TrainingSet, features: FeatureSet) -> f64 {
-    let masked = masked_dataset(ts, features);
-    let cfg = ablation_config(masked.dim());
-    Svr::fit(&masked, cfg).mse(&masked)
-}
-
 /// CV errors for ablation 3: `(svr, ridge, constant-mean)`.
 pub fn model_comparison(ts: &TrainingSet) -> (f64, f64, f64) {
     let data = &ts.dataset_m;
@@ -346,22 +329,6 @@ mod tests {
                 "{p:?}"
             );
         }
-    }
-
-    #[test]
-    fn arch_features_matter_across_pairs() {
-        // With four architecture pairs sharing graphs, the same graph maps
-        // to different best-M per pair. Masking the architecture block
-        // turns those samples into identical feature vectors with
-        // conflicting targets, so no regressor can fit below the
-        // within-graph variance floor — the full feature set can.
-        let (ts, _) = setup();
-        let full = feature_fit(&ts, FeatureSet::Full);
-        let graph_only = feature_fit(&ts, FeatureSet::GraphOnly);
-        assert!(
-            graph_only > 2.0 * full,
-            "graph-only fit {graph_only} vs full {full}"
-        );
     }
 
     #[test]

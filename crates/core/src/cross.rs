@@ -87,9 +87,13 @@ pub struct CrossParams {
 impl CrossParams {
     /// Validate both threshold pairs: finite and strictly positive.
     ///
-    /// [`try_cost_cross`] and [`try_run_cross`] share this single gate, so
-    /// the oracle's costing and the real executor can never disagree about
-    /// which parameters are legal.
+    /// [`cost_cross`] and [`run_cross`] trust their parameters. Every
+    /// runtime entry (the recovery ladder, [`BatchSession`] and
+    /// [`capture_at`]) passes them through this one gate first, so pricing
+    /// and execution never disagree about which parameters are legal.
+    ///
+    /// [`BatchSession`]: crate::session::BatchSession
+    /// [`capture_at`]: crate::checkpoint::capture_at
     pub fn validate(&self) -> Result<(), XbfsError> {
         FixedMN::try_new(self.handoff.m, self.handoff.n)?;
         FixedMN::try_new(self.gpu.m, self.gpu.n)?;
@@ -141,20 +145,6 @@ pub struct CrossCost {
     pub transfer_seconds: f64,
     /// Total simulated seconds.
     pub total_seconds: f64,
-}
-
-/// Fallible [`cost_cross`]: validates `params` before pricing, so bad
-/// thresholds surface as [`XbfsError::InvalidSwitchParams`] instead of a
-/// nonsense plan.
-pub fn try_cost_cross(
-    profile: &TraversalProfile,
-    cpu: &ArchSpec,
-    gpu: &ArchSpec,
-    link: &Link,
-    params: &CrossParams,
-) -> Result<CrossCost, XbfsError> {
-    params.validate()?;
-    Ok(cost_cross(profile, cpu, gpu, link, params))
 }
 
 /// Price Algorithm 3 with `params` against a profile.
@@ -322,26 +312,6 @@ pub struct CrossRun {
     pub transfer_seconds: f64,
     /// Total simulated seconds.
     pub total_seconds: f64,
-}
-
-/// Fallible [`run_cross`]: validates `params` (the same gate as
-/// [`try_cost_cross`]) and the source vertex before executing.
-pub fn try_run_cross(
-    csr: &Csr,
-    source: VertexId,
-    cpu: &ArchSpec,
-    gpu: &ArchSpec,
-    link: &Link,
-    params: &CrossParams,
-) -> Result<CrossRun, XbfsError> {
-    params.validate()?;
-    if source >= csr.num_vertices() {
-        return Err(XbfsError::BadSource {
-            source,
-            num_vertices: csr.num_vertices(),
-        });
-    }
-    Ok(run_cross(csr, source, cpu, gpu, link, params))
 }
 
 /// Execute Algorithm 3 for real: engine kernels traverse `csr`, placements

@@ -3,9 +3,9 @@
 //! The paper's §V is run "based on the Graph 500 benchmark": construct a
 //! Kronecker graph (kernel 1), BFS from a set of random degree-≥1 roots
 //! (kernel 2), validate every output, and report TEPS with the harmonic
-//! mean across roots. This module packages that protocol over both the
-//! real engines (host wall-clock) and the simulated platforms, so the
-//! §V-D comparisons can be run exactly the way the benchmark specifies.
+//! mean across roots. This module packages that protocol over the
+//! simulated platforms, so the §V-D comparisons can be run exactly the way
+//! the benchmark specifies.
 
 use crate::{
     combination::run_single,
@@ -13,7 +13,6 @@ use crate::{
     training::pick_source,
 };
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 use xbfs_archsim::{ArchSpec, Link};
 use xbfs_engine::{
     metrics::{harmonic_mean_teps, Teps},
@@ -72,7 +71,7 @@ impl Graph500Config {
 pub struct RootResult {
     /// The BFS root.
     pub root: VertexId,
-    /// Traversal seconds (wall-clock or simulated, per the runner).
+    /// Simulated traversal seconds.
     pub seconds: f64,
     /// Undirected edges in the traversed component (the TEPS numerator).
     pub component_edges: u64,
@@ -92,7 +91,7 @@ impl RootResult {
 pub struct Graph500Report {
     /// The configuration that ran.
     pub config: Graph500Config,
-    /// Label of the runner ("reference", "hybrid", "CPUTD+GPUCB", …).
+    /// Label of the runner ("CPUCB", "MICCB", "CPUTD+GPUCB", …).
     pub runner: String,
     /// Per-root measurements.
     pub roots: Vec<RootResult>,
@@ -117,64 +116,6 @@ impl Graph500Report {
             return 0.0;
         }
         self.roots.iter().map(|r| r.seconds).sum::<f64>() / self.roots.len() as f64
-    }
-}
-
-/// Run kernel 2 with the naive FIFO reference, real wall-clock.
-pub fn run_reference(config: &Graph500Config) -> Graph500Report {
-    let csr = config.build_graph();
-    let roots = config.sample_roots(&csr);
-    let mut results = Vec::with_capacity(roots.len());
-    let mut all_validated = true;
-    for root in roots {
-        let t = Instant::now();
-        let out = reference::run(&csr, root);
-        let seconds = t.elapsed().as_secs_f64().max(1e-9);
-        all_validated &= validate(&csr, &out).is_ok();
-        results.push(RootResult {
-            root,
-            seconds,
-            component_edges: reference::component_edges(&csr, &out),
-            visited: out.visited_count(),
-        });
-    }
-    Graph500Report {
-        config: *config,
-        runner: "reference".into(),
-        roots: results,
-        all_validated,
-    }
-}
-
-/// Run kernel 2 with the parallel direction-optimizing engine, real
-/// wall-clock, a fresh policy per root from `make_policy`.
-pub fn run_hybrid(
-    config: &Graph500Config,
-    threads: usize,
-    make_policy: impl Fn() -> Box<dyn SwitchPolicy>,
-) -> Graph500Report {
-    let csr = config.build_graph();
-    let roots = config.sample_roots(&csr);
-    let mut results = Vec::with_capacity(roots.len());
-    let mut all_validated = true;
-    for root in roots {
-        let mut policy = make_policy();
-        let t = Instant::now();
-        let traversal = xbfs_engine::par::run(&csr, root, policy.as_mut(), threads);
-        let seconds = t.elapsed().as_secs_f64().max(1e-9);
-        all_validated &= validate(&csr, &traversal.output).is_ok();
-        results.push(RootResult {
-            root,
-            seconds,
-            component_edges: reference::component_edges(&csr, &traversal.output),
-            visited: traversal.output.visited_count(),
-        });
-    }
-    Graph500Report {
-        config: *config,
-        runner: "hybrid".into(),
-        roots: results,
-        all_validated,
     }
 }
 
@@ -265,29 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_run_validates_and_reports() {
-        let report = run_reference(&small());
-        assert!(report.all_validated);
-        assert_eq!(report.roots.len(), 8);
-        assert!(report.harmonic_mean_teps() > 0.0);
-        assert!(report.mean_seconds() > 0.0);
-    }
-
-    #[test]
-    fn hybrid_matches_reference_coverage() {
-        let cfg = small();
-        let reference = run_reference(&cfg);
-        let hybrid = run_hybrid(&cfg, 2, || Box::new(FixedMN::new(14.0, 24.0)));
-        assert!(hybrid.all_validated);
-        // Same roots (same seed) → same visit counts and edge counts.
-        for (a, b) in reference.roots.iter().zip(&hybrid.roots) {
-            assert_eq!(a.root, b.root);
-            assert_eq!(a.visited, b.visited);
-            assert_eq!(a.component_edges, b.component_edges);
-        }
-    }
-
-    #[test]
     fn simulated_cross_beats_simulated_mic() {
         let cfg = small();
         let mic = run_simulated_single(&cfg, &ArchSpec::mic_knights_corner(), || {
@@ -304,6 +222,8 @@ mod tests {
             },
         );
         assert!(mic.all_validated && cross.all_validated);
+        assert_eq!(cross.roots.len(), 8);
+        assert!(cross.mean_seconds() > 0.0);
         assert!(
             cross.harmonic_mean_teps() > mic.harmonic_mean_teps(),
             "cross {} vs mic {}",

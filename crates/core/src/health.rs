@@ -208,11 +208,6 @@ impl CircuitBreaker {
         self.state
     }
 
-    /// `true` once the breaker is open with no probe ever coming.
-    pub fn permanently_open(&self) -> bool {
-        self.permanent && self.state == BreakerState::Open
-    }
-
     /// May work be sent to this device at simulated time `now_s`? An open
     /// breaker whose cooldown has elapsed moves to half-open and admits
     /// the call as its probe.
@@ -482,7 +477,6 @@ mod tests {
         let mut b = breaker();
         b.record_failure(0.5, true);
         assert_eq!(b.state(), BreakerState::Open);
-        assert!(b.permanently_open());
         // No cooldown ever admits a probe.
         assert!(!b.allows(1e12));
         assert_eq!(b.state(), BreakerState::Open);

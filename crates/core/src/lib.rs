@@ -49,10 +49,7 @@ pub use audit::{
 };
 pub use checkpoint::{CheckpointPolicy, LevelCheckpoint, Residency};
 pub use combination::{run_single, SingleRun};
-pub use cross::{
-    cost_cross, run_cross, try_cost_cross, try_run_cross, CrossCost, CrossDriver, CrossParams,
-    CrossRun, Placement,
-};
+pub use cross::{cost_cross, run_cross, CrossCost, CrossDriver, CrossParams, CrossRun, Placement};
 pub use features::feature_vector;
 pub use health::{BreakerState, BreakerTransition, Device, DeviceHealth, HealthSnapshot};
 pub use observe::timeseries::{

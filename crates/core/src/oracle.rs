@@ -86,28 +86,6 @@ pub fn sweep_single(profile: &TraversalProfile, arch: &ArchSpec, grid: &MnGrid) 
         .collect()
 }
 
-/// [`sweep_single`] distributed over `threads` host threads — the offline
-/// training pipeline's hot loop (140 samples × 1,000 candidates each). The
-/// result order matches the sequential sweep exactly.
-pub fn sweep_single_parallel(
-    profile: &TraversalProfile,
-    arch: &ArchSpec,
-    grid: &MnGrid,
-    threads: usize,
-) -> Vec<Candidate> {
-    let points: Vec<FixedMN> = grid.iter().collect();
-    let chunks = xbfs_engine::par::parallel_ranges(points.len(), threads, |range| {
-        points[range]
-            .iter()
-            .map(|&mn| Candidate {
-                mn,
-                seconds: cost_fixed_mn(profile, arch, mn),
-            })
-            .collect::<Vec<_>>()
-    });
-    chunks.into_iter().flatten().collect()
-}
-
 /// Evaluate every grid point of the *cross-architecture* handoff `(M1, N1)`
 /// with the GPU-internal `(M2, N2)` held fixed.
 pub fn sweep_cross(
@@ -237,14 +215,6 @@ pub fn worst_cross(candidates: &[CrossCandidate]) -> CrossCandidate {
         .expect("empty candidate sweep")
 }
 
-/// Arithmetic mean traversal time over a cross pair sweep.
-pub fn mean_seconds_cross(candidates: &[CrossCandidate]) -> f64 {
-    if candidates.is_empty() {
-        return 0.0;
-    }
-    candidates.iter().map(|c| c.seconds).sum::<f64>() / candidates.len() as f64
-}
-
 /// Best cross-architecture handoff `(M1, N1)` given `gpu_mn`.
 pub fn best_mn_cross(
     profile: &TraversalProfile,
@@ -333,21 +303,5 @@ mod tests {
     #[test]
     fn mean_of_empty_sweep_is_zero() {
         assert_eq!(mean_seconds(&[]), 0.0);
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential() {
-        let p = small_profile();
-        let cpu = ArchSpec::cpu_sandy_bridge();
-        let grid = MnGrid::paper_1000();
-        let seq = sweep_single(&p, &cpu, &grid);
-        for threads in [1, 3, 8] {
-            let par = sweep_single_parallel(&p, &cpu, &grid, threads);
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.mn, b.mn);
-                assert_eq!(a.seconds, b.seconds);
-            }
-        }
     }
 }

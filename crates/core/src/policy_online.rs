@@ -217,7 +217,6 @@ struct BinStats {
 #[derive(Clone, Debug, PartialEq)]
 pub struct OnlineBandit {
     seed: u64,
-    frozen: bool,
     bins: BTreeMap<u32, BinStats>,
 }
 
@@ -226,31 +225,8 @@ impl OnlineBandit {
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            frozen: false,
             bins: BTreeMap::new(),
         }
-    }
-
-    /// A frozen bandit: decisions work, observations are discarded. A
-    /// frozen *never-updated* bandit is pure passthrough — every decision
-    /// is the offline arm, so runs are bit-identical to
-    /// [`PolicyMode::Offline`].
-    pub fn frozen(seed: u64) -> Self {
-        Self {
-            seed,
-            frozen: true,
-            bins: BTreeMap::new(),
-        }
-    }
-
-    /// Stop learning; decisions keep using the accumulated means.
-    pub fn freeze(&mut self) {
-        self.frozen = true;
-    }
-
-    /// Whether observations are currently discarded.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
     }
 
     /// The bandit seed.
@@ -264,14 +240,6 @@ impl OnlineBandit {
             .values()
             .map(|b| b.plays.iter().sum::<u64>())
             .sum()
-    }
-
-    /// `true` when the bandit can never deviate from the offline policy:
-    /// frozen with zero observations. Execution paths check this up front
-    /// and fall back to the plain offline code path, making the off state
-    /// bit-identical (no `PolicyDecision` events, no feature folds).
-    pub fn is_passthrough(&self) -> bool {
-        self.frozen && self.bins.values().all(|b| b.plays.iter().all(|&p| p == 0))
     }
 
     /// The bin's per-arm exploration order: a Fisher–Yates permutation of
@@ -337,11 +305,8 @@ impl OnlineBandit {
         }
     }
 
-    /// Fold one realized cost into the bin's arm. No-op when frozen.
+    /// Fold one realized cost into the bin's arm.
     pub fn observe(&mut self, bin: u32, placement: Placement, cost_s: f64) {
-        if self.frozen {
-            return;
-        }
         let stats = self.bins.entry(bin).or_default();
         let arm = arm_index(placement);
         stats.plays[arm] = stats.plays[arm].saturating_add(1);
@@ -349,7 +314,7 @@ impl OnlineBandit {
     }
 
     /// Apply a query's observation log (the delta half of the
-    /// snapshot-and-delta protocol). No-op when frozen.
+    /// snapshot-and-delta protocol).
     pub fn apply(&mut self, observations: &[Observation]) {
         for obs in observations {
             self.observe(obs.bin, obs.placement, obs.cost_s);
@@ -382,22 +347,14 @@ impl PolicyRun {
         }
     }
 
-    /// See [`OnlineBandit::is_passthrough`].
-    pub fn is_passthrough(&self) -> bool {
-        self.bandit.is_passthrough()
-    }
-
     /// See [`OnlineBandit::decide`].
     pub fn decide(&self, ctx: &SwitchContext, handed_off: bool, offline: Placement) -> Decision {
         self.bandit.decide(ctx, handed_off, offline)
     }
 
     /// Observe a realized cost into the local snapshot and append it to
-    /// the delta log (unless the snapshot is frozen).
+    /// the delta log.
     pub fn observe(&mut self, bin: u32, placement: Placement, cost_s: f64) {
-        if self.bandit.is_frozen() {
-            return;
-        }
         self.bandit.observe(bin, placement, cost_s);
         self.observations.push(Observation {
             bin,
@@ -635,23 +592,6 @@ mod tests {
             orders.windows(2).any(|w| w[0] != w[1]),
             "all seeds produced one permutation"
         );
-    }
-
-    #[test]
-    fn frozen_bandit_is_passthrough_until_it_has_plays() {
-        let mut f = OnlineBandit::frozen(3);
-        assert!(f.is_passthrough());
-        f.observe(0, Placement::CpuTd, 1.0); // discarded
-        assert!(f.is_passthrough());
-        assert_eq!(f.total_plays(), 0);
-
-        let mut warm = OnlineBandit::new(3);
-        warm.observe(0, Placement::CpuTd, 1.0);
-        warm.freeze();
-        assert!(!warm.is_passthrough(), "frozen-with-history still decides");
-        let before = warm.clone();
-        warm.observe(0, Placement::GpuTd, 0.1);
-        assert_eq!(warm, before, "frozen bandit must not learn");
     }
 
     #[test]

@@ -69,14 +69,6 @@ impl SwitchPredictor {
             gpu: self.predict(graph, gpu, gpu),
         }
     }
-
-    /// Support-vector counts `(M-model, N-model)` — a size diagnostic.
-    pub fn support_counts(&self) -> (usize, usize) {
-        (
-            self.model_m.num_support_vectors(),
-            self.model_n.num_support_vectors(),
-        )
-    }
 }
 
 #[cfg(test)]

@@ -968,8 +968,8 @@ pub(crate) struct ExecArgs<'a> {
     /// resumed run trusts its checkpoint's breaker bank instead).
     pub lost: &'a [Device],
     pub sink: &'a dyn TraceSink,
-    /// Optional online per-level policy; `None` (and passthrough cells)
-    /// take the plain offline path, byte-identical to the pre-policy code.
+    /// Optional online per-level policy. An attached cell decides every
+    /// cross level; `None` takes Algorithm 3's offline rules.
     pub policy: Option<&'a crate::policy_online::PolicyCell>,
 }
 
@@ -1363,17 +1363,13 @@ fn run_rung(
     }
     let (mut state, mut placer) = rec.start_for(rung, csr, source, args.params, cpu, gpu, link)?;
     let n = csr.num_vertices() as u64;
-    // A passthrough cell (frozen, never updated) can only ever pick the
-    // offline arm, so it takes the exact pre-policy code path: no feature
-    // folds, no PolicyDecision events, bit-identical output and trace.
-    let policy = args.policy.filter(|cell| !cell.borrow().is_passthrough());
     loop {
         // Scrub before the capture gate: a corrupt state must be caught
         // here, never frozen into a resume point.
         let scrubbed = rec.maybe_scrub(csr, rung, &state)?;
         rec.maybe_capture(csr, rung, &state, scrubbed, &placer, link)?;
         let level_start_s = rec.clock.elapsed_s;
-        let Some(step) = placer.step(csr, &mut state, policy, rec.sink, level_start_s) else {
+        let Some(step) = placer.step(csr, &mut state, args.policy, rec.sink, level_start_s) else {
             break;
         };
         rec.count_step(&state);
@@ -1407,7 +1403,7 @@ fn run_rung(
             rec.attempt_op(&mut state, rung, op, level, nominal, device, 0)?;
         }
         observed_s += nominal;
-        if let (Some(cell), Some(d)) = (policy, step.decision) {
+        if let (Some(cell), Some(d)) = (args.policy, step.decision) {
             cell.borrow_mut().observe(d.bin, pl, observed_s);
         }
         rec.note_level(&lvl, rung, pl.device(), level_start_s);

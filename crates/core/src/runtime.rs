@@ -5,11 +5,14 @@
 //!
 //! * [`AdaptiveRuntime::run_cross`] — Algorithm 3 with regression-predicted
 //!   switch points (`CPUTD+GPUCB`, the paper's best configuration);
-//! * [`AdaptiveRuntime::run_on`] — a single-device combination with a
-//!   predicted `(M, N)`.
+//! * [`AdaptiveRuntime::session`] — the same traversal through the
+//!   resilient [`RunSession`].
+//!
+//! A single-device combination with a predicted `(M, N)` is
+//! [`run_single`](crate::combination::run_single) driven by
+//! `predictor.predict(stats, arch, arch)`.
 
 use crate::{
-    combination::{run_single, SingleRun},
     cross::{run_cross, CrossParams, CrossRun},
     predictor::SwitchPredictor,
     session::RunSession,
@@ -73,18 +76,6 @@ impl AdaptiveRuntime {
     pub fn session<'a>(&'a self, csr: &'a Csr, stats: &'a GraphStats) -> RunSession<'a> {
         RunSession::new(self, csr, stats)
     }
-
-    /// Run a single-device combination with a predicted `(M, N)`.
-    pub fn run_on(
-        &self,
-        csr: &Csr,
-        stats: &GraphStats,
-        source: VertexId,
-        arch: &ArchSpec,
-    ) -> SingleRun {
-        let mut mn = self.predictor.predict(stats, arch, arch);
-        run_single(csr, source, arch, &mut mn)
-    }
 }
 
 #[cfg(test)]
@@ -116,8 +107,12 @@ mod tests {
         let g = xbfs_graph::rmat::rmat_csr(10, 16);
         let stats = GraphStats::rmat(&g, 0.57, 0.19, 0.19, 0.05);
         let src = crate::training::pick_source(&g, 2).unwrap();
-        let on_cpu = rt.run_on(&g, &stats, src, &rt.cpu);
-        let on_mic = rt.run_on(&g, &stats, src, &rt.mic);
+        let run_on = |arch: &ArchSpec| {
+            let mut mn = rt.predictor.predict(&stats, arch, arch);
+            crate::combination::run_single(&g, src, arch, &mut mn)
+        };
+        let on_cpu = run_on(&rt.cpu);
+        let on_mic = run_on(&rt.mic);
         assert_eq!(
             on_cpu.traversal.output.levels,
             on_mic.traversal.output.levels

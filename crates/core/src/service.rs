@@ -176,14 +176,6 @@ impl ScheduleItem {
         })?;
         Ok(ScheduleItem::Query(req))
     }
-
-    /// Render this item back to its JSON-line form.
-    pub fn to_json_line(&self) -> String {
-        match self {
-            ScheduleItem::Query(q) => serde_json::to_string(q).expect("request serializes"),
-            ScheduleItem::Drain { at_s } => format!("{{\"drain_at_s\":{at_s}}}"),
-        }
-    }
 }
 
 /// What happens to queries still queued (admitted, not yet started) when
@@ -798,8 +790,9 @@ impl QueryService {
     /// query frees its slot first). Every query ends in exactly one of:
     /// a validated tree, a typed error, or a shed — a panic inside a
     /// dispatch is caught by `catch_unwind` and becomes that dispatch's
-    /// [`XbfsError::KernelPanic`]. A query id that appears twice is an
-    /// [`XbfsError::InvalidArgument`].
+    /// [`XbfsError::KernelPanic`]. A query id that appears twice, and an
+    /// arrival or drain time that is not finite or is below zero, is an
+    /// [`XbfsError::InvalidArgument`] before anything is dispatched.
     pub fn run_schedule(&self, schedule: &[ScheduleItem]) -> Result<ServiceReport, XbfsError> {
         self.config.validate()?;
         let mut items: Vec<&ScheduleItem> = schedule.iter().collect();
@@ -815,6 +808,16 @@ impl QueryService {
         let mut requests: Vec<&QueryRequest> = Vec::new();
         let mut ids = BTreeSet::new();
         for item in &items {
+            let at_s = item.at_s();
+            if !(at_s.is_finite() && at_s >= 0.0) {
+                let what = match item {
+                    ScheduleItem::Query(q) => format!("query {} arrives at {at_s}", q.id),
+                    ScheduleItem::Drain { .. } => format!("the drain marker is at {at_s}"),
+                };
+                return Err(XbfsError::InvalidArgument {
+                    what: format!("{what}; schedule times must be finite and >= 0"),
+                });
+            }
             if let ScheduleItem::Query(q) = item {
                 if !ids.insert(q.id) {
                     return Err(XbfsError::InvalidArgument {
@@ -1406,15 +1409,21 @@ mod tests {
 
     #[test]
     fn request_json_lines_round_trip() {
-        let mut req = QueryRequest::builder(7, 3).arrival(0.25).build();
-        req.deadline_s = Some(2.0);
-        let item = ScheduleItem::Query(req);
-        let line = item.to_json_line();
-        assert_eq!(ScheduleItem::from_json_line(&line).unwrap(), item);
-
-        let drain = ScheduleItem::Drain { at_s: 1.5 };
-        let line = drain.to_json_line();
-        assert_eq!(ScheduleItem::from_json_line(&line).unwrap(), drain);
+        let req = QueryRequest::builder(7, 3)
+            .arrival(0.25)
+            .deadline(2.0)
+            .build();
+        assert_eq!(
+            ScheduleItem::from_json_line(
+                r#"{"id":7,"source":3,"arrival_s":0.25,"deadline_s":2.0,"fault_plan":null}"#
+            )
+            .unwrap(),
+            ScheduleItem::Query(req)
+        );
+        assert_eq!(
+            ScheduleItem::from_json_line(r#"{"drain_at_s":1.5}"#).unwrap(),
+            ScheduleItem::Drain { at_s: 1.5 }
+        );
 
         // Minimal request line: optional fields default.
         let parsed =
@@ -1457,6 +1466,31 @@ mod tests {
             svc.run_schedule(&schedule),
             Err(XbfsError::InvalidArgument { what }) if what.contains("query id 0")
         ));
+    }
+
+    #[test]
+    fn schedule_times_must_be_finite_and_non_negative() {
+        let (svc, src) = service(ServiceConfig::default());
+        let query =
+            |at_s: f64| ScheduleItem::Query(QueryRequest::builder(1, src).arrival(at_s).build());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5.0] {
+            let err = svc.run_schedule(&[query(bad)]).unwrap_err();
+            assert!(
+                matches!(&err, XbfsError::InvalidArgument { what } if what.contains("query 1 arrives")),
+                "arrival {bad}: {err}"
+            );
+            let err = svc
+                .run_schedule(&[query(0.0), ScheduleItem::Drain { at_s: bad }])
+                .unwrap_err();
+            assert!(
+                matches!(&err, XbfsError::InvalidArgument { what } if what.contains("drain marker")),
+                "drain {bad}: {err}"
+            );
+        }
+        let report = svc
+            .run_schedule(&[query(0.0), ScheduleItem::Drain { at_s: 0.0 }])
+            .expect("time 0 is a valid arrival and drain");
+        assert_eq!(report.outcomes.len(), 1);
     }
 
     /// A same-instant burst: one query takes the single slot, the rest

@@ -170,9 +170,8 @@ impl<'a> RunSession<'a> {
 
     /// Attach an online per-level policy cell: each cross-architecture
     /// level consults its bandit instead of Algorithm 3's fixed `(M, N)`
-    /// rules, and realized level costs are observed back into it. A
-    /// passthrough cell (frozen, never updated) takes the plain offline
-    /// path, bit-identical to not attaching one. Default: none.
+    /// rules, and realized level costs are observed back into it. Default:
+    /// none, which is the only off state: the offline rules decide.
     pub fn policy(mut self, cell: &'a PolicyCell) -> Self {
         self.policy = Some(cell);
         self
@@ -534,9 +533,6 @@ impl<'a> BatchSession<'a> {
         let mut drivers: Vec<CrossDriver> = (0..lanes).map(|_| CrossDriver::new(*params)).collect();
         let mut clock = 0.0_f64;
         let mut rounds: u32 = 0;
-        // Passthrough cells take the exact pre-policy path (no feature
-        // folds, no PolicyDecision events) — see `RunSession::policy`.
-        let policy = self.policy.filter(|cell| !cell.borrow().is_passthrough());
 
         loop {
             // Advance every unfinished lane one level through the cross
@@ -547,7 +543,7 @@ impl<'a> BatchSession<'a> {
                 .iter_mut()
                 .zip(&mut drivers)
                 .filter_map(|(state, driver)| {
-                    let step = step_level(self.csr, state, driver, policy, self.sink, clock)?;
+                    let step = step_level(self.csr, state, driver, self.policy, self.sink, clock)?;
                     let price = price_level(
                         Rung::CrossCpuGpu,
                         step.placement,
@@ -591,7 +587,7 @@ impl<'a> BatchSession<'a> {
             // own level time plus its own transfer price when it crossed —
             // not the amortized group charge, which would credit a lane for
             // savings its placement did not cause.
-            if let Some(cell) = policy {
+            if let Some(cell) = self.policy {
                 let mut run = cell.borrow_mut();
                 for (step, price) in &stepped {
                     let Some(d) = step.decision else { continue };

@@ -52,17 +52,6 @@ impl Teps {
     pub fn gteps(&self) -> f64 {
         self.teps() / 1e9
     }
-
-    /// TEPS in units of 10⁶.
-    pub fn mteps(&self) -> f64 {
-        self.teps() / 1e6
-    }
-
-    /// Speedup of `self` over `other` at equal edge counts — the ratio of
-    /// rates, which equals the ratio of times when the workload matches.
-    pub fn speedup_over(&self, other: &Teps) -> f64 {
-        self.teps() / other.teps()
-    }
 }
 
 /// Harmonic mean of TEPS values — the Graph 500-prescribed aggregate over
@@ -75,33 +64,6 @@ pub fn harmonic_mean_teps(samples: &[Teps]) -> f64 {
     samples.len() as f64 / inv_sum
 }
 
-/// Effective TEPS of a resumed traversal: edges credited against the sum
-/// of time actually spent *this* run plus the replayed-prefix time already
-/// banked in a checkpoint. Resuming from level ℓ skips the prefix's work
-/// but not its wall-clock history, so a fair rate charges both — this is
-/// the number the CLI reports next to "resumed from level ℓ".
-pub fn resumed_teps(edges: u64, suffix_seconds: f64, prefix_seconds: f64) -> Teps {
-    Teps::new(edges, suffix_seconds + prefix_seconds)
-}
-
-/// Fallible [`resumed_teps`] for runtime paths fed measured clocks.
-pub fn try_resumed_teps(
-    edges: u64,
-    suffix_seconds: f64,
-    prefix_seconds: f64,
-) -> Result<Teps, crate::XbfsError> {
-    Teps::try_new(edges, suffix_seconds + prefix_seconds)
-}
-
-/// Arithmetic mean of raw TEPS values (reported by some prior work; kept
-/// for comparisons).
-pub fn mean_teps(samples: &[Teps]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().map(Teps::teps).sum::<f64>() / samples.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,39 +73,19 @@ mod tests {
         let t = Teps::new(2_000_000_000, 2.0);
         assert_eq!(t.teps(), 1e9);
         assert_eq!(t.gteps(), 1.0);
-        assert_eq!(t.mteps(), 1000.0);
-    }
-
-    #[test]
-    fn speedup_is_time_ratio_for_same_edges() {
-        let fast = Teps::new(100, 1.0);
-        let slow = Teps::new(100, 4.0);
-        assert!((fast.speedup_over(&slow) - 4.0).abs() < 1e-12);
-        assert!((slow.speedup_over(&fast) - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn harmonic_mean_punishes_outliers() {
         let samples = [Teps::new(100, 1.0), Teps::new(100, 100.0)];
         let hm = harmonic_mean_teps(&samples);
-        let am = mean_teps(&samples);
-        assert!(hm < am);
         // Harmonic mean of 100 and 1 TEPS is ~1.98.
         assert!((hm - 200.0 / 101.0).abs() < 1e-9);
     }
 
     #[test]
-    fn resumed_rate_charges_prefix_and_suffix() {
-        let t = resumed_teps(1000, 1.0, 3.0);
-        assert_eq!(t.teps(), 250.0);
-        // A free prefix degenerates to the plain rate.
-        assert_eq!(resumed_teps(1000, 2.0, 0.0).teps(), 500.0);
-    }
-
-    #[test]
     fn empty_sample_sets() {
         assert_eq!(harmonic_mean_teps(&[]), 0.0);
-        assert_eq!(mean_teps(&[]), 0.0);
     }
 
     #[test]
@@ -160,7 +102,5 @@ mod tests {
         assert!(Teps::try_new(1, f64::INFINITY).is_err());
         let t = Teps::try_new(100, 2.0).expect("valid");
         assert_eq!(t.teps(), 50.0);
-        assert!(try_resumed_teps(100, 1.0, 1.0).is_ok());
-        assert!(try_resumed_teps(100, 0.0, 0.0).is_err());
     }
 }

@@ -37,7 +37,7 @@ mod bottomup;
 mod pool;
 mod topdown;
 
-pub use pool::{parallel_ranges, payload_to_string, try_parallel_ranges};
+pub use pool::payload_to_string;
 
 use crate::{
     stats::LevelRecord,

@@ -1,24 +1,17 @@
-//! Parallel scheduling primitives: the work-stealing [`WorkerPool`] and
-//! the one-shot [`parallel_ranges`] helper.
-//!
-//! * [`WorkerPool`] — the scheduler behind [`super::run`]: `threads - 1`
-//!   helper workers are spawned once per traversal and parked between
-//!   levels; each level the driver publishes a [`LevelJob`] and every
-//!   worker (driver included) claims fixed-size chunks off a shared
-//!   atomic cursor until the item space is drained. A hub-heavy chunk
-//!   delays one worker by at most one chunk's work instead of
-//!   serializing a statically assigned range.
-//! * [`parallel_ranges`] / [`try_parallel_ranges`] — fork-join for
-//!   one-shot jobs (the oracle sweep): split `0..n_items` into at most
-//!   `threads` contiguous ranges, spawn a scoped worker per range, join.
+//! The work-stealing [`WorkerPool`], the scheduler behind [`super::run`]:
+//! `threads - 1` helper workers are spawned once per traversal and parked
+//! between levels; each level the driver publishes a [`LevelJob`] and
+//! every worker (driver included) claims fixed-size chunks off a shared
+//! atomic cursor until the item space is drained. A hub-heavy chunk
+//! delays one worker by at most one chunk's work instead of serializing a
+//! statically assigned range.
 //!
 //! Panic hygiene: a worker that panics never tears down the process with
-//! a bare "worker panicked". Both catch the unwind at the chunk boundary
-//! and surface a typed [`XbfsError::KernelPanic`] carrying the worker's
-//! original payload and the item range it was processing; the infallible
-//! entry points re-panic with that same enriched message.
+//! a bare "worker panicked". The pool catches the unwind at the chunk
+//! boundary and surfaces a typed [`XbfsError::KernelPanic`] carrying the
+//! worker's original payload and the item range it was processing; the
+//! infallible entry points re-panic with that same enriched message.
 
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
@@ -84,111 +77,6 @@ pub fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
         "non-string panic payload of unknown type (TypeId {:?})",
         payload.type_id()
     )
-}
-
-/// Split `0..n_items` into at most `threads` contiguous ranges and apply
-/// `work` to each in parallel, returning the per-range results in range
-/// order.
-///
-/// Ranges are balanced to within one item. If `n_items == 0` no worker runs.
-/// With a single range the closure runs on the calling thread (no spawn),
-/// which makes `threads == 1` a true sequential baseline.
-///
-/// A panicking worker is reported as [`XbfsError::KernelPanic`] with the
-/// worker's payload and range; every spawned worker is joined before the
-/// error returns, so no work is left running.
-pub fn try_parallel_ranges<T, F>(
-    n_items: usize,
-    threads: usize,
-    work: F,
-) -> Result<Vec<T>, XbfsError>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    if threads == 0 {
-        return Err(XbfsError::InvalidArgument {
-            what: "parallel_ranges needs at least one thread".to_string(),
-        });
-    }
-    let ranges = split_ranges(n_items, threads);
-    match ranges.len() {
-        0 => Ok(Vec::new()),
-        1 => {
-            let r = ranges.into_iter().next().expect("one range");
-            let span = (r.start, r.end);
-            // `work` only crosses the unwind boundary on the error path,
-            // where it is never touched again — safe to assert.
-            catch_unwind(AssertUnwindSafe(|| work(r)))
-                .map(|v| vec![v])
-                .map_err(|p| XbfsError::KernelPanic {
-                    payload: payload_to_string(&*p),
-                    range: Some(span),
-                })
-        }
-        _ => std::thread::scope(|s| {
-            let work = &work;
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|r| {
-                    let span = (r.start, r.end);
-                    (span, s.spawn(move || work(r)))
-                })
-                .collect();
-            // Join every worker before reporting, so an early panic
-            // cannot leave siblings running past the scope.
-            let joined: Vec<_> = handles
-                .into_iter()
-                .map(|(span, h)| (span, h.join()))
-                .collect();
-            joined
-                .into_iter()
-                .map(|(span, res)| {
-                    res.map_err(|p| XbfsError::KernelPanic {
-                        payload: payload_to_string(&*p),
-                        range: Some(span),
-                    })
-                })
-                .collect()
-        }),
-    }
-}
-
-/// Infallible wrapper over [`try_parallel_ranges`] for kernels whose
-/// workers are trusted: a worker panic re-panics here, but with the
-/// worker's original payload and range in the message instead of a bare
-/// join failure.
-///
-/// # Panics
-/// Panics if `threads == 0` or any worker panics.
-pub fn parallel_ranges<T, F>(n_items: usize, threads: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    match try_parallel_ranges(n_items, threads, work) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Balanced contiguous split of `0..n_items` into at most `parts` non-empty
-/// ranges.
-pub(crate) fn split_ranges(n_items: usize, parts: usize) -> Vec<Range<usize>> {
-    if n_items == 0 {
-        return Vec::new();
-    }
-    let parts = parts.min(n_items);
-    let base = n_items / parts;
-    let extra = n_items % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
 }
 
 /// Frontier vertices a worker claims per cursor bump in a top-down level.
@@ -554,179 +442,40 @@ mod tests {
     use super::*;
     use crate::trace::NULL_SINK;
 
-    #[test]
-    fn split_covers_everything_once() {
-        for n in [0usize, 1, 7, 64, 100] {
-            for p in [1usize, 2, 3, 8, 200] {
-                let ranges = split_ranges(n, p);
-                let total: usize = ranges.iter().map(|r| r.len()).sum();
-                assert_eq!(total, n, "n={n} p={p}");
-                // Contiguous and ordered.
-                let mut expect = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expect);
-                    assert!(!r.is_empty());
-                    expect = r.end;
-                }
-                // Balanced to within one item.
-                if let (Some(min), Some(max)) = (
-                    ranges.iter().map(|r| r.len()).min(),
-                    ranges.iter().map(|r| r.len()).max(),
-                ) {
-                    assert!(max - min <= 1);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_sum_matches_sequential() {
-        let data: Vec<u64> = (0..10_000).collect();
-        let partials = parallel_ranges(data.len(), 4, |r| data[r].iter().sum::<u64>());
-        assert_eq!(partials.len(), 4);
-        assert_eq!(partials.iter().sum::<u64>(), 10_000 * 9_999 / 2);
-    }
-
-    #[test]
-    fn empty_input_runs_nothing() {
-        let results = parallel_ranges(0, 8, |_| panic!("must not run"));
-        assert!(results.is_empty());
-    }
-
-    #[test]
-    fn single_range_runs_inline() {
-        let tid = std::thread::current().id();
-        let results = parallel_ranges(5, 1, |r| {
-            assert_eq!(std::thread::current().id(), tid);
-            r.len()
-        });
-        assert_eq!(results, vec![5]);
-    }
-
-    #[test]
-    fn results_preserve_range_order() {
-        let results = parallel_ranges(100, 7, |r| r.start);
-        let mut sorted = results.clone();
-        sorted.sort_unstable();
-        assert_eq!(results, sorted);
-    }
-
-    #[test]
-    fn zero_threads_is_a_typed_error() {
-        let r = try_parallel_ranges(10, 0, |r| r.len());
-        assert!(matches!(r, Err(XbfsError::InvalidArgument { .. })));
-    }
-
-    #[test]
-    fn scoped_worker_panic_carries_payload_and_range() {
-        let err = try_parallel_ranges(100, 4, |r| {
-            if r.contains(&60) {
-                panic!("worker exploded at {}", r.start);
-            }
-            r.len()
-        })
-        .expect_err("must surface the panic");
-        match &err {
-            XbfsError::KernelPanic { payload, range } => {
-                assert!(payload.contains("worker exploded"), "{payload}");
-                let (start, end) = range.expect("range recorded");
-                assert!((start..end).contains(&60), "{start}..{end}");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn inline_worker_panic_carries_payload_and_range() {
-        let err = try_parallel_ranges(5, 1, |_| -> usize { panic!("inline boom") })
-            .expect_err("must surface the panic");
-        match &err {
-            XbfsError::KernelPanic { payload, range } => {
-                assert!(payload.contains("inline boom"), "{payload}");
-                assert_eq!(*range, Some((0, 5)));
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn infallible_wrapper_repanics_with_context() {
-        let caught = std::panic::catch_unwind(|| {
-            parallel_ranges(8, 2, |r| {
-                if r.start == 0 {
-                    panic!("first chunk failed");
-                }
-                r.len()
-            })
-        })
-        .expect_err("must panic");
-        let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("first chunk failed"), "{msg}");
-        assert!(msg.contains("0..4"), "{msg}");
+    /// The rendering of the payload `f` panics with.
+    fn rendered_panic(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        payload_to_string(&*catch_unwind(f).expect_err("must panic"))
     }
 
     #[test]
     fn typed_panic_payload_preserves_value_and_type_name() {
-        let err = try_parallel_ranges(10, 2, |r| {
-            if r.start == 0 {
-                std::panic::panic_any(42u32);
-            }
-            r.len()
-        })
-        .expect_err("must surface the panic");
-        match &err {
-            XbfsError::KernelPanic { payload, .. } => {
-                assert!(payload.contains("42"), "{payload}");
-                assert!(payload.contains("u32"), "{payload}");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
+        let payload = rendered_panic(|| std::panic::panic_any(42u32));
+        assert!(payload.contains("42"), "{payload}");
+        assert!(payload.contains("u32"), "{payload}");
     }
 
     #[test]
     fn typed_panic_payload_covers_error_and_string_types() {
         let boxed: Box<str> = "boxed boom".into();
-        let err = try_parallel_ranges(4, 1, move |_| -> usize {
-            std::panic::panic_any(boxed.clone())
-        })
-        .expect_err("must surface the panic");
-        match &err {
-            XbfsError::KernelPanic { payload, .. } => {
-                assert!(payload.contains("boxed boom"), "{payload}");
-                assert!(payload.contains("Box<str>"), "{payload}");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
+        let payload = rendered_panic(move || std::panic::panic_any(boxed));
+        assert!(payload.contains("boxed boom"), "{payload}");
+        assert!(payload.contains("Box<str>"), "{payload}");
 
         let nested = XbfsError::InvalidArgument {
             what: "inner typed error".to_string(),
         };
-        let err = try_parallel_ranges(4, 1, move |_| -> usize {
-            std::panic::panic_any(nested.clone())
-        })
-        .expect_err("must surface the panic");
-        match &err {
-            XbfsError::KernelPanic { payload, .. } => {
-                assert!(payload.contains("inner typed error"), "{payload}");
-                assert!(payload.contains("XbfsError"), "{payload}");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
+        let payload = rendered_panic(move || std::panic::panic_any(nested));
+        assert!(payload.contains("inner typed error"), "{payload}");
+        assert!(payload.contains("XbfsError"), "{payload}");
     }
 
     #[test]
     fn unknown_panic_payload_keeps_a_stable_marker() {
         #[derive(Debug)]
         struct Opaque;
-        let err = try_parallel_ranges(4, 1, |_| -> usize { std::panic::panic_any(Opaque) })
-            .expect_err("must surface the panic");
-        match &err {
-            XbfsError::KernelPanic { payload, .. } => {
-                assert!(payload.contains("non-string panic payload"), "{payload}");
-                assert!(payload.contains("TypeId"), "{payload}");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
+        let payload = rendered_panic(|| std::panic::panic_any(Opaque));
+        assert!(payload.contains("non-string panic payload"), "{payload}");
+        assert!(payload.contains("TypeId"), "{payload}");
     }
 
     #[test]

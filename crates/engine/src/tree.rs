@@ -120,24 +120,6 @@ pub fn partial_tree_violation(csr: &Csr, out: &BfsOutput) -> Option<String> {
     None
 }
 
-/// Mean distance from the source over reached vertices (0 for a lone
-/// source).
-pub fn mean_distance(out: &BfsOutput) -> f64 {
-    let mut total = 0u64;
-    let mut count = 0u64;
-    for &l in &out.levels {
-        if l != UNREACHED {
-            total += l as u64;
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total as f64 / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,15 +245,5 @@ mod tests {
                 "vertex 2 at level 2, parent 3 at level {UNREACHED}"
             ))
         );
-    }
-
-    #[test]
-    fn mean_distance_examples() {
-        let g = gen::star(5);
-        let out = topdown::run(&g, 0).output;
-        // Levels: 0,1,1,1,1 → mean 0.8.
-        assert!((mean_distance(&out) - 0.8).abs() < 1e-12);
-        let lone = topdown::run(&gen::uniform_random(3, 0, 1), 0).output;
-        assert_eq!(mean_distance(&lone), 0.0);
     }
 }

@@ -94,11 +94,6 @@ impl EdgeList {
         &self.edges
     }
 
-    /// Consume into the raw edge vector.
-    pub fn into_edges(self) -> Vec<(VertexId, VertexId)> {
-        self.edges
-    }
-
     /// Apply a vertex permutation: every endpoint `v` becomes `perm[v]`.
     ///
     /// The Graph 500 spec shuffles vertex labels after Kronecker generation

@@ -100,39 +100,6 @@ pub fn two_cliques(k: VertexId) -> Csr {
     Csr::from_edge_list(&el)
 }
 
-/// Barabási–Albert preferential attachment: each new vertex attaches `m`
-/// edges to existing vertices with probability proportional to degree.
-/// Produces a scale-free family distinct from R-MAT — used to test that
-/// the switch-point predictor generalizes beyond Kronecker graphs.
-pub fn barabasi_albert(n: VertexId, m: u32, seed: u64) -> Csr {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let m = m.max(1);
-    let mut el = EdgeList::new(n);
-    // Attachment pool: each endpoint appearance is one "degree ticket".
-    let mut pool: Vec<VertexId> = Vec::new();
-    let seedlings = (m + 1).min(n);
-    for u in 1..seedlings {
-        el.push(u - 1, u);
-        pool.push(u - 1);
-        pool.push(u);
-    }
-    for u in seedlings..n {
-        let mut chosen = Vec::with_capacity(m as usize);
-        for _ in 0..m {
-            let t = pool[rng.gen_range(0..pool.len())];
-            if t != u && !chosen.contains(&t) {
-                chosen.push(t);
-            }
-        }
-        for &t in &chosen {
-            el.push(u, t);
-            pool.push(u);
-            pool.push(t);
-        }
-    }
-    Csr::from_edge_list(&el)
-}
-
 /// Watts–Strogatz small world: a ring lattice (each vertex linked to `k/2`
 /// neighbors per side) with each edge rewired with probability `beta`.
 /// A low-skew, high-diameter family — the structural opposite of R-MAT.
@@ -290,18 +257,6 @@ mod tests {
         // Degenerate small cycles.
         assert_eq!(cycle(2).num_edges(), 1);
         assert_eq!(cycle(1).num_edges(), 0);
-    }
-
-    #[test]
-    fn barabasi_albert_is_scale_free_and_connected_core() {
-        let g = barabasi_albert(500, 3, 11);
-        assert!(g.is_canonical());
-        // Heavy tail: max degree well above the mean.
-        let mean = g.num_directed_edges() as f64 / g.num_vertices() as f64;
-        let max = g.vertices().map(|v| g.degree(v)).max().unwrap();
-        assert!(max as f64 > 4.0 * mean, "max {max}, mean {mean:.1}");
-        // Deterministic.
-        assert_eq!(g, barabasi_albert(500, 3, 11));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * **Text edge list** — `u v` per line, the lingua franca of graph tools,
 //!   used by the examples to ingest user graphs.
 
-use crate::{Csr, EdgeList, VertexId};
+use crate::{Csr, EdgeList, VertexId, NO_PARENT};
 use std::io::{self, BufRead, Write};
 
 /// Magic tag guarding the binary format.
@@ -142,11 +142,12 @@ pub fn write_edge_list(el: &EdgeList, mut w: impl Write) -> io::Result<()> {
 
 /// Read a whitespace-separated edge list. Lines starting with `#` or `%`
 /// are comments. The vertex count is `max endpoint + 1` unless a larger
-/// `min_vertices` is supplied.
+/// `min_vertices` is supplied. An endpoint equal to [`NO_PARENT`], the id
+/// reserved for "no parent", is `InvalidData` naming its line.
 pub fn read_edge_list(r: impl BufRead, min_vertices: VertexId) -> io::Result<EdgeList> {
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut max_v: VertexId = 0;
-    for line in r.lines() {
+    for (lineno, line) in r.lines().enumerate() {
         let line = line?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
@@ -160,6 +161,15 @@ pub fn read_edge_list(r: impl BufRead, min_vertices: VertexId) -> io::Result<Edg
         };
         let s = parse(it.next())?;
         let d = parse(it.next())?;
+        if s == NO_PARENT || d == NO_PARENT {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "line {}: vertex id {NO_PARENT} is reserved for NO_PARENT",
+                    lineno + 1
+                ),
+            ));
+        }
         max_v = max_v.max(s).max(d);
         edges.push((s, d));
     }
@@ -260,5 +270,17 @@ mod tests {
     fn text_rejects_malformed() {
         assert!(read_edge_list("1\n".as_bytes(), 0).is_err());
         assert!(read_edge_list("a b\n".as_bytes(), 0).is_err());
+    }
+
+    #[test]
+    fn text_rejects_the_reserved_no_parent_id() {
+        for text in ["0 4294967295\n", "# c\n0 1\n4294967295 2\n"] {
+            let err = read_edge_list(text.as_bytes(), 0).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+            let line = text.lines().count();
+            assert!(err.to_string().contains(&format!("line {line}:")), "{err}");
+        }
+        let el = read_edge_list("0 4294967294\n".as_bytes(), 0).unwrap();
+        assert_eq!(el.num_vertices(), NO_PARENT);
     }
 }

@@ -45,11 +45,6 @@ pub fn apply_permutation(csr: &Csr, perm: &[VertexId]) -> Csr {
     Csr::from_edge_list(&edges)
 }
 
-/// Relabel by descending degree in one step.
-pub fn by_degree(csr: &Csr) -> Csr {
-    apply_permutation(csr, &degree_descending_permutation(csr))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,7 +63,7 @@ mod tests {
     #[test]
     fn relabeling_preserves_structure() {
         let g = crate::rmat::rmat_csr(9, 8);
-        let r = by_degree(&g);
+        let r = apply_permutation(&g, &degree_descending_permutation(&g));
         assert_eq!(g.num_vertices(), r.num_vertices());
         assert_eq!(g.num_edges(), r.num_edges());
         // Degree multiset is invariant.
@@ -83,7 +78,7 @@ mod tests {
     #[test]
     fn relabeled_degrees_are_descending() {
         let g = crate::rmat::rmat_csr(9, 16);
-        let r = by_degree(&g);
+        let r = apply_permutation(&g, &degree_descending_permutation(&g));
         let degs: Vec<u64> = r.vertices().map(|v| r.degree(v)).collect();
         assert!(
             degs.windows(2).all(|w| w[0] >= w[1]),

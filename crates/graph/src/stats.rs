@@ -67,16 +67,6 @@ impl GraphStats {
     }
 }
 
-/// Degree histogram: `histogram[d]` = number of vertices with degree `d`.
-pub fn degree_histogram(csr: &Csr) -> Vec<u64> {
-    let max_deg = csr.vertices().map(|v| csr.degree(v)).max().unwrap_or(0) as usize;
-    let mut hist = vec![0u64; max_deg + 1];
-    for v in csr.vertices() {
-        hist[csr.degree(v) as usize] += 1;
-    }
-    hist
-}
-
 /// Maximum degree and one vertex attaining it (`None` for empty graphs).
 pub fn max_degree_vertex(csr: &Csr) -> Option<(VertexId, u64)> {
     csr.vertices()
@@ -112,15 +102,6 @@ mod tests {
         assert_eq!(s.a, 0.57);
         assert_eq!(s.d, 0.05);
         assert_eq!(s.num_vertices, 256);
-    }
-
-    #[test]
-    fn histogram_sums_to_vertex_count() {
-        let g = gen::star(10);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.iter().sum::<u64>(), 10);
-        assert_eq!(hist[1], 9);
-        assert_eq!(hist[9], 1);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Hyper-parameter selection: k-fold cross-validation and grid search.
+//! Hyper-parameter selection: k-fold cross-validation.
 //!
 //! The paper leans on LIBSVM's tooling ("a detailed tutorial can be found
-//! in \[10\]") for model selection; this module supplies the equivalent:
-//! k-fold CV error for a configuration, and a grid search over
-//! `(C, γ, ε)` returning the configuration with the lowest CV error. The
-//! ablation benches use it to show how prediction accuracy moves with
-//! training-set size — the paper's "the prediction accuracy will be higher
-//! with more training samples" remark (§III-E).
+//! in \[10\]") for model selection; this module supplies the equivalent
+//! k-fold CV error of a configuration. The ablation benches use it to
+//! show how prediction accuracy moves with training-set size — the
+//! paper's "the prediction accuracy will be higher with more training
+//! samples" remark (§III-E).
 
-use crate::{Dataset, Kernel, Regressor, Svr, SvrConfig};
+use crate::{Dataset, Regressor, Svr, SvrConfig};
 
 /// Split `data` into `k` interleaved folds (`fold i` = samples with
 /// `index % k == i`) and return the mean held-out MSE of `config`.
@@ -32,61 +31,6 @@ pub fn cross_validate(data: &Dataset, config: SvrConfig, k: usize) -> f64 {
         total += model.mse(&test);
     }
     total / k as f64
-}
-
-/// The grid-search outcome.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GridSearchResult {
-    /// Winning configuration.
-    pub config: SvrConfig,
-    /// Its k-fold CV mean squared error.
-    pub cv_mse: f64,
-}
-
-/// Exhaustive search over `(C, γ, ε)` with an RBF kernel, LIBSVM style.
-///
-/// # Panics
-/// Panics if any candidate list is empty or `k` is out of range.
-pub fn grid_search(
-    data: &Dataset,
-    cs: &[f64],
-    gammas: &[f64],
-    epsilons: &[f64],
-    k: usize,
-) -> GridSearchResult {
-    assert!(
-        !cs.is_empty() && !gammas.is_empty() && !epsilons.is_empty(),
-        "candidate lists must be non-empty"
-    );
-    let mut best: Option<GridSearchResult> = None;
-    for &c in cs {
-        for &gamma in gammas {
-            for &epsilon in epsilons {
-                let config = SvrConfig {
-                    c,
-                    epsilon,
-                    kernel: Kernel::Rbf { gamma },
-                    tol: 1e-6,
-                    max_sweeps: 2000,
-                };
-                let cv_mse = cross_validate(data, config, k);
-                if best.is_none_or(|b| cv_mse < b.cv_mse) {
-                    best = Some(GridSearchResult { config, cv_mse });
-                }
-            }
-        }
-    }
-    best.expect("non-empty grid")
-}
-
-/// LIBSVM-flavored default candidate grids: powers of 4 around the usual
-/// sweet spots.
-pub fn default_grids(dim: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let cs = vec![1.0, 16.0, 256.0];
-    let base_gamma = 1.0 / dim.max(1) as f64;
-    let gammas = vec![base_gamma / 4.0, base_gamma, base_gamma * 4.0];
-    let epsilons = vec![0.01, 0.1, 1.0];
-    (cs, gammas, epsilons)
 }
 
 #[cfg(test)]
@@ -129,18 +73,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_search_picks_a_winner_no_worse_than_corners() {
-        let d = noisy_linear(50);
-        let (cs, gammas, epsilons) = default_grids(2);
-        let result = grid_search(&d, &cs, &gammas, &epsilons, 5);
-        assert!(result.cv_mse.is_finite());
-        // The winner must not lose to a deliberately bad corner.
-        let mut bad = result.config;
-        bad.c = 1e-6;
-        assert!(result.cv_mse <= cross_validate(&d, bad, 5));
-    }
-
-    #[test]
     fn more_training_data_does_not_hurt_much() {
         // The paper's §III-E remark, as a trend check: CV error with 80
         // samples ≤ 2× the error with 20 samples (usually far better).
@@ -158,11 +90,5 @@ mod tests {
     #[should_panic(expected = "2 <= k <= n")]
     fn cv_rejects_bad_k() {
         cross_validate(&noisy_linear(5), SvrConfig::default_for_dim(2), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn grid_search_rejects_empty_grid() {
-        grid_search(&noisy_linear(10), &[], &[0.1], &[0.1], 2);
     }
 }

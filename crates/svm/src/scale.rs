@@ -80,11 +80,6 @@ impl Scaler {
             .map(|((v, m), s)| (v - m) / s)
             .collect()
     }
-
-    /// Standardize a batch.
-    pub fn transform_all(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        xs.iter().map(|x| self.transform(x)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +95,7 @@ mod tests {
             vec![4.0, 400.0],
         ];
         let scaler = Scaler::fit(data.iter().map(Vec::as_slice));
-        let t = scaler.transform_all(&data);
+        let t: Vec<Vec<f64>> = data.iter().map(|x| scaler.transform(x)).collect();
         for d in 0..2 {
             let mean: f64 = t.iter().map(|r| r[d]).sum::<f64>() / 4.0;
             let var: f64 = t.iter().map(|r| r[d] * r[d]).sum::<f64>() / 4.0;

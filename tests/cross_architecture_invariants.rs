@@ -4,9 +4,8 @@
 
 use proptest::prelude::*;
 use xbfs::archsim::{profile, ArchSpec, Link};
-use xbfs::core::cross::{
-    cost_cross, placement_script, run_cross, try_cost_cross, try_run_cross, CrossParams, Placement,
-};
+use xbfs::core::cross::{cost_cross, placement_script, run_cross, CrossParams, Placement};
+use xbfs::core::session::RunSession;
 use xbfs::engine::{validate, FixedMN, XbfsError};
 use xbfs::graph::{Csr, EdgeList};
 
@@ -132,32 +131,25 @@ proptest! {
         let link = Link::pcie3();
         let p = profile(&g, src);
 
-        let costed = try_cost_cross(&p, &cpu, &gpu, &link, &params);
-        let ran = try_run_cross(&g, src, &cpu, &gpu, &link, &params);
-
-        // The two entry points accept and reject the same parameter sets,
-        // with the same typed error (compared by message so NaN fields
-        // don't defeat PartialEq).
-        match (&costed, &ran) {
-            (Ok(c), Ok(r)) => {
+        // `CrossParams::validate` is the one gate in front of costing and
+        // executing; what it accepts, both price identically and the
+        // executor traverses validly.
+        let checked = params.validate();
+        match &checked {
+            Ok(()) => {
+                let c = cost_cross(&p, &cpu, &gpu, &link, &params);
+                let r = run_cross(&g, src, &cpu, &gpu, &link, &params);
                 prop_assert!((c.total_seconds - r.total_seconds).abs() < 1e-12);
                 prop_assert_eq!(validate(&g, &r.traversal.output), Ok(()));
             }
-            (Err(ce), Err(re)) => {
-                prop_assert!(matches!(ce, XbfsError::InvalidSwitchParams { .. }));
-                prop_assert_eq!(ce.to_string(), re.to_string());
-            }
-            (c, r) => prop_assert!(
-                false,
-                "costing and executor disagree: cost={c:?} run={r:?}"
-            ),
+            Err(e) => prop_assert!(matches!(e, XbfsError::InvalidSwitchParams { .. })),
         }
 
         // Acceptance is exactly "all four thresholds finite and positive".
         let all_valid = [params.handoff.m, params.handoff.n, params.gpu.m, params.gpu.n]
             .iter()
             .all(|v| v.is_finite() && *v > 0.0);
-        prop_assert_eq!(costed.is_ok(), all_valid);
+        prop_assert_eq!(checked.is_ok(), all_valid);
     }
 
     #[test]
@@ -166,7 +158,10 @@ proptest! {
         let gpu = ArchSpec::gpu_k20x();
         let link = Link::pcie3();
         let bad = g.num_vertices() + 1;
-        let err = try_run_cross(&g, bad, &cpu, &gpu, &link, &params).unwrap_err();
+        let err = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(bad)
+            .run()
+            .unwrap_err();
         prop_assert!(matches!(err, XbfsError::BadSource { .. }));
     }
 }

@@ -3,7 +3,7 @@
 //! cross-architecture combination, and check the result against the
 //! exhaustive oracle.
 
-use xbfs::core::{oracle, training};
+use xbfs::core::{combination, oracle, training};
 use xbfs::prelude::*;
 
 fn runtime() -> AdaptiveRuntime {
@@ -49,7 +49,8 @@ fn adaptive_single_device_runs_work_on_all_platforms() {
     let archs = [rt.cpu.clone(), rt.gpu.clone(), rt.mic.clone()];
     let mut totals = Vec::new();
     for arch in &archs {
-        let run = rt.run_on(&g, &stats, src, arch);
+        let mut mn = rt.predictor.predict(&stats, arch, arch);
+        let run = combination::run_single(&g, src, arch, &mut mn);
         assert!(xbfs::engine::validate(&g, &run.traversal.output).is_ok());
         totals.push(run.total_seconds);
     }
