@@ -32,10 +32,9 @@ use xbfs_archsim::{ArchSpec, CostModelPolicy, FaultPlan};
 use xbfs_bench::perf;
 use xbfs_core::{
     chrome_trace_json, prometheus_slo_text, prometheus_text, service_chrome_trace_json,
-    timeseries_json_lines, training::pick_source, AdaptiveRuntime, BatchCompat, BatchPolicy,
-    CheckpointPolicy, DrainMode, LevelCheckpoint, OnlineBandit, PolicyMode, PolicyRun,
-    QueryRequest, QueryService, ResilienceConfig, ScheduleItem, ServiceConfig, SloPolicy,
-    SnapshotPolicy, TraceSamplePolicy,
+    timeseries_json_lines, training::pick_source, AdaptiveRuntime, BatchPolicy, CheckpointPolicy,
+    DrainMode, LevelCheckpoint, OnlineBandit, PolicyMode, PolicyRun, QueryRequest, QueryService,
+    ResilienceConfig, ScheduleItem, ServiceConfig, SloPolicy, SnapshotPolicy, TraceSamplePolicy,
 };
 use xbfs_engine::{
     hybrid, par, stcon, tree, validate, AlwaysBottomUp, AlwaysTopDown, FixedMN, MemorySink,
@@ -70,7 +69,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         "serve",
         cmd_serve,
         "graph requests arrivals rate seed request-deadline chaos-dir chaos-every capacity \
-         queue-depth batch-window batch-lanes deadline retries checkpoint-interval spill-dir \
+         queue-depth batch-window deadline retries checkpoint-interval spill-dir \
          scrub checksum drain-at drain-mode snapshot-every timeseries-out slo-deadline-ratio \
          slo-latency slo-latency-ratio flight-recorder postmortem-dir trace-sample policy \
          report-json trace-out metrics-out quiet text",
@@ -78,13 +77,13 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "bench",
         cmd_bench,
-        "preset compare tolerance bench-dir baseline fault-plan report-json batched policy quiet",
+        "preset compare tolerance bench-dir fault-plan report-json quiet",
     ),
     ("report", cmd_report, "timeseries"),
 ];
 
 /// Flags that stand alone; every other flag takes a value.
-const SWITCHES: [&str; 5] = ["text", "quiet", "batched", "scrub", "checksum"];
+const SWITCHES: [&str; 4] = ["text", "quiet", "scrub", "checksum"];
 
 /// Minimal flag parser: `--key value` pairs plus the [`SWITCHES`].
 struct Args {
@@ -98,9 +97,8 @@ impl Args {
     fn parse(
         command: &str,
         accepted: &str,
-        argv: impl Iterator<Item = String>,
+        mut argv: impl Iterator<Item = String>,
     ) -> Result<Self, String> {
-        let mut argv = argv.peekable();
         let mut pairs = Vec::new();
         let mut switches = Vec::new();
         while let Some(arg) = argv.next() {
@@ -112,13 +110,6 @@ impl Args {
             }
             if SWITCHES.contains(&key) {
                 switches.push(key.to_string());
-                continue;
-            }
-            // `--policy` may stand alone (`bench --policy` writes
-            // POLICY.json) or take a mode (`serve --policy online:7`); a
-            // following flag or the end of argv means the bare form.
-            if key == "policy" && argv.peek().is_none_or(|v| v.starts_with("--")) {
-                pairs.push((key.to_string(), String::new()));
                 continue;
             }
             let Some(value) = argv.next() else {
@@ -269,7 +260,6 @@ fn resilience_from_args(args: &Args, spill: Option<String>) -> Result<Resilience
             ScrubPolicy::Off
         },
         checksum_transfers: args.on("checksum"),
-        ..ResilienceConfig::default_runtime()
     };
     config.validate().map_err(|e| e.to_string())?;
     Ok(config)
@@ -814,7 +804,6 @@ fn telemetry_from_args(
 fn policy_mode_from_args(args: &Args) -> Result<PolicyMode, String> {
     match args.get("policy") {
         None => Ok(PolicyMode::Offline),
-        Some("") => Err("--policy needs a mode (offline, online, online:SEED)".into()),
         Some(s) => PolicyMode::parse(s)
             .ok_or_else(|| format!("unknown --policy '{s}' (offline, online, online:SEED)")),
     }
@@ -830,11 +819,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "cancel" => DrainMode::Cancel,
         other => return Err(format!("unknown --drain-mode '{other}'")),
     };
-    let batching = BatchPolicy {
-        window: args.parse_num("batch-window")?.unwrap_or(0),
-        max_lanes: args.parse_num("batch-lanes")?.unwrap_or(64),
-        compat: BatchCompat::default(),
-    };
+    let batching = BatchPolicy::windowed(args.parse_num("batch-window")?.unwrap_or(0));
     let config = ServiceConfig {
         capacity: args.parse_num("capacity")?.unwrap_or(2),
         queue_limit: args.parse_num("queue-depth")?.unwrap_or(8),
@@ -860,12 +845,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
     ui.say("training switch-point predictor (quick configuration)…");
     let rt = AdaptiveRuntime::quick_trained();
-    let batching_on = config.batching.enabled();
-    let batch_note = if batching_on {
-        format!(
-            ", batching window {} x {} lane(s)",
-            config.batching.window, config.batching.max_lanes
-        )
+    let batch_note = if config.batching.enabled() {
+        format!(", batching window {}", config.batching.window)
     } else {
         String::new()
     };
@@ -1029,9 +1010,26 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             tol.rel
         ));
     }
+    // The baseline is read, and its version and preset checked, before
+    // the suite spends its seconds.
+    let baseline = match args.get("compare") {
+        None => None,
+        Some(path) => {
+            let baseline = perf::BenchReport::load(std::path::Path::new(path))
+                .map_err(|e| format!("--compare {e}"))?;
+            if baseline.preset != preset.name {
+                return Err(format!(
+                    "--compare {path}: baseline preset {:?}, but the suite runs {:?}",
+                    baseline.preset, preset.name
+                ));
+            }
+            Some((path, baseline))
+        }
+    };
 
     ui.say(format!(
-        "running pinned perf suite (preset {preset_name}, {} scales x {{{}, chaos}})…",
+        "running pinned perf suite (preset {preset_name}, {} scales x {{{}, chaos}}, \
+         batched and policy sweeps)…",
         perf::SUITE_PAPER_SCALES.len(),
         if overlay.is_some() {
             "overlay"
@@ -1054,6 +1052,42 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         "harmonic-mean TEPS: {:.3e}",
         report.harmonic_mean_teps
     ));
+    ui.say(format!(
+        "batched multi-source sweep ({:?} lanes vs solo sessions):",
+        perf::BATCHED_LANES
+    ));
+    for case in &report.batched.cases {
+        ui.say(format!(
+            "  {} lane(s): {:8.3} ms batched vs {:8.3} ms solo ({:.2}x), {} rounds",
+            case.lanes,
+            case.batch_seconds * 1e3,
+            case.solo_seconds * 1e3,
+            case.speedup,
+            case.rounds,
+        ));
+    }
+    ui.say(format!(
+        "online-policy sweep ({} queries × {{rmat, road, small-world}}, bandit seed {:#x}):",
+        report.policy.queries, report.policy.bandit_seed
+    ));
+    for case in &report.policy.families {
+        let first = case.cohorts.first().map_or(0.0, |c| c.mean_level_regret_s);
+        let last = case.cohorts.last().map_or(0.0, |c| c.mean_level_regret_s);
+        ui.say(format!(
+            "  {:>11}: efficiency {:.4} offline → {:.4} online; cohort regret {:+.3e} → {:+.3e} s ({}, {} exploration(s))",
+            case.family,
+            case.offline_mean_efficiency,
+            case.online_mean_efficiency,
+            first,
+            last,
+            if case.regret_is_non_increasing() {
+                "non-increasing"
+            } else {
+                "NOT monotone"
+            },
+            case.explorations,
+        ));
+    }
 
     if let Some(path) = args.get("report-json") {
         write_out(path, &report.to_json())?;
@@ -1061,18 +1095,6 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             ui.say(format!("wrote bench report to {path}"));
         }
     }
-
-    let baseline_path = args.get("baseline").unwrap_or("bench/baseline.json");
-    if std::env::var("UPDATE_BASELINE").is_ok_and(|v| !v.is_empty() && v != "0") {
-        if let Some(dir) = std::path::Path::new(baseline_path).parent() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        }
-        std::fs::write(baseline_path, report.to_json())
-            .map_err(|e| format!("{baseline_path}: {e}"))?;
-        ui.say(format!("updated baseline at {baseline_path}"));
-        return Ok(());
-    }
-
     let bench_dir = std::path::PathBuf::from(args.get("bench-dir").unwrap_or("bench"));
     std::fs::create_dir_all(&bench_dir).map_err(|e| format!("{}: {e}", bench_dir.display()))?;
     let bench_path = perf::next_bench_path(&bench_dir);
@@ -1080,79 +1102,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("{}: {e}", bench_path.display()))?;
     ui.say(format!("wrote {}", bench_path.display()));
 
-    if args.on("batched") {
-        // Simulated-clock batch amortization sweep: deterministic, but
-        // its case set is not in the committed baseline, so it lives in
-        // its own artifact that the --compare gate below never reads.
-        ui.say(format!(
-            "running batched multi-source sweep ({:?} lanes vs solo sessions)…",
-            perf::BATCHED_LANES
-        ));
-        let batched = perf::run_batched(&preset);
-        for case in &batched.cases {
-            ui.say(format!(
-                "  {} lane(s): {:8.3} ms batched vs {:8.3} ms solo ({:.2}x), {} rounds",
-                case.lanes,
-                case.batch_seconds * 1e3,
-                case.solo_seconds * 1e3,
-                case.speedup,
-                case.rounds,
-            ));
-        }
-        let batched_path = bench_dir.join("BATCHED.json");
-        std::fs::write(&batched_path, batched.to_json())
-            .map_err(|e| format!("{}: {e}", batched_path.display()))?;
-        ui.say(format!(
-            "wrote {} (informational; excluded from the perf gate)",
-            batched_path.display()
-        ));
-    }
-
-    if let Some(v) = args.get("policy") {
-        if !v.is_empty() {
-            return Err(format!(
-                "bench --policy takes no value (got {v:?}); the sweep always runs the offline \
-                 and online streams side by side"
-            ));
-        }
-        // Offline-vs-online policy streams: seeded and simulated-clock
-        // deterministic, but recorded as a trend artifact that the
-        // --compare gate below never reads.
-        ui.say(format!(
-            "running online-policy sweep ({} queries × {{rmat, road, small-world}}, bandit seed {:#x})…",
-            perf::POLICY_QUERIES,
-            perf::POLICY_BANDIT_SEED
-        ));
-        let policy = perf::run_policy(&preset);
-        for case in &policy.families {
-            let first = case.cohorts.first().map_or(0.0, |c| c.mean_level_regret_s);
-            let last = case.cohorts.last().map_or(0.0, |c| c.mean_level_regret_s);
-            ui.say(format!(
-                "  {:>11}: efficiency {:.4} offline → {:.4} online; cohort regret {:+.3e} → {:+.3e} s ({}, {} exploration(s))",
-                case.family,
-                case.offline_mean_efficiency,
-                case.online_mean_efficiency,
-                first,
-                last,
-                if case.regret_is_non_increasing() {
-                    "non-increasing"
-                } else {
-                    "NOT monotone"
-                },
-                case.explorations,
-            ));
-        }
-        let policy_path = bench_dir.join("POLICY.json");
-        std::fs::write(&policy_path, policy.to_json())
-            .map_err(|e| format!("{}: {e}", policy_path.display()))?;
-        ui.say(format!(
-            "wrote {} (informational; excluded from the perf gate)",
-            policy_path.display()
-        ));
-    }
-
-    if let Some(path) = args.get("compare") {
-        let baseline = perf::BenchReport::load(std::path::Path::new(path))?;
+    if let Some((path, baseline)) = baseline {
         let outcome = perf::compare(&report, &baseline, &tol);
         for note in &outcome.improvements {
             ui.say(format!("improvement: {note}"));
@@ -1362,7 +1312,7 @@ commands:
              [--trace-out T.json] [--metrics-out M.prom] [--quiet] [--text]
   serve      --graph FILE (--requests FILE|- | --arrivals N [--rate R] [--seed S]
              [--request-deadline SECS] [--chaos-dir DIR] [--chaos-every K])
-             [--capacity C] [--queue-depth Q] [--batch-window W] [--batch-lanes L]
+             [--capacity C] [--queue-depth Q] [--batch-window W]
              [--deadline SECS] [--retries N]
              [--checkpoint-interval L] [--spill-dir DIR] [--scrub] [--checksum]
              [--drain-at SECS] [--drain-mode complete|cancel]
@@ -1373,8 +1323,7 @@ commands:
              [--report-json R.json] [--trace-out T.json] [--metrics-out M.prom]
              [--quiet] [--text]
   bench      [--preset scaled|paper] [--compare BASELINE.json] [--tolerance REL]
-             [--bench-dir DIR] [--baseline FILE] [--fault-plan OVERLAY.json]
-             [--report-json R.json] [--batched] [--policy]
+             [--bench-dir DIR] [--fault-plan OVERLAY.json] [--report-json R.json]
              [--quiet]
   report     --timeseries TS.jsonl
 
@@ -1411,11 +1360,11 @@ committed fault plans into every --chaos-every-th query (default 4).
 --request-deadline, --chaos-dir and --chaos-every shape only the seeded
 schedule, and each of them alongside --requests is a flag error.
 --batch-window W (default 0 = off) turns on the batching stage: whenever
-a slot frees, up to W compatible queued queries (fault-free; --batch-lanes
-caps the batch, default 64) run as one BatchSession occupying a single
-slot, with per-query deadlines still settled individually at the batch
-completion instant. Batching amortizes the simulated clock only: each
-lane still costs the CPU time of a solo query.
+a slot frees, up to W compatible queued queries (fault-free; at most 64)
+run as one BatchSession occupying a single slot, with per-query deadlines
+still settled individually at the batch completion instant. Batching
+amortizes the simulated clock only: each lane still costs the CPU time
+of a solo query.
 
 serve telemetry (all off by default, all on the simulated clock — the
 same seeded run replays byte-for-byte): --snapshot-every S closes a
@@ -1439,18 +1388,19 @@ query as its own process on the service clock; --trace-sample RATE
 counts every query's buffer, so its bytes never depend on --trace-out or
 --trace-sample; it includes the xbfs_service_* admission counters.
 
-bench runs the pinned deterministic perf suite (three Graph 500 sizes,
-fault-free and under the committed chaos plan), writes a versioned
-BENCH_<n>.json into --bench-dir (default bench/), and with --compare exits
-nonzero naming every metric that regressed beyond --tolerance (default
-1e-6 relative; the suite clock is simulated, so drift means a behavior
-change). --fault-plan replaces the fault-free half with an overlay plan —
-the hook for proving the gate trips. Set UPDATE_BASELINE=1 to rewrite
---baseline (default bench/baseline.json) instead, mirroring UPDATE_GOLDEN
-for golden traces. --batched prices a 2/4/8-lane BatchSession against the same sources run
-solo and writes the simulated-clock amortization curve to BATCHED.json in
---bench-dir — deterministic, but its case set is absent from the
-committed baseline, so it stays out of the --compare gate.
+bench runs the pinned deterministic perf suite and writes one versioned
+BENCH_<n>.json into --bench-dir (default bench/). The report has three
+sections: three Graph 500 sizes, fault-free and under the committed chaos
+plan; a 2/4/8-lane BatchSession priced against the same sources run solo;
+and seeded offline vs online policy streams on R-MAT plus road-like and
+small-world generators, each query audited against the fixed-pair oracle.
+With --compare it exits nonzero naming every metric of any section that
+regressed beyond --tolerance (default 1e-6 relative; the suite clock is
+simulated, so drift means a behavior change); the baseline is read, and
+its format version and preset checked, before the suite runs.
+--fault-plan replaces the fault-free cases with an overlay plan — the
+hook for proving the gate trips. --report-json also writes the report to
+a path: regenerate the baseline with --report-json bench/baseline.json.
 
 adaptive and serve take --policy offline|online[:SEED], which selects the
 per-level placement policy: offline (the default) is the paper's fixed
@@ -1462,10 +1412,8 @@ queries: each query runs on a snapshot taken at admission and its
 observations fold back at completion, both in simulated order, so a
 seeded stream replays byte-for-byte. bfs --policy picks the CPU engine's
 direction rule instead: td, bu, hybrid (the default, FixedMN 14/24) or
-model (the CPU cost model). bench --policy writes an informational
-POLICY.json (offline vs online vs oracle regret per query cohort, on
-R-MAT plus road-like and small-world generators); like BATCHED it never
-joins the --compare gate.";
+model (the CPU cost model). bench's policy section compares the offline
+and online modes per query cohort.";
 
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);

@@ -12,11 +12,15 @@
 //! The suite runs the scaled preset's three Graph 500 sizes twice each —
 //! fault-free and under one committed chaos plan — through the full
 //! [`xbfs_core::RunSession`] resilient path with tracing on, then audits every
-//! decision with [`decision_audit`]. Reports serialize as versioned
-//! `BENCH_<n>.json` files; `bench/baseline.json` pins the expected values.
+//! decision with [`decision_audit`]. On the same trained runtime it prices
+//! two sweeps: a batched multi-source amortization curve and seeded
+//! offline-vs-online policy streams. One report holds all three sections;
+//! it serializes as a versioned `BENCH_<n>.json` file, and
+//! `bench/baseline.json` pins the expected values of every section.
 
 use crate::Preset;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -33,7 +37,7 @@ use xbfs_graph::{gen, Csr};
 /// Version of the `BENCH_<n>.json` schema; bumped on breaking changes so
 /// `compare` refuses to diff incompatible reports instead of misreading
 /// them.
-pub const BENCH_FORMAT_VERSION: u64 = 1;
+pub const BENCH_FORMAT_VERSION: u64 = 2;
 
 /// The committed chaos plan every suite run replays (moderate mixed
 /// faults, seeded — the same plan the chaos corpus pins).
@@ -89,6 +93,10 @@ pub struct BenchReport {
     pub harmonic_mean_teps: f64,
     /// Every case, in suite order.
     pub cases: Vec<BenchCase>,
+    /// The batched multi-source sweep.
+    pub batched: BatchedReport,
+    /// The offline-vs-online policy sweep.
+    pub policy: PolicyReport,
 }
 
 impl BenchReport {
@@ -97,16 +105,28 @@ impl BenchReport {
         serde_json::to_string_pretty(self).expect("bench report serializes")
     }
 
-    /// Parse from JSON.
+    /// Parse from JSON. A report of another [`BENCH_FORMAT_VERSION`] is
+    /// refused by its version, before any field is read.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| format!("bench report parse error: {e:?}"))
+        let parse_error = |e| format!("bench report parse error: {e:?}");
+        let value: serde_json::Value = serde_json::from_str(s).map_err(parse_error)?;
+        match value["format_version"].as_u64() {
+            Some(BENCH_FORMAT_VERSION) => {
+                <Self as serde::Deserialize>::from_value(&value).map_err(parse_error)
+            }
+            _ => Err(format!(
+                "format_version {}, but this build reads {BENCH_FORMAT_VERSION}; \
+                 regenerate the report",
+                serde_json::to_string(&value["format_version"]).unwrap_or_default()
+            )),
+        }
     }
 
-    /// Load a report from a file.
+    /// Load a report from a file; every error names the path.
     pub fn load(path: &Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json(&text)
+        Self::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 
@@ -116,8 +136,8 @@ impl BenchReport {
 pub struct PerfTolerance {
     /// Relative tolerance on seconds/TEPS/ratios.
     pub rel: f64,
-    /// Absolute floor in seconds, so near-zero phases don't trip the
-    /// relative band on noise.
+    /// Absolute floor of the band, so near-zero seconds and regrets
+    /// don't trip the relative band on noise.
     pub abs_s: f64,
 }
 
@@ -150,9 +170,16 @@ impl CompareOutcome {
 ///
 /// Each suite graph runs twice: once fault-free (or under `overlay` when
 /// given — the hook the acceptance test uses to inject a deliberate
-/// slowdown) and once under the committed chaos plan.
+/// slowdown) and once under the committed chaos plan. Both sweeps run
+/// fault-free on the same trained runtime; [`run_batched_at`] panics if a
+/// batch lane's parent array disagrees with its solo run.
 pub fn run_suite(preset: &Preset, overlay: Option<&FaultPlan>) -> BenchReport {
-    let rt = suite_runtime(preset);
+    // Deterministic training data, so the predicted parameters are stable.
+    let rt = if preset.full_training {
+        AdaptiveRuntime::train(&xbfs_core::training::TrainingConfig::paper_sized())
+    } else {
+        AdaptiveRuntime::quick_trained()
+    };
     let chaos = FaultPlan::from_json(SUITE_CHAOS_PLAN).expect("committed chaos plan parses");
     let fault_free = FaultPlan::none();
     let (first_plan, first_label) = match overlay {
@@ -178,16 +205,8 @@ pub fn run_suite(preset: &Preset, overlay: Option<&FaultPlan>) -> BenchReport {
         preset: preset.name.to_string(),
         harmonic_mean_teps: harmonic_mean_teps(&teps),
         cases,
-    }
-}
-
-/// The trained runtime the suite shares across cases: deterministic
-/// training data, so the predicted parameters are stable.
-pub fn suite_runtime(preset: &Preset) -> AdaptiveRuntime {
-    if preset.full_training {
-        AdaptiveRuntime::train(&xbfs_core::training::TrainingConfig::paper_sized())
-    } else {
-        AdaptiveRuntime::quick_trained()
+        batched: run_batched_at(&rt, preset, BATCHED_PAPER_SCALE),
+        policy: run_policy_at(&rt, preset, POLICY_PAPER_SCALE),
     }
 }
 
@@ -283,17 +302,10 @@ pub struct BatchedCase {
 }
 
 /// The batched multi-source sweep: [`BatchSession`] against solo sessions
-/// at every [`BATCHED_LANES`] count on one suite graph.
-///
-/// Every metric here lives on the simulated clock and is deterministic,
-/// but the case set is not in the committed baseline and [`compare`]
-/// rejects cases absent from it — so the sweep is recorded as its own
-/// informational artifact (`BATCHED.json`) rather than folded into
-/// `BENCH_<n>.json`.
+/// at every [`BATCHED_LANES`] count on one suite graph. Every metric lives
+/// on the simulated clock, so [`compare`] gates it like the cases.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BatchedReport {
-    /// Preset the sweep ran under.
-    pub preset: String,
     /// Generated graph SCALE (after the preset's shift).
     pub scale: u32,
     /// Generated graph edgefactor.
@@ -304,32 +316,14 @@ pub struct BatchedReport {
     pub cases: Vec<BatchedCase>,
 }
 
-impl BatchedReport {
-    /// Serialize to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("batched report serializes")
-    }
-
-    /// Parse from JSON.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| format!("batched report parse error: {e:?}"))
-    }
-}
-
-/// Run the batched sweep under `preset` at the default
-/// [`BATCHED_PAPER_SCALE`].
+/// Run the batched sweep on `rt` at `paper_scale` (mapped through
+/// `preset`). The suite runs it at [`BATCHED_PAPER_SCALE`]; tests use a
+/// smaller instance.
 ///
 /// # Panics
 /// Panics if any batch lane's parent array disagrees with its solo run —
 /// lane/solo identity is a hard `BatchSession` invariant, not a tunable.
-pub fn run_batched(preset: &Preset) -> BatchedReport {
-    run_batched_at(preset, BATCHED_PAPER_SCALE)
-}
-
-/// [`run_batched`] at an explicit paper SCALE (tests use a smaller
-/// instance).
-pub fn run_batched_at(preset: &Preset, paper_scale: u32) -> BatchedReport {
-    let rt = suite_runtime(preset);
+pub fn run_batched_at(rt: &AdaptiveRuntime, preset: &Preset, paper_scale: u32) -> BatchedReport {
     let scale = preset.scale(paper_scale);
     let ef = SUITE_EDGEFACTOR;
     let g = crate::experiments::graph(scale, ef);
@@ -356,7 +350,7 @@ pub fn run_batched_at(preset: &Preset, paper_scale: u32) -> BatchedReport {
 
     let mut cases = Vec::new();
     for &lanes in &BATCHED_LANES {
-        let batch = BatchSession::new(&rt, &g, &stats)
+        let batch = BatchSession::new(rt, &g, &stats)
             .sources(&sources[..lanes])
             .run()
             .expect("fault-free batch serves");
@@ -382,7 +376,6 @@ pub fn run_batched_at(preset: &Preset, paper_scale: u32) -> BatchedReport {
         });
     }
     BatchedReport {
-        preset: preset.name.to_string(),
         scale,
         edgefactor: ef,
         sources,
@@ -463,7 +456,7 @@ pub struct PolicyFamilyCase {
 impl PolicyFamilyCase {
     /// Whether the cohort regret trend is monotone non-increasing (within
     /// float-summation noise) — the "bandit is learning, not thrashing"
-    /// check the nightly artifact is read for.
+    /// check the policy section is read for.
     pub fn regret_is_non_increasing(&self) -> bool {
         self.cohorts
             .windows(2)
@@ -477,14 +470,9 @@ impl PolicyFamilyCase {
 /// across queries exactly like the service's capacity-1 admission order.
 ///
 /// Every metric lives on the simulated clock and the stream is fully
-/// seeded, so the report is deterministic — but like `BATCHED.json` it
-/// is recorded as an informational artifact (`POLICY.json`) and
-/// deliberately excluded from the perf gate ([`compare`] never reads it):
-/// its point is the offline/online *trend*, not a pinned number.
+/// seeded, so [`compare`] gates it like the cases.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PolicyReport {
-    /// Preset the sweep ran under.
-    pub preset: String,
     /// Generated graph SCALE (after the preset's shift).
     pub scale: u32,
     /// R-MAT edgefactor (the held-out families match its vertex count).
@@ -497,28 +485,10 @@ pub struct PolicyReport {
     pub families: Vec<PolicyFamilyCase>,
 }
 
-impl PolicyReport {
-    /// Serialize to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("policy report serializes")
-    }
-
-    /// Parse from JSON.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| format!("policy report parse error: {e:?}"))
-    }
-}
-
-/// Run the policy sweep under `preset` at the default
-/// [`POLICY_PAPER_SCALE`].
-pub fn run_policy(preset: &Preset) -> PolicyReport {
-    run_policy_at(preset, POLICY_PAPER_SCALE)
-}
-
-/// [`run_policy`] at an explicit paper SCALE (tests use a smaller
-/// instance).
-pub fn run_policy_at(preset: &Preset, paper_scale: u32) -> PolicyReport {
-    let rt = suite_runtime(preset);
+/// Run the policy sweep on `rt` at `paper_scale` (mapped through
+/// `preset`). The suite runs it at [`POLICY_PAPER_SCALE`]; tests use a
+/// smaller instance.
+pub fn run_policy_at(rt: &AdaptiveRuntime, preset: &Preset, paper_scale: u32) -> PolicyReport {
     let scale = preset.scale(paper_scale);
     let ef = SUITE_EDGEFACTOR;
     let n: u32 = 1 << scale;
@@ -532,10 +502,9 @@ pub fn run_policy_at(preset: &Preset, paper_scale: u32) -> PolicyReport {
     ];
     let cases = families
         .iter()
-        .map(|(family, g)| run_policy_family(&rt, family, g, POLICY_BANDIT_SEED))
+        .map(|(family, g)| run_policy_family(rt, family, g, POLICY_BANDIT_SEED))
         .collect();
     PolicyReport {
-        preset: preset.name.to_string(),
         scale,
         edgefactor: ef,
         bandit_seed: POLICY_BANDIT_SEED,
@@ -639,169 +608,195 @@ fn run_policy_family(
     }
 }
 
-fn pct(v: f64, base: f64) -> f64 {
-    if base != 0.0 {
-        (v - base) / base * 100.0
-    } else {
-        0.0
+/// The gate's checks. Each pushes at most one message, which names the
+/// section and case (`at`), the metric, and both values.
+struct Gate<'t> {
+    tol: &'t PerfTolerance,
+    out: CompareOutcome,
+}
+
+/// `check!(gate.lower(at, cur, base, audit.efficiency))` runs one [`Gate`]
+/// check on the same field of both sides, named after that field.
+macro_rules! check {
+    ($gate:ident.$how:ident($at:expr, $cur:expr, $base:expr, $($field:ident).+)) => {
+        $gate.$how($at, stringify!($($field).+), &$cur.$($field).+, &$base.$($field).+)
+    };
+}
+
+impl Gate<'_> {
+    /// A discrete value (count, label, source list) that must not change.
+    fn exact<T: PartialEq + std::fmt::Debug>(&mut self, at: &str, metric: &str, cur: &T, base: &T) {
+        if cur != base {
+            self.out.regressions.push(format!(
+                "{at}: {metric} changed (baseline {base:?}, current {cur:?})"
+            ));
+        }
+    }
+
+    /// Lower is better: seconds and regrets.
+    fn lower(&mut self, at: &str, metric: &str, cur: &f64, base: &f64) {
+        self.banded(at, metric, *cur, *base, Some(Ordering::Less));
+    }
+
+    /// Higher is better: TEPS, efficiencies and speedups.
+    fn higher(&mut self, at: &str, metric: &str, cur: &f64, base: &f64) {
+        self.banded(at, metric, *cur, *base, Some(Ordering::Greater));
+    }
+
+    /// Neither way is better: any move beyond the band is a regression.
+    fn near(&mut self, at: &str, metric: &str, cur: &f64, base: &f64) {
+        self.banded(at, metric, *cur, *base, None);
+    }
+
+    /// A move beyond the band is an improvement only in the `better`
+    /// direction; any other move, a NaN included, is a regression.
+    fn banded(&mut self, at: &str, metric: &str, cur: f64, base: f64, better: Option<Ordering>) {
+        let band = (base.abs() * self.tol.rel).max(self.tol.abs_s);
+        if (cur - base).abs() <= band {
+            return;
+        }
+        let (list, verb) = if better.is_some() && cur.partial_cmp(&base) == better {
+            (&mut self.out.improvements, "improved")
+        } else {
+            (&mut self.out.regressions, "regressed")
+        };
+        let pct = if base != 0.0 {
+            (cur - base) / base * 100.0
+        } else {
+            0.0
+        };
+        list.push(format!(
+            "{at}: {metric} {verb} {pct:+.3}% (baseline {base:e}, current {cur:e})"
+        ));
+    }
+
+    /// Match `cur` to `base` by `key`, naming every case missing from
+    /// either side, and return the matched pairs labelled `section/key`.
+    fn pair<'r, T>(
+        &mut self,
+        section: &str,
+        cur: &'r [T],
+        base: &'r [T],
+        key: impl Fn(&T) -> String,
+    ) -> Vec<(String, &'r T, &'r T)> {
+        let mut pairs = Vec::new();
+        for b in base {
+            let k = key(b);
+            match cur.iter().find(|c| key(c) == k) {
+                Some(c) => pairs.push((format!("{section}/{k}"), c, b)),
+                None => self
+                    .out
+                    .regressions
+                    .push(format!("{section}/{k}: case missing from current report")),
+            }
+        }
+        for c in cur {
+            let k = key(c);
+            if !base.iter().any(|b| key(b) == k) {
+                self.out.regressions.push(format!(
+                    "{section}/{k}: case not present in baseline (regenerate it)"
+                ));
+            }
+        }
+        pairs
     }
 }
 
-/// Compare `current` against `baseline`.
+/// Compare `current` against `baseline`, section by section.
 ///
-/// Lower-is-better metrics (seconds) regress upward, higher-is-better
-/// metrics (TEPS, audit efficiency) regress downward; discrete metrics
-/// (edge counts, served rungs, case sets, format version) must match
-/// exactly. Every regression message names the offending case and metric
-/// with both values.
+/// Lower-is-better metrics (seconds, regrets) regress upward,
+/// higher-is-better metrics (TEPS, efficiencies, speedups) regress
+/// downward, and discrete metrics (counts, rungs, sources, case sets,
+/// format version) must match exactly. The offline SVM's predicted
+/// parameters must stay within the band either way. Every message names
+/// the section, the case and the metric with both values, e.g.
+/// `batched/4-lanes: batch_seconds regressed …`.
 pub fn compare(
     current: &BenchReport,
     baseline: &BenchReport,
     tol: &PerfTolerance,
 ) -> CompareOutcome {
-    let mut out = CompareOutcome::default();
-    if current.format_version != baseline.format_version {
-        out.regressions.push(format!(
-            "format_version: baseline {} vs current {}",
-            baseline.format_version, current.format_version
-        ));
-        return out;
-    }
-    if current.preset != baseline.preset {
-        out.regressions.push(format!(
-            "preset: baseline {:?} vs current {:?}",
-            baseline.preset, current.preset
-        ));
-        return out;
+    let mut gate = Gate {
+        tol,
+        out: CompareOutcome::default(),
+    };
+    check!(gate.exact("report", current, baseline, format_version));
+    check!(gate.exact("report", current, baseline, preset));
+    if !gate.out.is_pass() {
+        return gate.out;
     }
 
-    // Lower is better: seconds-type metrics.
-    let worse_up = |id: &str, metric: &str, cur: f64, base: f64, out: &mut CompareOutcome| {
-        let band = (base.abs() * tol.rel).max(tol.abs_s);
-        if cur > base + band {
-            out.regressions.push(format!(
-                "{id}: {metric} regressed {:+.3}% (baseline {base:.9}, current {cur:.9})",
-                pct(cur, base)
-            ));
-        } else if cur < base - band {
-            out.improvements.push(format!(
-                "{id}: {metric} improved {:+.3}% (baseline {base:.9}, current {cur:.9})",
-                pct(cur, base)
-            ));
-        }
-    };
-    // Higher is better: rate/ratio metrics.
-    let worse_down = |id: &str, metric: &str, cur: f64, base: f64, out: &mut CompareOutcome| {
-        let band = base.abs() * tol.rel;
-        if cur < base - band {
-            out.regressions.push(format!(
-                "{id}: {metric} regressed {:+.3}% (baseline {base:.6}, current {cur:.6})",
-                pct(cur, base)
-            ));
-        } else if cur > base + band {
-            out.improvements.push(format!(
-                "{id}: {metric} improved {:+.3}% (baseline {base:.6}, current {cur:.6})",
-                pct(cur, base)
-            ));
-        }
-    };
-
-    for base_case in &baseline.cases {
-        let Some(cur) = current.cases.iter().find(|c| c.id == base_case.id) else {
-            out.regressions.push(format!(
-                "{}: case missing from current report",
-                base_case.id
-            ));
-            continue;
-        };
-        let id = &base_case.id;
-        if cur.plan != base_case.plan {
-            out.regressions.push(format!(
-                "{id}: fault plan changed (baseline {:?}, current {:?})",
-                base_case.plan, cur.plan
-            ));
-        }
-        if cur.rung != base_case.rung {
-            out.regressions.push(format!(
-                "{id}: served rung changed (baseline {:?}, current {:?})",
-                base_case.rung, cur.rung
-            ));
-        }
-        if cur.component_edges != base_case.component_edges {
-            out.regressions.push(format!(
-                "{id}: component_edges changed (baseline {}, current {})",
-                base_case.component_edges, cur.component_edges
-            ));
-        }
-        if cur.edges_examined != base_case.edges_examined {
-            out.regressions.push(format!(
-                "{id}: edges_examined changed (baseline {}, current {})",
-                base_case.edges_examined, cur.edges_examined
-            ));
-        }
-        worse_up(
-            id,
-            "total_seconds",
-            cur.total_seconds,
-            base_case.total_seconds,
-            &mut out,
-        );
-        worse_up(
-            id,
-            "critical_path_s",
-            cur.critical_path_s,
-            base_case.critical_path_s,
-            &mut out,
-        );
-        worse_down(id, "teps", cur.teps, base_case.teps, &mut out);
-        worse_down(
-            id,
-            "audit.efficiency",
-            cur.audit.efficiency,
-            base_case.audit.efficiency,
-            &mut out,
-        );
-        worse_up(
-            id,
-            "audit.regret_seconds",
-            cur.audit.regret_seconds,
-            base_case.audit.regret_seconds,
-            &mut out,
-        );
-        for (phase, base_s) in &base_case.phase_seconds {
-            let cur_s = cur.phase_seconds.get(phase).copied().unwrap_or(0.0);
-            worse_up(
-                id,
+    let id = |c: &BenchCase| c.id.clone();
+    for (at, cur, base) in gate.pair("cases", &current.cases, &baseline.cases, id) {
+        check!(gate.exact(&at, cur, base, plan));
+        check!(gate.exact(&at, cur, base, rung));
+        check!(gate.exact(&at, cur, base, component_edges));
+        check!(gate.exact(&at, cur, base, edges_examined));
+        check!(gate.lower(&at, cur, base, total_seconds));
+        check!(gate.lower(&at, cur, base, critical_path_s));
+        check!(gate.higher(&at, cur, base, teps));
+        check!(gate.higher(&at, cur, base, audit.efficiency));
+        check!(gate.lower(&at, cur, base, audit.regret_seconds));
+        // A phase absent from one side spent zero seconds there.
+        let phases: std::collections::BTreeSet<&String> = cur
+            .phase_seconds
+            .keys()
+            .chain(base.phase_seconds.keys())
+            .collect();
+        for phase in phases {
+            let secs = |c: &BenchCase| c.phase_seconds.get(phase).copied().unwrap_or(0.0);
+            gate.lower(
+                &at,
                 &format!("phase_seconds[{phase}]"),
-                cur_s,
-                *base_s,
-                &mut out,
+                &secs(cur),
+                &secs(base),
             );
         }
-        for phase in cur.phase_seconds.keys() {
-            if !base_case.phase_seconds.contains_key(phase) {
-                out.regressions.push(format!(
-                    "{id}: phase_seconds[{phase}] appeared (baseline has no such phase)"
-                ));
-            }
+    }
+    check!(gate.higher("cases", current, baseline, harmonic_mean_teps));
+
+    let (cur, base) = (&current.batched, &baseline.batched);
+    check!(gate.exact("batched", cur, base, scale));
+    check!(gate.exact("batched", cur, base, edgefactor));
+    check!(gate.exact("batched", cur, base, sources));
+    let lanes = |c: &BatchedCase| format!("{}-lanes", c.lanes);
+    for (at, cur, base) in gate.pair("batched", &cur.cases, &base.cases, lanes) {
+        check!(gate.lower(&at, cur, base, batch_seconds));
+        check!(gate.lower(&at, cur, base, solo_seconds));
+        check!(gate.higher(&at, cur, base, speedup));
+        check!(gate.exact(&at, cur, base, rounds));
+        check!(gate.exact(&at, cur, base, edges_examined));
+    }
+
+    let (cur, base) = (&current.policy, &baseline.policy);
+    check!(gate.exact("policy", cur, base, scale));
+    check!(gate.exact("policy", cur, base, edgefactor));
+    check!(gate.exact("policy", cur, base, bandit_seed));
+    check!(gate.exact("policy", cur, base, queries));
+    let family = |f: &PolicyFamilyCase| f.family.clone();
+    for (at, cur, base) in gate.pair("policy", &cur.families, &base.families, family) {
+        check!(gate.exact(&at, cur, base, vertices));
+        check!(gate.exact(&at, cur, base, edges));
+        check!(gate.exact(&at, cur, base, sources));
+        check!(gate.near(&at, cur, base, offline_params.handoff.m));
+        check!(gate.near(&at, cur, base, offline_params.handoff.n));
+        check!(gate.near(&at, cur, base, offline_params.gpu.m));
+        check!(gate.near(&at, cur, base, offline_params.gpu.n));
+        check!(gate.higher(&at, cur, base, offline_mean_efficiency));
+        check!(gate.higher(&at, cur, base, online_mean_efficiency));
+        check!(gate.lower(&at, cur, base, offline_mean_regret_s));
+        check!(gate.lower(&at, cur, base, online_mean_regret_s));
+        check!(gate.exact(&at, cur, base, decisions));
+        check!(gate.exact(&at, cur, base, explorations));
+        let cohort = |c: &PolicyCohort| format!("cohort-{}", c.cohort);
+        for (at, cur, base) in gate.pair(&at, &cur.cohorts, &base.cohorts, cohort) {
+            check!(gate.exact(&at, cur, base, queries));
+            check!(gate.lower(&at, cur, base, mean_level_regret_s));
+            check!(gate.higher(&at, cur, base, mean_efficiency));
+            check!(gate.exact(&at, cur, base, explorations));
         }
     }
-    for cur_case in &current.cases {
-        if !baseline.cases.iter().any(|c| c.id == cur_case.id) {
-            out.regressions.push(format!(
-                "{}: case not present in baseline (regenerate it)",
-                cur_case.id
-            ));
-        }
-    }
-    worse_down(
-        "suite",
-        "harmonic_mean_teps",
-        current.harmonic_mean_teps,
-        baseline.harmonic_mean_teps,
-        &mut out,
-    );
-    out
+    gate.out
 }
 
 /// The next free `BENCH_<n>.json` path in `dir` (1-based, gap-free growth:
@@ -827,6 +822,7 @@ pub fn next_bench_path(dir: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     #[test]
     fn committed_baseline_parses_and_meets_efficiency_bar() {
@@ -846,20 +842,89 @@ mod tests {
                 case.audit.efficiency
             );
         }
+        assert_sweeps_hold(&baseline);
     }
 
-    fn tiny_report() -> BenchReport {
-        // A real single-case run at the floor scale keeps the test fast
-        // while exercising the full pipeline.
-        let rt = AdaptiveRuntime::quick_trained();
-        let case = run_case(&rt, 10, &FaultPlan::none(), "fault-free", "fault-free");
-        let teps = [Teps::new(case.component_edges, case.total_seconds)];
-        BenchReport {
-            format_version: BENCH_FORMAT_VERSION,
-            preset: "scaled".to_string(),
-            harmonic_mean_teps: harmonic_mean_teps(&teps),
-            cases: vec![case],
+    /// What the two sweeps are read for: every batch beats its solo runs,
+    /// and the online policy learns.
+    fn assert_sweeps_hold(report: &BenchReport) {
+        let batched = &report.batched;
+        let lanes: Vec<usize> = batched.cases.iter().map(|c| c.lanes).collect();
+        assert_eq!(lanes, BATCHED_LANES);
+        assert_eq!(batched.sources.len(), *BATCHED_LANES.iter().max().unwrap());
+        for case in &batched.cases {
+            assert!(case.rounds > 0 && case.edges_examined > 0);
+            // Lanes share every round's sweeps, so a multi-lane batch is
+            // strictly cheaper than its solo runs back to back.
+            assert!(
+                case.batch_seconds < case.solo_seconds && case.speedup > 1.0,
+                "{} lanes: batch {} s did not beat {} s solo",
+                case.lanes,
+                case.batch_seconds,
+                case.solo_seconds
+            );
         }
+
+        let policy = &report.policy;
+        let labels: Vec<&str> = policy.families.iter().map(|f| f.family.as_str()).collect();
+        assert_eq!(labels, ["rmat", "road", "small-world"]);
+        assert_eq!(policy.queries, POLICY_QUERIES);
+        for case in &policy.families {
+            assert_eq!(case.sources.len(), POLICY_SOURCE_POOL);
+            assert_eq!(case.cohorts.len(), POLICY_COHORTS);
+            assert!(case.decisions > 0, "{}: no decisions", case.family);
+            // Learning shows up as a regret trend that never climbs, with
+            // exploration front-loaded: the first cohort pays for the
+            // unplayed arms, the last coasts on learned means.
+            assert!(
+                case.regret_is_non_increasing(),
+                "{}: cohort regret climbed: {:?}",
+                case.family,
+                case.cohorts
+                    .iter()
+                    .map(|c| c.mean_level_regret_s)
+                    .collect::<Vec<_>>()
+            );
+            assert!(case.cohorts[0].explorations >= case.cohorts[POLICY_COHORTS - 1].explorations);
+        }
+        // On the families held out of the offline SVM's R-MAT training
+        // set, the learned per-level policy beats the fixed offline
+        // prediction outright.
+        for case in &policy.families[1..] {
+            assert!(
+                case.online_mean_efficiency > case.offline_mean_efficiency,
+                "{}: online {} did not beat offline {}",
+                case.family,
+                case.online_mean_efficiency,
+                case.offline_mean_efficiency
+            );
+        }
+    }
+
+    /// A real report, built once for every test here on one runtime: a
+    /// single case at the floor scale and both sweeps at paper SCALE 13,
+    /// which keeps the 200-query policy streams fast.
+    fn tiny_report() -> &'static BenchReport {
+        static REPORT: OnceLock<BenchReport> = OnceLock::new();
+        REPORT.get_or_init(|| {
+            let rt = AdaptiveRuntime::quick_trained();
+            let case = run_case(&rt, 10, &FaultPlan::none(), "fault-free", "fault-free");
+            let teps = [Teps::new(case.component_edges, case.total_seconds)];
+            BenchReport {
+                format_version: BENCH_FORMAT_VERSION,
+                preset: "scaled".to_string(),
+                harmonic_mean_teps: harmonic_mean_teps(&teps),
+                cases: vec![case],
+                batched: run_batched_at(&rt, &Preset::scaled(), 13),
+                policy: run_policy_at(&rt, &Preset::scaled(), 13),
+            }
+        })
+    }
+
+    #[test]
+    fn sweeps_amortize_and_learn() {
+        // The batched sweep also asserts lane/solo parent identity itself.
+        assert_sweeps_hold(tiny_report());
     }
 
     #[test]
@@ -891,57 +956,91 @@ mod tests {
     fn report_round_trips_through_json() {
         let report = tiny_report();
         let parsed = BenchReport::from_json(&report.to_json()).expect("parse back");
-        assert_eq!(parsed, report);
+        assert_eq!(&parsed, report);
     }
 
     #[test]
-    fn compare_passes_identity_and_names_regressions() {
-        let report = tiny_report();
-        let tol = PerfTolerance::default();
-        assert!(compare(&report, &report, &tol).is_pass());
-
-        // A 1 % slowdown on one case trips total_seconds, teps, and the
-        // suite harmonic mean — each named.
-        let mut slow = report.clone();
-        slow.cases[0].total_seconds *= 1.01;
-        slow.cases[0].teps /= 1.01;
-        slow.harmonic_mean_teps /= 1.01;
-        let out = compare(&slow, &report, &tol);
-        assert!(!out.is_pass());
-        assert!(out
-            .regressions
-            .iter()
-            .any(|r| r.contains("total_seconds") && r.contains(&report.cases[0].id)));
-        assert!(out.regressions.iter().any(|r| r.contains("teps")));
-        assert!(out
-            .regressions
-            .iter()
-            .any(|r| r.contains("harmonic_mean_teps")));
-
-        // The mirror image is an improvement, not a failure.
-        let out = compare(&report, &slow, &tol);
-        assert!(out.is_pass());
-        assert!(!out.improvements.is_empty());
+    fn reports_of_another_version_or_missing_a_section_are_rejected() {
+        let serde_json::Value::Object(fields) = serde_json::to_value(tiny_report()) else {
+            panic!("a report serializes as an object");
+        };
+        let parse = |fields: Vec<(String, serde_json::Value)>| {
+            let text = serde_json::to_string(&serde_json::Value::Object(fields));
+            BenchReport::from_json(&text.expect("serializes"))
+        };
+        let mut old = fields.clone();
+        assert_eq!(old[0].0, "format_version");
+        old[0].1 = serde_json::to_value(&1u64);
+        assert!(parse(old)
+            .expect_err("version 1")
+            .contains("format_version 1"));
+        for section in ["cases", "batched", "policy"] {
+            let without = fields
+                .iter()
+                .filter(|(k, _)| k != section)
+                .cloned()
+                .collect();
+            assert!(parse(without).is_err(), "a report without {section} parsed");
+        }
     }
 
     #[test]
-    fn compare_rejects_schema_and_case_set_drift() {
+    fn compare_passes_identity_and_names_each_regression() {
         let report = tiny_report();
         let tol = PerfTolerance::default();
+        let out = compare(report, report, &tol);
+        assert!(out.is_pass() && out.improvements.is_empty(), "{out:?}");
 
-        let mut other_version = report.clone();
-        other_version.format_version += 1;
-        let out = compare(&other_version, &report, &tol);
-        assert!(out.regressions.iter().any(|r| r.contains("format_version")));
-
-        let mut renamed = report.clone();
-        renamed.cases[0].id = "s10-ef16-renamed".to_string();
-        let out = compare(&renamed, &report, &tol);
-        assert!(out.regressions.iter().any(|r| r.contains("case missing")));
-        assert!(out
-            .regressions
-            .iter()
-            .any(|r| r.contains("not present in baseline")));
+        // Each perturbation is one regression, named by section, case and
+        // metric. Compared the other way, a banded metric has improved,
+        // while a moved count or case set regresses either way.
+        type Perturb = fn(&mut BenchReport);
+        let perturbations: [(&str, bool, Perturb); 8] = [
+            ("report: format_version changed", true, |r| {
+                r.format_version += 1
+            }),
+            ("cases/s10-ef16-fault-free: case missing", true, |r| {
+                r.cases.clear()
+            }),
+            (
+                "cases/s10-ef16-fault-free: total_seconds regressed",
+                false,
+                |r| r.cases[0].total_seconds *= 1.01,
+            ),
+            ("cases/s10-ef16-fault-free: teps regressed", false, |r| {
+                r.cases[0].teps /= 1.01
+            }),
+            ("cases: harmonic_mean_teps regressed", false, |r| {
+                r.harmonic_mean_teps /= 1.01
+            }),
+            ("batched/4-lanes: batch_seconds regressed", false, |r| {
+                r.batched.cases[1].batch_seconds *= 1.01
+            }),
+            (
+                "policy/road: online_mean_efficiency regressed",
+                false,
+                |r| r.policy.families[1].online_mean_efficiency *= 0.99,
+            ),
+            ("policy/small-world: decisions changed", true, |r| {
+                r.policy.families[2].decisions += 1
+            }),
+        ];
+        for (named, both_ways, perturb) in perturbations {
+            let mut moved = report.clone();
+            perturb(&mut moved);
+            let out = compare(&moved, report, &tol);
+            assert!(out.regressions.len() == 1, "{named}: {out:?}");
+            assert!(out.regressions[0].starts_with(named), "{named}: {out:?}");
+            let back = compare(report, &moved, &tol);
+            let (hit, miss) = if both_ways {
+                (&back.regressions, &back.improvements)
+            } else {
+                (&back.improvements, &back.regressions)
+            };
+            assert!(hit.len() == 1 && miss.is_empty(), "{named}: {back:?}");
+            let at = |m: &str| m.split(": ").next().map(str::to_string);
+            assert_eq!(at(&hit[0]), at(named));
+        }
     }
 
     #[test]
@@ -954,83 +1053,6 @@ mod tests {
         std::fs::write(dir.join("BENCH_x.json"), "{}").unwrap();
         assert!(next_bench_path(&dir).ends_with("BENCH_8.json"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn batched_sweep_amortizes_every_lane_count_and_round_trips() {
-        // A small paper scale keeps this fast; the sweep itself asserts
-        // lane/solo parent identity internally.
-        let report = run_batched_at(&Preset::scaled(), 13);
-        let lanes: Vec<usize> = report.cases.iter().map(|c| c.lanes).collect();
-        assert_eq!(lanes, BATCHED_LANES.to_vec());
-        assert_eq!(report.sources.len(), *BATCHED_LANES.iter().max().unwrap());
-        for case in &report.cases {
-            assert!(case.batch_seconds > 0.0);
-            assert!(case.rounds > 0);
-            assert!(case.edges_examined > 0);
-            // Lanes share every round's sweeps, so a multi-lane batch is
-            // strictly cheaper than its solo runs back to back.
-            assert!(
-                case.batch_seconds < case.solo_seconds,
-                "{} lanes: batch {} s did not beat {} s solo",
-                case.lanes,
-                case.batch_seconds,
-                case.solo_seconds
-            );
-            assert!(case.speedup > 1.0);
-        }
-        let parsed = BatchedReport::from_json(&report.to_json()).expect("parse back");
-        assert_eq!(parsed, report);
-    }
-
-    #[test]
-    fn policy_sweep_learns_on_held_out_families_and_round_trips() {
-        // A small paper scale keeps the 200-query streams fast.
-        let report = run_policy_at(&Preset::scaled(), 13);
-        let labels: Vec<&str> = report.families.iter().map(|f| f.family.as_str()).collect();
-        assert_eq!(labels, ["rmat", "road", "small-world"]);
-        assert_eq!(report.queries, POLICY_QUERIES);
-        for case in &report.families {
-            assert_eq!(case.sources.len(), POLICY_SOURCE_POOL);
-            assert_eq!(case.cohorts.len(), POLICY_COHORTS);
-            assert!(
-                case.decisions > 0,
-                "{}: stream traced no decisions",
-                case.family
-            );
-            // Learning shows up as a regret trend that never climbs from
-            // one cohort to the next.
-            assert!(
-                case.regret_is_non_increasing(),
-                "{}: cohort regret climbed: {:?}",
-                case.family,
-                case.cohorts
-                    .iter()
-                    .map(|c| c.mean_level_regret_s)
-                    .collect::<Vec<_>>()
-            );
-            // Exploration is front-loaded: the first cohort pays for the
-            // unplayed arms, the last coasts on learned means.
-            assert!(case.cohorts[0].explorations >= case.cohorts[POLICY_COHORTS - 1].explorations);
-        }
-        // On the held-out families — absent from the offline SVM's R-MAT
-        // training set — the learned per-level policy must beat the fixed
-        // offline prediction outright.
-        for held_out in ["road", "small-world"] {
-            let case = report
-                .families
-                .iter()
-                .find(|f| f.family == held_out)
-                .expect("held-out family present");
-            assert!(
-                case.online_mean_efficiency > case.offline_mean_efficiency,
-                "{held_out}: online {} did not beat offline {}",
-                case.online_mean_efficiency,
-                case.offline_mean_efficiency
-            );
-        }
-        let parsed = PolicyReport::from_json(&report.to_json()).expect("parse back");
-        assert_eq!(parsed, report);
     }
 
     #[test]

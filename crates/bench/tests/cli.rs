@@ -405,10 +405,17 @@ fn bench_compare_against_committed_baseline_passes() {
     let narration = String::from_utf8_lossy(&out.stdout);
     assert!(narration.contains("perf gate passed"), "{narration}");
 
-    // The run leaves a versioned snapshot behind.
+    // The run leaves one versioned snapshot behind, holding every section.
+    let files: Vec<_> = std::fs::read_dir(&bench_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(files, ["BENCH_1.json"]);
     let snapshot = bench_dir.join("BENCH_1.json");
     let report = xbfs_bench::perf::BenchReport::load(&snapshot).expect("snapshot parses");
     assert_eq!(report.cases.len(), 6, "three scales x two plans");
+    assert_eq!(report.batched.cases.len(), 3, "2, 4 and 8 lanes");
+    assert_eq!(report.policy.families.len(), 3, "rmat, road, small-world");
 
     // Acceptance bar: on every preset graph the audited prediction stays
     // within 90% of the exhaustive oracle's TEPS.
@@ -461,24 +468,45 @@ fn bench_overlay_slowdown_trips_gate() {
 }
 
 #[test]
-fn bench_tolerance_is_checked_before_the_suite_runs() {
+fn bench_input_errors_fail_before_the_suite_runs() {
     let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baseline.json");
-    for bad in ["nan", "inf", "-1", "x"] {
-        let bench_dir = tmpfile(&format!("bench-tolerance-{bad}"));
+    // A baseline in the first report format, which held only the cases.
+    let old = tmpfile("format-1-baseline.json");
+    let v1 = r#"{"format_version": 1, "preset": "scaled", "harmonic_mean_teps": 1.0, "cases": []}"#;
+    std::fs::write(&old, v1).unwrap();
+    let (old, missing) = (old.to_str().unwrap(), "/nonexistent/baseline.json");
+    let bench_dir = tmpfile("bench-input-errors");
+    for (flags, named) in [
+        (
+            &["--compare", baseline, "--tolerance", "nan"][..],
+            "--tolerance",
+        ),
+        (
+            &["--compare", baseline, "--tolerance", "inf"],
+            "--tolerance",
+        ),
+        (&["--compare", baseline, "--tolerance", "-1"], "--tolerance"),
+        (&["--compare", baseline, "--tolerance", "x"], "--tolerance"),
+        (&["--compare", missing], missing),
+        (&["--compare", old], old),
+        (&["--compare", baseline, "--preset", "paper"], "preset"),
+        (&["--batched"], "--batched"),
+        (&["--policy"], "--policy"),
+        (&["--policy", "x"], "--policy"),
+    ] {
         let out = cli()
-            .args(["bench", "--compare", baseline, "--tolerance", bad])
+            .arg("bench")
+            .args(flags)
             .args(["--bench-dir", bench_dir.to_str().unwrap()])
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "--tolerance {bad}: {stderr}");
-        assert!(
-            stderr.contains("--tolerance"),
-            "--tolerance {bad}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "--tolerance {bad} ran the suite");
-        assert!(!bench_dir.exists(), "--tolerance {bad} wrote a BENCH file");
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(stderr.contains(named), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} ran the suite");
+        assert!(!bench_dir.exists(), "{flags:?} wrote a BENCH file");
     }
+    std::fs::remove_file(old).ok();
 }
 
 #[test]

@@ -73,10 +73,14 @@ const BACKOFF_FACTOR: f64 = 2.0;
 /// Uniform jitter fraction: each backoff is scaled by
 /// `1 + BACKOFF_JITTER × u` with `u ~ U[0, 1)` from the fault seed.
 const BACKOFF_JITTER: f64 = 0.1;
+/// In-rung repair attempts after a detected corruption before the rung
+/// degrades with [`XbfsError::CorruptionUnrecovered`].
+const CORRUPTION_REPAIR_LIMIT: u32 = 2;
 
 /// The full failure-handling configuration of one resilient run. The
-/// backoff between retries and the circuit breakers' tuning are fixed
-/// constants of the ladder, not settings.
+/// backoff between retries, the circuit breakers' tuning and the
+/// corruption repair budget are fixed constants of the ladder, not
+/// settings.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ResilienceConfig {
     /// Attempts per operation, including the first (≥ 1).
@@ -93,17 +97,12 @@ pub struct ResilienceConfig {
     /// ([`Link::checksum_time`]); a flipped payload fails verification
     /// and is retried like a transient instead of landing silently.
     pub checksum_transfers: bool,
-    /// Bounded in-rung repair attempts after a detected corruption
-    /// before the rung degrades with
-    /// [`XbfsError::CorruptionUnrecovered`].
-    pub corruption_repair_limit: u32,
 }
 
 impl ResilienceConfig {
     /// Runtime defaults: 3 attempts per operation, a checkpoint every 4
     /// levels (in-memory only), no deadline, corruption defense off
-    /// (scrub off, unchecksummed transfers) with 2 repair attempts if it
-    /// is turned on.
+    /// (scrub off, unchecksummed transfers).
     pub fn default_runtime() -> Self {
         Self {
             max_attempts: 3,
@@ -111,7 +110,6 @@ impl ResilienceConfig {
             checkpoint: CheckpointPolicy::every(4),
             scrub: ScrubPolicy::Off,
             checksum_transfers: false,
-            corruption_repair_limit: 2,
         }
     }
 
@@ -349,8 +347,6 @@ struct Recovery<'a> {
     scrubber: Scrubber,
     /// Whether link transfers are integrity-checksummed at the receiver.
     checksum_transfers: bool,
-    /// Bounded in-rung repair attempts per rung after detected corruption.
-    corruption_repair_limit: u32,
     /// Corruption detections so far (checksum + scrub).
     corruption_detected: u32,
     /// In-rung corruption repairs performed so far.
@@ -407,7 +403,6 @@ impl<'a> Recovery<'a> {
             scrub: config.scrub,
             scrubber: Scrubber::default(),
             checksum_transfers: config.checksum_transfers,
-            corruption_repair_limit: config.corruption_repair_limit,
             corruption_detected: 0,
             corruption_repairs: 0,
             sink,
@@ -1056,7 +1051,7 @@ fn ladder(
                 break result;
             };
             repair_attempts += 1;
-            if repair_attempts > rec.corruption_repair_limit {
+            if repair_attempts > CORRUPTION_REPAIR_LIMIT {
                 break Err(RungError::Degrade(XbfsError::CorruptionUnrecovered {
                     level: level as usize,
                     attempts: repair_attempts - 1,
@@ -1909,18 +1904,20 @@ mod tests {
     #[test]
     fn exhausted_repair_budget_is_a_typed_corruption_error() {
         let (g, src, ..) = setup();
+        // One detected flip per execution of the rung: the repaired run
+        // meets the next one-shot flip, until the third detection finds
+        // the budget of two repairs spent.
         let plan = FaultPlan {
-            scheduled: vec![parent_flip_at(1)],
+            scheduled: (1..=3).map(parent_flip_at).collect(),
             ..FaultPlan::none()
         };
         let config = ResilienceConfig {
             scrub: ScrubPolicy::every_level(),
-            corruption_repair_limit: 0,
             ..ResilienceConfig::default_runtime()
         };
-        // Pin the ladder to the corrupting rung: with no repair budget and
-        // no rung below it, the run must surface the typed terminal error
-        // rather than a wrong tree or a panic.
+        // Pin the ladder to the corrupting rung: with the repair budget
+        // spent and no rung below it, the run must surface the typed
+        // terminal error rather than a wrong tree or a panic.
         let err = run_ladder(
             &g,
             src,
@@ -1929,9 +1926,9 @@ mod tests {
             &[Rung::CpuOnly],
             &xbfs_engine::trace::NULL_SINK,
         )
-        .expect_err("no repair budget, no lower rung");
+        .expect_err("repair budget spent, no lower rung");
         match err {
-            XbfsError::CorruptionUnrecovered { attempts, .. } => assert_eq!(attempts, 0),
+            XbfsError::CorruptionUnrecovered { attempts, .. } => assert_eq!(attempts, 2),
             other => panic!("expected CorruptionUnrecovered, got {other:?}"),
         }
     }

@@ -304,7 +304,6 @@ proptest! {
             checkpoint: CheckpointPolicy::every(2),
             scrub: ScrubPolicy::Off,
             checksum_transfers: false,
-            corruption_repair_limit: 2,
             ..ResilienceConfig::default_runtime()
         };
         let default = ResilienceConfig {
