@@ -1015,14 +1015,9 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let baseline = match args.get("compare") {
         None => None,
         Some(path) => {
-            let baseline = perf::BenchReport::load(std::path::Path::new(path))
-                .map_err(|e| format!("--compare {e}"))?;
-            if baseline.preset != preset.name {
-                return Err(format!(
-                    "--compare {path}: baseline preset {:?}, but the suite runs {:?}",
-                    baseline.preset, preset.name
-                ));
-            }
+            let baseline =
+                perf::BenchReport::load_baseline(std::path::Path::new(path), preset.name)
+                    .map_err(|e| format!("--compare {e}"))?;
             Some((path, baseline))
         }
     };

@@ -35,8 +35,7 @@ use xbfs_engine::{reference, MemorySink};
 use xbfs_graph::{gen, Csr};
 
 /// Version of the `BENCH_<n>.json` schema; bumped on breaking changes so
-/// `compare` refuses to diff incompatible reports instead of misreading
-/// them.
+/// a report of another version is refused when read instead of misread.
 pub const BENCH_FORMAT_VERSION: u64 = 2;
 
 /// The committed chaos plan every suite run replays (moderate mixed
@@ -122,11 +121,21 @@ impl BenchReport {
         }
     }
 
-    /// Load a report from a file; every error names the path.
-    pub fn load(path: &Path) -> Result<Self, String> {
+    /// Load a report to compare a `preset` run against: it must parse at
+    /// this build's [`BENCH_FORMAT_VERSION`] and hold a run of `preset`.
+    /// Every error names the path.
+    pub fn load_baseline(path: &Path, preset: &str) -> Result<Self, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+        let report = Self::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        if report.preset != preset {
+            return Err(format!(
+                "{}: baseline preset {:?}, but the suite runs {preset:?}",
+                path.display(),
+                report.preset
+            ));
+        }
+        Ok(report)
     }
 }
 
@@ -171,7 +180,7 @@ impl CompareOutcome {
 /// Each suite graph runs twice: once fault-free (or under `overlay` when
 /// given — the hook the acceptance test uses to inject a deliberate
 /// slowdown) and once under the committed chaos plan. Both sweeps run
-/// fault-free on the same trained runtime; [`run_batched_at`] panics if a
+/// fault-free on the same trained runtime; the batched sweep panics if a
 /// batch lane's parent array disagrees with its solo run.
 pub fn run_suite(preset: &Preset, overlay: Option<&FaultPlan>) -> BenchReport {
     // Deterministic training data, so the predicted parameters are stable.
@@ -323,7 +332,7 @@ pub struct BatchedReport {
 /// # Panics
 /// Panics if any batch lane's parent array disagrees with its solo run —
 /// lane/solo identity is a hard `BatchSession` invariant, not a tunable.
-pub fn run_batched_at(rt: &AdaptiveRuntime, preset: &Preset, paper_scale: u32) -> BatchedReport {
+fn run_batched_at(rt: &AdaptiveRuntime, preset: &Preset, paper_scale: u32) -> BatchedReport {
     let scale = preset.scale(paper_scale);
     let ef = SUITE_EDGEFACTOR;
     let g = crate::experiments::graph(scale, ef);
@@ -488,7 +497,7 @@ pub struct PolicyReport {
 /// Run the policy sweep on `rt` at `paper_scale` (mapped through
 /// `preset`). The suite runs it at [`POLICY_PAPER_SCALE`]; tests use a
 /// smaller instance.
-pub fn run_policy_at(rt: &AdaptiveRuntime, preset: &Preset, paper_scale: u32) -> PolicyReport {
+fn run_policy_at(rt: &AdaptiveRuntime, preset: &Preset, paper_scale: u32) -> PolicyReport {
     let scale = preset.scale(paper_scale);
     let ef = SUITE_EDGEFACTOR;
     let n: u32 = 1 << scale;
@@ -702,14 +711,15 @@ impl Gate<'_> {
     }
 }
 
-/// Compare `current` against `baseline`, section by section.
+/// Compare `current` against `baseline` (of the same version and preset,
+/// as [`BenchReport::load_baseline`] ensures), section by section.
 ///
 /// Lower-is-better metrics (seconds, regrets) regress upward,
 /// higher-is-better metrics (TEPS, efficiencies, speedups) regress
-/// downward, and discrete metrics (counts, rungs, sources, case sets,
-/// format version) must match exactly. The offline SVM's predicted
-/// parameters must stay within the band either way. Every message names
-/// the section, the case and the metric with both values, e.g.
+/// downward, and discrete metrics (counts, rungs, sources, case and phase
+/// sets) must match exactly. The offline SVM's predicted parameters must
+/// stay within the band either way. Every message names the section, the
+/// case and the metric with both values, e.g.
 /// `batched/4-lanes: batch_seconds regressed …`.
 pub fn compare(
     current: &BenchReport,
@@ -720,12 +730,6 @@ pub fn compare(
         tol,
         out: CompareOutcome::default(),
     };
-    check!(gate.exact("report", current, baseline, format_version));
-    check!(gate.exact("report", current, baseline, preset));
-    if !gate.out.is_pass() {
-        return gate.out;
-    }
-
     let id = |c: &BenchCase| c.id.clone();
     for (at, cur, base) in gate.pair("cases", &current.cases, &baseline.cases, id) {
         check!(gate.exact(&at, cur, base, plan));
@@ -737,20 +741,18 @@ pub fn compare(
         check!(gate.higher(&at, cur, base, teps));
         check!(gate.higher(&at, cur, base, audit.efficiency));
         check!(gate.lower(&at, cur, base, audit.regret_seconds));
-        // A phase absent from one side spent zero seconds there.
-        let phases: std::collections::BTreeSet<&String> = cur
-            .phase_seconds
-            .keys()
-            .chain(base.phase_seconds.keys())
-            .collect();
-        for phase in phases {
-            let secs = |c: &BenchCase| c.phase_seconds.get(phase).copied().unwrap_or(0.0);
-            gate.lower(
-                &at,
-                &format!("phase_seconds[{phase}]"),
-                &secs(cur),
-                &secs(base),
-            );
+        // A phase the baseline lacks is new work, whatever it costs; one
+        // the current run lacks spent zero seconds there.
+        for phase in cur.phase_seconds.keys() {
+            if !base.phase_seconds.contains_key(phase) {
+                gate.out.regressions.push(format!(
+                    "{at}: phase_seconds[{phase}] appeared (baseline has no such phase)"
+                ));
+            }
+        }
+        for (phase, base_s) in &base.phase_seconds {
+            let cur_s = cur.phase_seconds.get(phase).copied().unwrap_or(0.0);
+            gate.lower(&at, &format!("phase_seconds[{phase}]"), &cur_s, base_s);
         }
     }
     check!(gate.higher("cases", current, baseline, harmonic_mean_teps));
@@ -830,9 +832,8 @@ mod tests {
             env!("CARGO_MANIFEST_DIR"),
             "/../../bench/baseline.json"
         ));
-        let baseline = BenchReport::load(path).expect("committed baseline parses");
-        assert_eq!(baseline.format_version, BENCH_FORMAT_VERSION);
-        assert_eq!(baseline.preset, "scaled");
+        let baseline =
+            BenchReport::load_baseline(path, "scaled").expect("committed baseline loads");
         assert_eq!(baseline.cases.len(), SUITE_PAPER_SCALES.len() * 2);
         for case in &baseline.cases {
             assert!(
@@ -857,7 +858,9 @@ mod tests {
             // Lanes share every round's sweeps, so a multi-lane batch is
             // strictly cheaper than its solo runs back to back.
             assert!(
-                case.batch_seconds < case.solo_seconds && case.speedup > 1.0,
+                case.batch_seconds > 0.0
+                    && case.batch_seconds < case.solo_seconds
+                    && case.speedup > 1.0,
                 "{} lanes: batch {} s did not beat {} s solo",
                 case.lanes,
                 case.batch_seconds,
@@ -995,10 +998,7 @@ mod tests {
         // metric. Compared the other way, a banded metric has improved,
         // while a moved count or case set regresses either way.
         type Perturb = fn(&mut BenchReport);
-        let perturbations: [(&str, bool, Perturb); 8] = [
-            ("report: format_version changed", true, |r| {
-                r.format_version += 1
-            }),
+        let perturbations: [(&str, bool, Perturb); 7] = [
             ("cases/s10-ef16-fault-free: case missing", true, |r| {
                 r.cases.clear()
             }),
@@ -1041,6 +1041,15 @@ mod tests {
             let at = |m: &str| m.split(": ").next().map(str::to_string);
             assert_eq!(at(&hit[0]), at(named));
         }
+
+        // A phase the baseline lacks regresses even at zero seconds, which
+        // no band would see; gone again, it cost nothing.
+        let mut moved = report.clone();
+        moved.cases[0].phase_seconds.insert("probe/cpu".into(), 0.0);
+        let out = compare(&moved, report, &tol);
+        let named = "cases/s10-ef16-fault-free: phase_seconds[probe/cpu] appeared";
+        assert!(out.regressions.len() == 1 && out.regressions[0].starts_with(named));
+        assert_eq!(compare(report, &moved, &tol), CompareOutcome::default());
     }
 
     #[test]

@@ -412,7 +412,8 @@ fn bench_compare_against_committed_baseline_passes() {
         .collect();
     assert_eq!(files, ["BENCH_1.json"]);
     let snapshot = bench_dir.join("BENCH_1.json");
-    let report = xbfs_bench::perf::BenchReport::load(&snapshot).expect("snapshot parses");
+    let report =
+        xbfs_bench::perf::BenchReport::load_baseline(&snapshot, "scaled").expect("snapshot loads");
     assert_eq!(report.cases.len(), 6, "three scales x two plans");
     assert_eq!(report.batched.cases.len(), 3, "2, 4 and 8 lanes");
     assert_eq!(report.policy.families.len(), 3, "rmat, road, small-world");
